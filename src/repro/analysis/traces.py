@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple, Union
 from ..api import UvmSystem
 from ..config import SystemConfig
 from ..core.instrumentation import BatchLog
-from ..gpu.fault import AccessType
+from ..gpu.fault import AccessType, FaultArrays
 
 
 @dataclass(frozen=True)
@@ -124,20 +124,28 @@ def replay(trace: FaultTrace, config: SystemConfig) -> BatchLog:
     for start_page, num_pages in trace.allocations:
         system.engine.driver.register_allocation(start_page, num_pages)
     driver = system.engine.driver
-    gmmu = system.engine.device.gmmu
+    device = system.engine.device
     interval = system.engine.cost.fault_arrival_interval_usec
     slept = True
     for window in trace.windows:
         t = system.clock.now
-        delivered = 0
+        faults = FaultArrays()
         for f in window:
-            if system.engine.device.page_table.is_resident(f.page):
+            if device.page_table.is_resident(f.page):
                 continue  # already brought in by an earlier window's prefetch
-            if gmmu.deliver(f.page, AccessType(f.access), f.sm_id, f.warp_uid, t) is not None:
+            if device.fault_buffer.admit(
+                faults,
+                f.page,
+                AccessType(f.access),
+                f.sm_id,
+                device.config.utlb_of_sm(f.sm_id),
+                f.warp_uid,
+                t,
+            ):
                 t += interval
-                delivered += 1
-        if delivered == 0:
+        if not faults:
             continue
+        device.gmmu.deliver(faults)
         system.clock.advance_to(t)
         while len(system.engine.device.fault_buffer) > 0:
             driver.service_next_batch(slept=slept)

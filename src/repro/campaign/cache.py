@@ -35,13 +35,9 @@ def canonical_config_doc(config: SystemConfig) -> dict:
 
     The ``obs`` section is excluded: observability is timeline-neutral by
     contract, and campaign workers run with instruments off regardless.
-    The ``soa`` flag is excluded for the same reason: the SoA fault
-    pipeline is bit-identical to the scalar path by contract
-    (property-tested), so both representations may share cached rows.
     """
     doc = dataclasses.asdict(config)
     doc.pop("obs", None)
-    doc.pop("soa", None)
     return doc
 
 

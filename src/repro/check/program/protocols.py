@@ -1,6 +1,6 @@
-"""Declarative protocol catalog for the lifecycle / snapshot / parity passes.
+"""Declarative protocol catalog for the lifecycle / snapshot passes.
 
-The simulator's hand-maintained contracts live here as *data* so the three
+The simulator's hand-maintained contracts live here as *data* so the two
 protocol passes stay generic:
 
 * :data:`PROTOCOLS` — linear resources the :class:`~.lifecycle.LifecyclePass`
@@ -10,9 +10,6 @@ protocol passes stay generic:
   verbatim attr-list globals, component classes captured by ``_capture_obj``)
   so the :class:`~.snapshot.SnapshotCoveragePass` can diff the engine's
   mutable-attribute set against what a checkpoint actually captures.
-* :data:`PARITY_GROUPS` — per-group surface configuration for the
-  ``# parity: <group>/<variant>`` annotations the
-  :class:`~.parity.ParityPass` compares.
 
 Names are matched by *dotted suffix* (``"log.append"`` matches
 ``self.log.append``; a callee pattern ``"BatchRecord"`` matches the resolved
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 
 def suffix_match(dotted: str, pattern: str) -> bool:
@@ -198,7 +195,6 @@ class SnapshotSpec:
     #: annotation in one of these must be backed by an actual exclusion.
     component_classes: Tuple[str, ...] = (
         "FaultBuffer",
-        "SoaFaultBuffer",
         "Gmmu",
         "UTlb",
         "StreamingMultiprocessor",
@@ -212,37 +208,3 @@ class SnapshotSpec:
 
 
 SNAPSHOT = SnapshotSpec()
-
-
-# ------------------------------------------------------------------ parity
-
-#: ``def assemble_batch(  # parity: batch-assembly/scalar``
-PARITY_RE = re.compile(
-    r"#\s*parity:\s*([A-Za-z0-9_.-]+)\s*/\s*([A-Za-z0-9_.-]+)\s*$"
-)
-PARITY_MARK = "# parity:"
-
-
-@dataclass(frozen=True)
-class ParityGroupSpec:
-    """What counts as observable surface for one parity group."""
-
-    #: Local class names whose fields (dataclass fields / __slots__ /
-    #: class-level assignments) form the compared write surface.
-    record_classes: Tuple[str, ...] = ()
-    #: Compare plain stores to ``self.<attr>`` (counter surface).
-    self_fields: bool = False
-    #: Surface elements excluded from comparison (representation-specific
-    #: internals that legitimately differ between variants).
-    ignore: Tuple[str, ...] = ()
-
-
-#: Per-group overrides; annotated groups not listed here use DEFAULT_PARITY.
-PARITY_GROUPS: Dict[str, ParityGroupSpec] = {
-    "batch-assembly": ParityGroupSpec(
-        record_classes=("AssembledBatch", "BlockWork"),
-    ),
-    "fault-buffer": ParityGroupSpec(self_fields=True),
-}
-
-DEFAULT_PARITY = ParityGroupSpec(self_fields=True)

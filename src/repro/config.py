@@ -363,11 +363,6 @@ class SystemConfig:
     inject: InjectConfig = field(default_factory=InjectConfig)
     #: Seed for all stochastic components (workload shuffles, jitter).
     seed: int = 0
-    #: Structure-of-arrays fault pipeline (SoA fault buffer + vectorized
-    #: batch assembly + bulk issuance windows).  Bit-identical to the scalar
-    #: path by contract (property-tested); ``REPRO_SOA=0`` in the environment
-    #: is the bring-up escape hatch that restores the per-fault-object path.
-    soa: bool = field(default_factory=lambda: os.environ.get("REPRO_SOA", "1") != "0")
     #: Cost-model overrides, applied as attribute assignments on the default
     #: :class:`repro.hostos.cost_model.CostModel`.
     cost_overrides: dict = field(default_factory=dict)

@@ -16,12 +16,12 @@ Both are counted here per batch; unique faults are grouped by VABlock since
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Union
+from typing import List, Set
 
 import numpy as np
 
-from ..gpu.fault import AccessType, Fault, FaultArrays
-from ..units import PAGE_SHIFT, VABLOCK_SHIFT, vablock_of_page
+from ..gpu.fault import AccessType, FaultArrays
+from ..units import PAGE_SHIFT, VABLOCK_SHIFT
 
 #: Right-shift turning a page id into its VABlock id (array form of
 #: :func:`repro.units.vablock_of_page`).
@@ -50,10 +50,8 @@ class BlockWork:
 class AssembledBatch:
     """A preprocessed fault batch ready for servicing."""
 
-    #: Raw faults in arrival order, as fetched from the buffer — a list of
-    #: :class:`Fault` objects (scalar path) or a :class:`FaultArrays`
-    #: (SoA path); both index/iterate to rows with the same field names.
-    faults: Union[List[Fault], FaultArrays]
+    #: Raw faults in arrival order, as fetched from the buffer.
+    faults: FaultArrays
     #: Per-VABlock work items, in first-fault order.
     blocks: List[BlockWork]
     num_unique: int = 0
@@ -78,9 +76,7 @@ class AssembledBatch:
         return self.faults[-1].timestamp - self.faults[0].timestamp
 
 
-def assemble_batch(  # parity: batch-assembly/scalar
-    faults: Union[Sequence[Fault], FaultArrays], num_sms: int
-) -> AssembledBatch:
+def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
     """Preprocess fetched faults: dedup, classify, group by VABlock.
 
     Duplicate semantics follow §4.2: the first fault to a page is unique;
@@ -89,63 +85,7 @@ def assemble_batch(  # parity: batch-assembly/scalar
     strongest seen (WRITE > READ > PREFETCH) — a write fault anywhere makes
     the page a write target.
 
-    A :class:`FaultArrays` input dispatches to the vectorized SoA assembler
-    (:func:`assemble_batch_soa`), which produces byte-identical
-    :class:`BlockWork`/:class:`AssembledBatch` contents.
-    """
-    if isinstance(faults, FaultArrays):
-        return assemble_batch_soa(faults, num_sms)
-    batch = AssembledBatch(faults=list(faults), blocks=[])
-    sm_counts = np.zeros(num_sms, dtype=np.int32)
-    block_index: Dict[int, BlockWork] = {}
-    seen_utlbs: Dict[int, Set[int]] = {}
-    page_demand: Dict[int, AccessType] = {}
-
-    for fault in faults:
-        sm_counts[fault.sm_id] += 1
-        page = fault.page
-        block_id = vablock_of_page(page)
-        work = block_index.get(block_id)
-        if work is None:
-            work = BlockWork(block_id=block_id)
-            block_index[block_id] = work
-            batch.blocks.append(work)
-        work.raw_faults += 1
-
-        utlbs = seen_utlbs.get(page)
-        if utlbs is None:
-            # First fault for this page in the batch: unique.
-            seen_utlbs[page] = {fault.utlb_id}
-            page_demand[page] = fault.access
-            batch.num_unique += 1
-            work.pages.append(page)
-            if fault.access == AccessType.WRITE:
-                work.write_pages.add(page)
-            elif fault.access == AccessType.PREFETCH:
-                work.prefetch_only_pages.add(page)
-        else:
-            if fault.utlb_id in utlbs:
-                batch.dup_same_utlb += 1
-            else:
-                batch.dup_cross_utlb += 1
-                utlbs.add(fault.utlb_id)
-            # Upgrade access strength for the page.
-            if fault.access == AccessType.WRITE:
-                work.write_pages.add(page)
-                work.prefetch_only_pages.discard(page)
-            elif fault.access == AccessType.READ:
-                work.prefetch_only_pages.discard(page)
-
-    batch.sm_fault_counts = sm_counts
-    return batch
-
-
-def assemble_batch_soa(  # parity: batch-assembly/soa
-    faults: FaultArrays, num_sms: int
-) -> AssembledBatch:
-    """Vectorized :func:`assemble_batch` over parallel fault columns.
-
-    The scalar loop's dict-of-sets bookkeeping becomes mask algebra:
+    The bookkeeping is mask algebra over the fault columns:
 
     * *unique* faults are first occurrences of a page: run heads of the
       page-sorted column, with each page's earliest arrival recovered by
@@ -162,9 +102,10 @@ def assemble_batch_soa(  # parity: batch-assembly/soa
       fused ``block_rank * n + first_arrival`` key — unique keys make the
       unstable sort order-deterministic.
 
-    Output is byte-identical to the scalar path (property-tested): plain
-    Python ints everywhere (``tolist()``), same block order (first fault
-    arrival), same intra-block page order, same counters.
+    Output matches a per-fault dict-of-sets reference assembler exactly
+    (property-tested): plain Python ints everywhere (``tolist()``), blocks
+    in first-fault-arrival order, pages in first-arrival order within each
+    block.
     """
     n = len(faults)
     if n == 0:

@@ -15,7 +15,7 @@ from ..config import GpuConfig
 from ..errors import SimulationError
 from ..units import VABLOCK_SIZE
 from .copy_engine import CopyEngine
-from .fault_buffer import FaultBuffer, SoaFaultBuffer
+from .fault_buffer import FaultBuffer
 from .gmmu import Gmmu
 from .page_table import GpuPageTable
 from .sm import StreamingMultiprocessor
@@ -65,7 +65,6 @@ class GpuDevice:
         config: GpuConfig,
         copy_bandwidth_bytes_per_usec: float,
         copy_latency_usec: float,
-        soa_fault_buffer: bool = False,
     ) -> None:
         config.validate()
         self.config = config
@@ -81,9 +80,8 @@ class GpuDevice:
             )
             for i in range(config.num_sms)
         ]
-        buffer_cls = SoaFaultBuffer if soa_fault_buffer else FaultBuffer
-        self.fault_buffer = buffer_cls(config.fault_buffer_entries)
-        self.gmmu = Gmmu(self.fault_buffer, config.sms_per_utlb)
+        self.fault_buffer = FaultBuffer(config.fault_buffer_entries)
+        self.gmmu = Gmmu(self.fault_buffer)
         self.page_table = GpuPageTable()
         #: The device ships a pair of copy engines; the driver uses the
         #: primary (``copy_engine``) and fails over to the sibling when a

@@ -29,8 +29,9 @@ class AccessType(enum.IntEnum):
     PREFETCH = 2
 
 
-class Fault:
-    """One entry in the GPU fault buffer.
+class Fault(NamedTuple):
+    """One entry in the GPU fault buffer: a read-only row of a
+    :class:`FaultArrays`.
 
     Attributes:
         page: global 4 KiB page id of the faulting address.
@@ -41,47 +42,6 @@ class Fault:
             µTLBs, not warps, but the warp is needed to re-demand dropped
             faults.
         timestamp: simulated arrival time at the fault buffer (µs), Fig 4.
-    """
-
-    __slots__ = ("page", "access", "sm_id", "utlb_id", "warp_uid", "timestamp")
-
-    def __init__(  # dim: page=page, timestamp=us
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        utlb_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> None:
-        self.page = page
-        self.access = access
-        self.sm_id = sm_id
-        self.utlb_id = utlb_id
-        self.warp_uid = warp_uid
-        self.timestamp = timestamp
-
-    @property
-    def is_prefetch(self) -> bool:
-        return self.access == AccessType.PREFETCH
-
-    @property
-    def is_write(self) -> bool:
-        return self.access == AccessType.WRITE
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Fault(page={self.page}, {self.access.name}, sm={self.sm_id}, "
-            f"utlb={self.utlb_id}, warp={self.warp_uid}, t={self.timestamp:.2f})"
-        )
-
-
-class FaultRow(NamedTuple):
-    """Read-only view of one fault occurrence inside a :class:`FaultArrays`.
-
-    Field names and meanings match :class:`Fault` exactly, so code that
-    iterates a fetched batch (tracing, re-demand, tests) works unchanged on
-    either representation.
     """
 
     page: int  # dim: page
@@ -104,23 +64,22 @@ class FaultArrays:
     """Structure-of-arrays fault storage: one row per fault occurrence, in
     arrival order.
 
-    This is the SoA counterpart of ``List[Fault]`` used by the vectorized
-    fault pipeline (``REPRO_SOA``): the µTLB→GMMU path appends scalars (no
-    per-fault object allocation), and batch assembly converts whole columns
-    to NumPy arrays for mask-algebra dedup/classification (§4.2) instead of
-    per-fault dict churn.  Iteration and indexing yield :class:`FaultRow`
-    views so cold paths (tracing, re-demand after a replay flush) stay
-    representation-agnostic.
+    The fault buffer's storage, the engine's issuance window and the
+    driver's fetched batch are all this type: the µTLB→GMMU path appends
+    scalars (no per-fault object allocation), and batch assembly converts
+    whole columns to NumPy arrays for mask-algebra dedup/classification
+    (§4.2).  Iteration and indexing yield :class:`Fault` rows for the cold
+    paths (tracing, re-demand after a replay flush).
 
     Internally the five integer-ish fields live *flat interleaved* in one
     list — ``(sm_id, utlb_id, page, access, warp_uid)`` five-tuples
-    concatenated, matching the engine's bulk-issuance event layout — so a
-    whole burst appends with a single ``list.extend`` and columns
+    concatenated — so a whole issuance window appends to the fault buffer
+    with a single ``list.extend`` and columns
     materialize only on demand as C-speed strided slices (``flat[2::5]``).
     Timestamps keep their own float column.
     """
 
-    #: Flat-layout field offsets (matches the engine's event recording).
+    #: Flat-layout field offsets (matches :meth:`FaultBuffer.admit`'s records).
     _SM, _UTLB, _PAGE, _ACCESS, _UID = range(5)
 
     __slots__ = ("flat", "timestamps")
@@ -144,39 +103,17 @@ class FaultArrays:
         self.flat.extend((sm_id, utlb_id, page, access, warp_uid))
         self.timestamps.append(timestamp)
 
-    # ------------------------------------------------------ column views
-
-    @property
-    def pages(self) -> List[int]:
-        return self.flat[self._PAGE :: 5]  # dim: [page]
-
-    @property
-    def accesses(self) -> List[AccessType]:
-        return self.flat[self._ACCESS :: 5]
-
-    @property
-    def sm_ids(self) -> List[int]:
-        return self.flat[self._SM :: 5]
-
-    @property
-    def utlb_ids(self) -> List[int]:
-        return self.flat[self._UTLB :: 5]
-
-    @property
-    def warp_uids(self) -> List[int]:
-        return self.flat[self._UID :: 5]
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, i: int) -> FaultRow:
+    def __getitem__(self, i: int) -> Fault:
         if i < 0:
             i += len(self.timestamps)
         if not 0 <= i < len(self.timestamps):
             raise IndexError(i)
         base = i * 5
         flat = self.flat
-        return FaultRow(
+        return Fault(
             flat[base + self._PAGE],
             flat[base + self._ACCESS],
             flat[base + self._SM],
@@ -185,10 +122,10 @@ class FaultArrays:
             self.timestamps[i],
         )
 
-    def __iter__(self) -> Iterator[FaultRow]:
+    def __iter__(self) -> Iterator[Fault]:
         flat = self.flat
         return map(
-            FaultRow,
+            Fault,
             flat[self._PAGE :: 5],
             flat[self._ACCESS :: 5],
             flat[self._SM :: 5],
@@ -196,10 +133,6 @@ class FaultArrays:
             flat[self._UID :: 5],
             self.timestamps,
         )
-
-    def clear(self) -> None:
-        self.flat.clear()
-        self.timestamps.clear()
 
     def take_front(self, n: int) -> "FaultArrays":
         """Remove and return the oldest ``n`` rows (driver-side fetch)."""
@@ -241,13 +174,11 @@ class FaultArrays:
     def utlb_ids_array(self) -> np.ndarray:
         return np.asarray(self.flat[self._UTLB :: 5], dtype=np.int64)
 
-    def rows_for_pages(self, pages: Sequence[int]) -> List[FaultRow]:
-        """Rows whose page lies in ``pages`` (order preserved) — the SoA
-        fast path for the driver's defer/unserviced filters."""
+    def rows_for_pages(self, pages: Sequence[int]) -> List[Fault]:
+        """Rows whose page lies in ``pages`` (order preserved): the driver's
+        defer/unserviced filters."""
         wanted = set(pages)
         return [row for row in self if row.page in wanted]
-
-    # ----------------------------------------------- conversion helpers
 
     @classmethod
     def from_faults(cls, faults: Sequence[Fault]) -> "FaultArrays":
@@ -256,18 +187,5 @@ class FaultArrays:
             out.append(f.page, f.access, f.sm_id, f.utlb_id, f.warp_uid, f.timestamp)
         return out
 
-    def to_faults(self) -> List[Fault]:
-        return [
-            Fault(
-                row.page,
-                AccessType(row.access),
-                row.sm_id,
-                row.utlb_id,
-                row.warp_uid,
-                row.timestamp,
-            )
-            for row in self
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultArrays({len(self.pages)} rows)"
+        return f"FaultArrays({len(self)} rows)"

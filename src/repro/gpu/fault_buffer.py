@@ -10,18 +10,20 @@ dropped by hardware and likewise reissue after the next replay.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import accumulate, repeat
-from typing import Deque, List, Sequence, Tuple
-
-from .fault import AccessType, Fault, FaultArrays
+from .fault import AccessType, FaultArrays
 
 
-class FaultBuffer:  # parity: fault-buffer/object
-    """Bounded FIFO of :class:`Fault` entries with drop-on-overflow.
+class FaultBuffer:
+    """Bounded FIFO of fault rows with drop-on-overflow.
+
+    The GMMU writes in issuance windows: :meth:`admit` decides each fault as
+    it is issued and records the admitted ones into the window, and
+    :meth:`append` lands the whole window in one go.  Entries live in a
+    :class:`FaultArrays`, so the driver's :meth:`fetch` hands whole columns
+    to the vectorized batch assembler.
 
     The lifetime counters satisfy the conservation identity UVMSan checks
-    on every operation::
+    after every append, fetch and flush::
 
         total_pushed + total_injected ==
             total_fetched + total_flush_dropped
@@ -51,7 +53,7 @@ class FaultBuffer:  # parity: fault-buffer/object
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: Deque[Fault] = deque()
+        self._entries = FaultArrays()
         self.total_pushed = 0
         self.total_fetched = 0
         self.total_overflow_dropped = 0
@@ -64,11 +66,7 @@ class FaultBuffer:  # parity: fault-buffer/object
         self._inj = None  # snapshot: skip
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self._entries.timestamps)
 
     def attach_sanitizer(self, sanitizer) -> None:
         """Check occupancy/conservation invariants after every operation."""
@@ -78,44 +76,9 @@ class FaultBuffer:  # parity: fault-buffer/object
         """Enable the ``fault_buffer.*`` injection sites on this buffer."""
         self._inj = injector
 
-    def push(self, fault: Fault) -> bool:
-        """Append a fault; False (dropped) when the buffer is full."""
-        if self.full:
-            self.total_overflow_dropped += 1
-            return False
-        inj = self._inj
-        if inj is not None and inj.fire("fault_buffer.overflow"):
-            # Forced overflow storm: the GMMU wrote the fault but the
-            # (injected) storm dropped it before the driver could see it.
-            # The caller observes exactly a hardware drop: the access
-            # re-demands after the next replay.
-            self.total_pushed += 1
-            self.total_injector_dropped += 1
-            if self._san is not None:
-                self._san.on_fault_buffer(self)
-            return False
-        self._entries.append(fault)
-        self.total_pushed += 1
-        if inj is not None and not self.full and inj.fire("fault_buffer.duplicate"):
-            # Spurious duplicate entry (§4.2's wakeup duplicates, forced):
-            # same page/warp, written twice.
-            self._entries.append(
-                Fault(
-                    fault.page,
-                    fault.access,
-                    fault.sm_id,
-                    fault.utlb_id,
-                    fault.warp_uid,
-                    fault.timestamp,
-                )
-            )
-            self.total_injected += 1
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
-        return True
-
-    def push_scalar(  # dim: page=page, timestamp=us
+    def admit(  # dim: page=page, timestamp=us
         self,
+        window: FaultArrays,
         page: int,
         access: AccessType,
         sm_id: int,
@@ -123,176 +86,49 @@ class FaultBuffer:  # parity: fault-buffer/object
         warp_uid: int,
         timestamp: float,
     ) -> bool:
-        """Scalar-argument form of :meth:`push` (shared GMMU entry point for
-        both buffer representations)."""
-        return self.push(Fault(page, access, sm_id, utlb_id, warp_uid, timestamp))
+        """Decide one GMMU write; an admitted fault is recorded into
+        ``window``, whose entries count toward the buffer's occupancy until
+        :meth:`append` lands them.
 
-    def fetch(self, max_n: int) -> List[Fault]:
-        """Driver-side read of up to ``max_n`` oldest entries (consumed)."""
-        n = min(max_n, len(self._entries))
-        entries = self._entries
-        fetched = [entries.popleft() for _ in range(n)]
-        self.total_fetched += n
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
-        return fetched
-
-    def flush(self) -> List[Fault]:
-        """Drop every remaining entry (pre-replay flush); returns them so the
-        engine can re-demand non-prefetch accesses."""
-        dropped = list(self._entries)
-        self._entries.clear()
-        self.total_flush_dropped += len(dropped)
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
-        return dropped
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultBuffer({len(self._entries)}/{self.capacity})"
-
-
-class SoaFaultBuffer:  # parity: fault-buffer/soa
-    """Structure-of-arrays drop-in for :class:`FaultBuffer` (``REPRO_SOA``).
-
-    Entries live in a :class:`FaultArrays` (flat interleaved record list plus
-    a timestamp column) instead of a deque of :class:`Fault` objects, so the
-    GMMU write path is plain list appends with no per-fault allocation — and
-    a pre-validated burst is a single ``list.extend`` — while the driver's
-    fetch hands whole columns to the vectorized batch assembler.  Every observable contract of
-    the scalar buffer is preserved bit-for-bit: the lifetime counters and
-    their conservation identity, the drop-on-overflow rule, the two chaos
-    injection sites (``fault_buffer.overflow`` / ``fault_buffer.duplicate``)
-    firing at the same decision points in the same order, and the UVMSan
-    callback points.
-    """
-
-    __slots__ = (
-        "capacity",
-        "_entries",
-        "total_pushed",
-        "total_fetched",
-        "total_overflow_dropped",
-        "total_flush_dropped",
-        "total_injected",
-        "total_injector_dropped",
-        "_san",
-        "_inj",
-    )
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries = FaultArrays()
-        self.total_pushed = 0
-        self.total_fetched = 0
-        self.total_overflow_dropped = 0
-        self.total_flush_dropped = 0
-        self.total_injected = 0
-        self.total_injector_dropped = 0
-        self._san = None  # snapshot: skip
-        self._inj = None  # snapshot: skip
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Check occupancy/conservation invariants after every operation."""
-        self._san = sanitizer
-
-    def attach_injector(self, injector) -> None:
-        """Enable the ``fault_buffer.*`` injection sites on this buffer."""
-        self._inj = injector
-
-    def push(self, fault: Fault) -> bool:
-        """Object form kept for representation-agnostic callers (tests,
-        trace replay); the hot path uses :meth:`push_scalar`."""
-        return self.push_scalar(
-            fault.page,
-            fault.access,
-            fault.sm_id,
-            fault.utlb_id,
-            fault.warp_uid,
-            fault.timestamp,
-        )
-
-    def push_scalar(  # dim: page=page, timestamp=us
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        utlb_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> bool:
-        """Append a fault; False (dropped) when the buffer is full."""
-        entries = self._entries
-        if len(entries) >= self.capacity:
+        False means dropped: hardware overflow, or a forced
+        ``fault_buffer.overflow`` storm (the caller observes exactly a
+        hardware drop and re-demands after the next replay).  A fired
+        ``fault_buffer.duplicate`` records the fault twice (§4.2's wakeup
+        duplicates, forced).
+        """
+        occupancy = len(self._entries.timestamps) + len(window.timestamps)
+        if occupancy >= self.capacity:
             self.total_overflow_dropped += 1
             return False
+        self.total_pushed += 1
         inj = self._inj
         if inj is not None and inj.fire("fault_buffer.overflow"):
-            # Forced overflow storm — see FaultBuffer.push for semantics.
-            self.total_pushed += 1
             self.total_injector_dropped += 1
-            if self._san is not None:
-                self._san.on_fault_buffer(self)
             return False
-        entries.append(page, access, sm_id, utlb_id, warp_uid, timestamp)
-        self.total_pushed += 1
+        record = (sm_id, utlb_id, page, access, warp_uid)
+        window.flat.extend(record)
+        window.timestamps.append(timestamp)
         if (
             inj is not None
-            and len(entries) < self.capacity
+            and occupancy + 1 < self.capacity
             and inj.fire("fault_buffer.duplicate")
         ):
-            # Spurious duplicate entry (§4.2's wakeup duplicates, forced).
-            entries.append(page, access, sm_id, utlb_id, warp_uid, timestamp)
+            window.flat.extend(record)
+            window.timestamps.append(timestamp)
             self.total_injected += 1
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
         return True
 
-    def extend_bulk(
-        self,
-        events: Sequence,
-        t0: float,
-        interval: float,  # dim: us
-    ) -> float:
-        """Append a pre-validated burst of events whose timestamps advance by
-        ``interval`` per entry, starting at ``t0``.  ``events`` is flat
-        interleaved — ``(sm_id, utlb_id, page, access, warp_uid)`` five-tuples
-        concatenated into one list, the exact internal layout of
-        :class:`FaultArrays` — so the burst appends with a single
-        ``list.extend`` and no transpose at all.  Returns the time after the
-        last append.
-
-        Only legal when the caller has proven no overflow is possible and no
-        injector is attached (the engine's SoA issuance window checks both);
-        timestamps come from ``itertools.accumulate``, which performs the
-        same left-to-right repeated additions as the scalar ``t += interval``
-        loop — bit-identical floats, C-speed.
-        """
-        assert self._inj is None
-        t = t0
-        n = len(events) // 5
-        if n:
-            # The buffer's storage shares the event layout, so the whole
-            # burst lands with one list.extend.
-            entries = self._entries
-            entries.flat.extend(events)
-            timestamps = entries.timestamps
-            timestamps.extend(accumulate(repeat(interval, n - 1), initial=t0))
-            t = timestamps[-1] + interval
-        self.total_pushed += n
+    def append(self, window: FaultArrays) -> None:
+        """Land a window recorded by :meth:`admit`."""
+        entries = self._entries
+        entries.flat.extend(window.flat)
+        entries.timestamps.extend(window.timestamps)
         if self._san is not None:
             self._san.on_fault_buffer(self)
-        return t
 
     def fetch(self, max_n: int) -> FaultArrays:
         """Driver-side read of up to ``max_n`` oldest entries (consumed)."""
-        n = min(max_n, len(self._entries))
+        n = min(max_n, len(self))
         fetched = self._entries.take_front(n)
         self.total_fetched += n
         if self._san is not None:
@@ -309,4 +145,15 @@ class SoaFaultBuffer:  # parity: fault-buffer/soa
         return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SoaFaultBuffer({len(self._entries)}/{self.capacity})"
+        return f"FaultBuffer({len(self)}/{self.capacity})"
+
+
+class SoaFaultBuffer(FaultBuffer):
+    """Never instantiated.  ``perfbench/layertrace.py`` hooks ``fetch`` and
+    ``flush`` on this name through ``vars(cls)``; rebinding them here keeps
+    that lookup working without wrapping :class:`FaultBuffer`'s methods
+    twice."""
+
+    __slots__ = ()
+    fetch = FaultBuffer.fetch
+    flush = FaultBuffer.flush

@@ -10,73 +10,29 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .fault import AccessType, Fault
+from .fault import FaultArrays
 from .fault_buffer import FaultBuffer
 
 
 class Gmmu:
-    """Routes faults into the buffer and latches the host interrupt."""
+    """Writes fault windows into the buffer and latches the host interrupt."""
 
-    __slots__ = ("buffer", "sms_per_utlb", "interrupt_pending", "first_arrival")
+    __slots__ = ("buffer", "interrupt_pending", "first_arrival")
 
-    def __init__(self, buffer: FaultBuffer, sms_per_utlb: int) -> None:
+    def __init__(self, buffer: FaultBuffer) -> None:
         self.buffer = buffer
-        self.sms_per_utlb = sms_per_utlb
         self.interrupt_pending = False
         #: Arrival time of the oldest un-fetched fault (drives wake latency).
         self.first_arrival: Optional[float] = None
 
-    def deliver(
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> Optional[Fault]:
-        """Write one fault into the buffer; None if hardware dropped it."""
-        fault = Fault(
-            page=page,
-            access=access,
-            sm_id=sm_id,
-            utlb_id=sm_id // self.sms_per_utlb,
-            warp_uid=warp_uid,
-            timestamp=timestamp,
-        )
-        if not self.buffer.push(fault):
-            return None
-        if not self.interrupt_pending:
+    def deliver(self, window: FaultArrays) -> None:
+        """Write a window of faults the buffer admitted (see
+        :meth:`FaultBuffer.admit`) and latch the interrupt at its first
+        arrival."""
+        self.buffer.append(window)
+        if window.timestamps and not self.interrupt_pending:
             self.interrupt_pending = True
-            self.first_arrival = timestamp
-        return fault
-
-    def deliver_ok(  # dim: page=page, timestamp=us
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> bool:
-        """Allocation-free form of :meth:`deliver` used by the SoA fault
-        pipeline: same buffer-write and interrupt-latch semantics, but the
-        fault is written as scalars (the SoA buffer appends columns) and the
-        caller only learns whether hardware accepted it."""
-        if not self.buffer.push_scalar(
-            page, access, sm_id, sm_id // self.sms_per_utlb, warp_uid, timestamp
-        ):
-            return False
-        if not self.interrupt_pending:
-            self.interrupt_pending = True
-            self.first_arrival = timestamp
-        return True
-
-    def latch_interrupt(self, timestamp: float) -> None:  # dim: timestamp=us
-        """Latch the host interrupt for a burst delivered directly into the
-        buffer (the engine's bulk issuance window)."""
-        if not self.interrupt_pending:
-            self.interrupt_pending = True
-            self.first_arrival = timestamp
+            self.first_arrival = window.timestamps[0]
 
     def acknowledge(self) -> None:
         """Host acknowledged the interrupt (fault fetch started)."""

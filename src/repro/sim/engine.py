@@ -25,10 +25,7 @@ Fig 9's diminishing returns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
 
 from ..check.sanitizer import make_sanitizer
 from ..config import SystemConfig
@@ -46,7 +43,7 @@ from ..errors import (
 from ..gpu.copy_engine import contiguous_runs
 from ..inject import make_injector
 from ..gpu.device import GpuDevice
-from ..gpu.fault import AccessType
+from ..gpu.fault import AccessType, FaultArrays
 from ..gpu.warp import KernelLaunch, WarpState
 from ..hostos.cost_model import CostModel
 from ..hostos.cpu import HostCpu
@@ -152,13 +149,10 @@ class Engine:
         self.clock = clock if clock is not None else SimClock()
         self.trace = trace if trace is not None else EventTrace(enabled=False)
         self.obs = obs if obs is not None else Observability(config.obs, self.clock)
-        #: Structure-of-arrays fault pipeline (``REPRO_SOA=0`` disables).
-        self._soa = config.soa
         self.device = GpuDevice(
             config.gpu,
             copy_bandwidth_bytes_per_usec=self.cost.link_bandwidth_bytes_per_usec,
             copy_latency_usec=self.cost.transfer_latency_usec,
-            soa_fault_buffer=self._soa,
         )
         self.host_vm = host_vm if host_vm is not None else HostVm()
         self.host_cpu = HostCpu(config.host)
@@ -439,7 +433,7 @@ class Engine:
             p.guard_rounds += 1
             if p.guard_rounds > max_rounds:  # pragma: no cover - safety net
                 raise DeadlockError("engine exceeded round limit")
-            progressed, compute = self._gpu_round(burst=p.driver_slept)
+            progressed, compute, stalled = self._gpu_round(burst=p.driver_slept)
             p.compute_total += compute
             if len(device.fault_buffer) == 0:
                 if device.idle:
@@ -448,11 +442,14 @@ class Engine:
                     # Warps may all be mid-compute: jump to the earliest
                     # phase completion (the driver sleeps meanwhile, §2.2).
                     next_ready = self._next_ready_time()
-                    if next_ready is None or next_ready <= self.clock.now:
+                    if next_ready is not None and next_ready > self.clock.now:
+                        self.clock.advance_to(next_ready)
+                    elif not stalled:
                         raise DeadlockError(
                             "no faults outstanding and no warp can progress"
                         )
-                    self.clock.advance_to(next_ready)
+                    # An injected µTLB stall lasts one replay window: the
+                    # stalled warps issue in the next round.
                 # Worker found no new faults and went to sleep (§2.2).
                 p.driver_slept = True
                 continue
@@ -534,8 +531,10 @@ class Engine:
 
     # ------------------------------------------------------------ GPU round
 
-    def _gpu_round(self, burst: bool) -> Tuple[bool, float]:
-        """One fault-generation window; returns (progressed, compute_usec)."""
+    def _gpu_round(self, burst: bool) -> Tuple[bool, float, bool]:
+        """One fault-generation window; returns ``(progressed, compute_usec,
+        stalled)``, where ``stalled`` says an injected µTLB stall kept some
+        SM with issuable warps from issuing."""
         device = self.device
         cfg = self.config.gpu
         resident = device.page_table.resident
@@ -545,10 +544,11 @@ class Engine:
         # window length — the time since the previous window (≈ the last
         # batch's service time, or the wake latency after a sleep).  A
         # sleeping driver leaves a long window (burst up to the µTLB cap).
-        window = max(0.0, self.clock.now - self._window_start)
+        window_usec = max(0.0, self.clock.now - self._window_start)
         self._window_start = self.clock.now
         rate_quota = int(
-            cfg.sm_fault_rate_limit * max(1.0, window / cfg.fault_window_unit_usec)
+            cfg.sm_fault_rate_limit
+            * max(1.0, window_usec / cfg.fault_window_unit_usec)
         )
         if burst:
             rate_quota = cfg.utlb_outstanding_limit
@@ -573,15 +573,18 @@ class Engine:
                 self._advance_warp(warp)
 
         # Prefetch-instruction faults: bypass scoreboard, µTLB cap, throttle.
+        # The buffer admits every GMMU write of the round as it issues and
+        # records it into one window, appended when the round ends.
         t = self.clock.now + self.cost.refault_latency_usec
         interval = self.cost.fault_arrival_interval_usec
+        admit = device.fault_buffer.admit
+        window = FaultArrays()
         if self._prefetch_queue:
             for sm_id, page in self._prefetch_queue:
                 if page in resident:
                     continue
-                if device.gmmu.deliver_ok(
-                    page, AccessType.PREFETCH, sm_id, warp_uid=0, timestamp=t
-                ):
+                utlb_id = device.sms[sm_id].utlb_id
+                if admit(window, page, AccessType.PREFETCH, sm_id, utlb_id, 0, t):
                     t += interval
                     progressed = True
             self._prefetch_queue.clear()
@@ -592,32 +595,17 @@ class Engine:
         # application batches below the synthetic ceiling (Table 2).
         now = self.clock.now
         inj = self.injector if self._inject_on else None
+        stalled = False
         issuers: List[Tuple] = []
         for sm in device.sms:
-            utlb = device.utlbs[sm.utlb_id]
             warps = [w for w in sm.active if w.has_issuable and w.ready_at <= now]
             if warps and sm.budget > 0:
                 if inj is not None and inj.fire("utlb.stall"):
                     # Injected µTLB issue-port stall: this SM issues no
                     # translation faults for one replay window.
+                    stalled = True
                     continue
-                issuers.append((sm, utlb, warps, [0]))
-        buffer = device.fault_buffer
-        if (
-            self._soa
-            and inj is None
-            and sum(entry[0].budget for entry in issuers)
-            <= buffer.capacity - len(buffer)
-        ):
-            # SoA bulk window: every delivery is guaranteed to land (total
-            # budget bounds deliveries, so overflow is impossible), which
-            # lets the per-µTLB issuance run decoupled from the buffer and
-            # the accepted events append column-wise in one burst.  The
-            # scalar loop below stays the arbiter whenever overflow or
-            # injection could steer the interleaving.
-            t, soa_progressed = self._issue_window_soa(issuers, t, interval)
-            progressed = progressed or soa_progressed
-            issuers = []
+                issuers.append((sm, device.utlbs[sm.utlb_id], warps, [0]))
         while issuers:
             next_issuers = []
             for sm, utlb, warps, cursor in issuers:
@@ -638,40 +626,28 @@ class Engine:
                         cursor[0] += 1
                         continue
                     page, access = occs[0]
-                    if page in utlb.pending_pages:
-                        # Same-page miss merges into the existing µTLB entry
-                        # (occasionally a spurious duplicate is emitted).
-                        if utlb.request(page):
-                            sm.consume_budget(1)
-                            fault = device.gmmu.deliver(
-                                page, access, sm.sm_id, warp.uid, timestamp=t
-                            )
-                            if fault is not None:
-                                t += interval
-                        progressed = True
-                        issued_here = True
-                        break
-                    utlb.request(page)
-                    sm.consume_budget(1)
-                    fault = device.gmmu.deliver(
-                        page, access, sm.sm_id, warp.uid, timestamp=t
-                    )
-                    if fault is None:
-                        # HW buffer full: roll back the µTLB entry so the
-                        # re-demand does not merge against a phantom.  The
-                        # requeue is progress — without it, an injected
-                        # overflow storm dropping a round's only fault while
-                        # the buffer is empty would trip the deadlock check
-                        # (real hardware drops imply a non-empty buffer, so
-                        # this path never decides liveness when injection is
-                        # off).
-                        utlb.cancel(page)
-                        warp.requeue(page, access)
-                        sm.budget = 0
-                        progressed = True
-                    else:
-                        t += interval
-                        progressed = True
+                    # A same-page miss merges into the existing µTLB entry
+                    # (occasionally a spurious duplicate is emitted).
+                    merged = page in utlb.pending_pages
+                    if utlb.request(page):
+                        sm.consume_budget(1)
+                        if admit(
+                            window, page, access, sm.sm_id, sm.utlb_id, warp.uid, t
+                        ):
+                            t += interval
+                        elif not merged:
+                            # HW buffer full: roll back the µTLB entry so the
+                            # re-demand does not merge against a phantom.  The
+                            # requeue is progress — without it, an injected
+                            # overflow storm dropping a round's only fault
+                            # while the buffer is empty would trip the
+                            # deadlock check (real hardware drops imply a
+                            # non-empty buffer, so this path never decides
+                            # liveness when injection is off).
+                            utlb.cancel(page)
+                            warp.requeue(page, access)
+                            sm.budget = 0
+                    progressed = True
                     issued_here = True
                     break
                 if (
@@ -682,6 +658,7 @@ class Engine:
                 ):
                     next_issuers.append((sm, utlb, warps, cursor))
             issuers = next_issuers
+        device.gmmu.deliver(window)
 
         # Injected early cancellation: drop one outstanding µTLB entry per
         # fired µTLB.  The buffered fault stays serviceable; a later miss on
@@ -702,106 +679,7 @@ class Engine:
             sm.compute_backlog_usec = 0.0
         if len(device.fault_buffer) > 0:
             self.clock.advance_to(t)
-        return progressed, compute
-
-    def _issue_window_soa(
-        self, issuers: List[Tuple], t0: float, interval: float
-    ) -> Tuple[float, bool]:
-        """Round-robin issuance with bulk column-wise buffer appends.
-
-        Equivalence with the scalar interleaved loop: µTLB and warp state
-        are local to one µTLB's SM group (adjacent SMs share the µTLB), so
-        with overflow ruled out by the caller the only cross-group coupling
-        is the buffer's arrival order.  Each group is therefore simulated
-        alone, recording accepted events into per-pass buckets; replaying
-        the buckets pass-by-pass (groups appear in ascending SM order within
-        each bucket) reproduces the scalar loop's exact interleaving, and
-        timestamps accumulate by the same repeated ``t += interval`` float
-        additions during the single bulk append.
-        """
-        device = self.device
-        #: Accepted events per round-robin pass, scalar arrival order within.
-        #: Flat interleaved layout — (sm_id, utlb_id, page, access, warp_uid)
-        #: five-tuples concatenated — so recording is one list.extend per
-        #: event and the buffer de-interleaves with C-speed strided slices.
-        buckets: List[List] = []
-        progressed = False
-        i = 0
-        n = len(issuers)
-        while i < n:
-            utlb = issuers[i][1]
-            group = [issuers[i]]
-            i += 1
-            while i < n and issuers[i][1] is utlb:
-                group.append(issuers[i])
-                i += 1
-            pending = utlb.pending_pages
-            pass_no = 0
-            active = group
-            while active:
-                if pass_no == len(buckets):
-                    buckets.append([])
-                bucket = buckets[pass_no]
-                next_active = []
-                for entry in active:
-                    sm, _utlb, warps, cursor = entry
-                    issued_here = False
-                    # One fault per SM per pass → round-robin interleaving.
-                    while cursor[0] < len(warps):
-                        warp = warps[cursor[0]]
-                        if not warp.has_issuable:
-                            cursor[0] += 1
-                            continue
-                        if sm.budget <= 0:
-                            break
-                        merged_ahead = warp.peek_page() in pending
-                        if not merged_ahead and utlb.available <= 0:
-                            break
-                        occs = warp.take_issuable(1)
-                        if not occs:
-                            cursor[0] += 1
-                            continue
-                        page, access = occs[0]
-                        if page in pending:
-                            # Same-page miss merges into the existing µTLB
-                            # entry (occasionally a spurious duplicate is
-                            # emitted).
-                            if utlb.request(page):
-                                sm.consume_budget(1)
-                                bucket.extend(
-                                    (sm.sm_id, sm.utlb_id, page, access, warp.uid)
-                                )
-                            progressed = True
-                            issued_here = True
-                            break
-                        utlb.request(page)
-                        sm.consume_budget(1)
-                        bucket.extend(
-                            (sm.sm_id, sm.utlb_id, page, access, warp.uid)
-                        )
-                        progressed = True
-                        issued_here = True
-                        break
-                    if (
-                        issued_here
-                        and sm.budget > 0
-                        and utlb.available > 0
-                        and any(w.has_issuable for w in warps)
-                    ):
-                        next_active.append(entry)
-                active = next_active
-                pass_no += 1
-        if not buckets:
-            return t0, progressed
-        events = (
-            buckets[0]
-            if len(buckets) == 1
-            else list(chain.from_iterable(buckets))
-        )
-        if events:
-            device.gmmu.latch_interrupt(t0)
-            t0 = device.fault_buffer.extend_bulk(events, t0, interval)
-        return t0, progressed
+        return progressed, compute, stalled
 
     def _next_ready_time(self) -> Optional[float]:
         """Earliest future phase-completion among active warps."""

@@ -110,6 +110,46 @@ class TestDeadlockDetection:
         with pytest.raises(InvalidAccess):
             system.launch(kernel)
 
+    def test_round_lost_to_utlb_stalls_is_retried(self, monkeypatch):
+        """A round whose every issuing SM draws an injected µTLB stall issues
+        nothing, and no warp waits on compute: the stall lasts one replay
+        window, so the engine retries the round instead of raising
+        DeadlockError."""
+        cfg = default_config(prefetch_enabled=False)
+        cfg.gpu.num_sms = 8
+        cfg.gpu.memory_bytes = 16 * MB
+        cfg.inject.enabled = True
+        cfg.inject.sites = {"utlb.stall": {"rate": 0.5}}
+        system = UvmSystem(cfg)
+        alloc = system.managed_alloc(4 * PAGE_SIZE)
+        # One warp faulting twice: the stall hits its second issuance, in a
+        # round that activates nothing.
+        stalls = iter([False, True])
+        monkeypatch.setattr(
+            system.engine.injector,
+            "fire",
+            lambda site: site == "utlb.stall" and next(stalls, False),
+        )
+        kernel = KernelLaunch(
+            "stalled", [WarpProgram([Phase.of([alloc.page(0)]), Phase.of([alloc.page(1)])])]
+        )
+        res = system.launch(kernel)
+        assert res.num_batches == 2
+        assert next(stalls, None) is None  # the stall was drawn
+
+    def test_stall_only_chaos_run_completes(self):
+        """4 MiB stream under µTLB stalls alone: the shape that used to die
+        with a false DeadlockError."""
+        cfg = default_config()
+        cfg.gpu.num_sms = 8
+        cfg.gpu.memory_bytes = 4 * MB
+        cfg.inject.enabled = True
+        cfg.inject.sites = {"utlb.stall": {"rate": 0.25}}
+        system = UvmSystem(cfg)
+        StreamTriad().run(system)
+        assert system.engine.device.idle
+        assert system.engine.injector.summary()["sites"]["utlb.stall"]["fired"] > 0
+
     def test_empty_kernel_completes(self):
         system = make_system()
         res = system.launch(KernelLaunch("empty", []))

@@ -11,8 +11,9 @@ from repro.core.eviction import LruEvictionPolicy
 from repro.core.prefetch import DensityPrefetcher
 from repro.core.residency import region_upgrade
 from repro.core.vablock import VABlockState
-from repro.gpu.fault import AccessType, Fault
+from repro.gpu.fault import AccessType, Fault, FaultArrays
 from repro.gpu.fault_buffer import FaultBuffer
+from tests.property.fault_oracle import write
 from repro.units import PAGES_PER_REGION, PAGES_PER_VABLOCK
 
 NUM_SMS = 8
@@ -31,7 +32,7 @@ fault_st = st.builds(
 class TestBatchAssemblyProps:
     @given(st.lists(fault_st, max_size=200))
     def test_conservation(self, faults):
-        batch = assemble_batch(faults, NUM_SMS)
+        batch = assemble_batch(FaultArrays.from_faults(faults), NUM_SMS)
         assert batch.num_raw == len(faults)
         assert (
             batch.num_unique + batch.dup_same_utlb + batch.dup_cross_utlb
@@ -40,26 +41,26 @@ class TestBatchAssemblyProps:
 
     @given(st.lists(fault_st, max_size=200))
     def test_unique_equals_distinct_pages(self, faults):
-        batch = assemble_batch(faults, NUM_SMS)
+        batch = assemble_batch(FaultArrays.from_faults(faults), NUM_SMS)
         assert batch.num_unique == len({f.page for f in faults})
 
     @given(st.lists(fault_st, max_size=200))
     def test_block_pages_disjoint_and_complete(self, faults):
-        batch = assemble_batch(faults, NUM_SMS)
+        batch = assemble_batch(FaultArrays.from_faults(faults), NUM_SMS)
         all_pages = [p for w in batch.blocks for p in w.pages]
         assert len(all_pages) == len(set(all_pages))
         assert set(all_pages) == {f.page for f in faults}
 
     @given(st.lists(fault_st, max_size=200))
     def test_pages_grouped_into_right_blocks(self, faults):
-        batch = assemble_batch(faults, NUM_SMS)
+        batch = assemble_batch(FaultArrays.from_faults(faults), NUM_SMS)
         for work in batch.blocks:
             for page in work.pages:
                 assert page // PAGES_PER_VABLOCK == work.block_id
 
     @given(st.lists(fault_st, max_size=200))
     def test_sm_counts_total(self, faults):
-        batch = assemble_batch(faults, NUM_SMS)
+        batch = assemble_batch(FaultArrays.from_faults(faults), NUM_SMS)
         assert batch.sm_fault_counts.sum() == len(faults)
         counts = Counter(f.sm_id for f in faults)
         for sm, n in counts.items():
@@ -67,7 +68,7 @@ class TestBatchAssemblyProps:
 
     @given(st.lists(fault_st, max_size=200))
     def test_write_pages_subset_of_pages(self, faults):
-        batch = assemble_batch(faults, NUM_SMS)
+        batch = assemble_batch(FaultArrays.from_faults(faults), NUM_SMS)
         for work in batch.blocks:
             assert work.write_pages <= set(work.pages)
             assert not (work.write_pages & work.prefetch_only_pages)
@@ -113,7 +114,7 @@ class TestFaultBufferProps:
     def test_never_exceeds_capacity(self, capacity, pages):
         buf = FaultBuffer(capacity)
         for p in pages:
-            buf.push(Fault(p, AccessType.READ, 0, 0, 1, 0.0))
+            write(buf, Fault(p, AccessType.READ, 0, 0, 1, 0.0))
             assert len(buf) <= capacity
 
     @given(
@@ -124,7 +125,7 @@ class TestFaultBufferProps:
     def test_accounting_balances(self, capacity, pages, fetch_n):
         buf = FaultBuffer(capacity)
         for p in pages:
-            buf.push(Fault(p, AccessType.READ, 0, 0, 1, 0.0))
+            write(buf, Fault(p, AccessType.READ, 0, 0, 1, 0.0))
         fetched = buf.fetch(fetch_n)
         flushed = buf.flush()
         assert buf.total_pushed == len(fetched) + len(flushed)
@@ -134,7 +135,7 @@ class TestFaultBufferProps:
     def test_fifo_order_preserved(self, pages):
         buf = FaultBuffer(1000)
         for i, p in enumerate(pages):
-            buf.push(Fault(p, AccessType.READ, 0, 0, 1, float(i)))
+            write(buf, Fault(p, AccessType.READ, 0, 0, 1, float(i)))
         fetched = buf.fetch(len(pages))
         assert [f.page for f in fetched] == pages
 

@@ -1,0 +1,130 @@
+"""Golden timeline digests: the fault pipeline's behaviour, pinned.
+
+Each case runs one workload on a scaled-down system (8 SMs, obs off) and
+hashes what it simulated: the final clock plus every ``BatchRecord`` field.
+The committed table (``golden_timelines.json``) holds the digests, so any
+refactor of the fault path (issuance, buffer, assembly, driver) must leave
+every timeline bit-identical.  The cases cover replay-heavy streaming,
+evict-under-fault at 4 MiB, reuse and write faults, irregular access, PTX
+prefetch storms, every builtin chaos profile and every bundled
+``examples/chaos/*.json`` profile.
+
+Regenerate the table only for a deliberate behaviour change::
+
+    PYTHONPATH=src python tests/property/test_golden_timelines.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, Optional
+
+import pytest
+
+from repro.api import UvmSystem
+from repro.config import default_config
+from repro.inject.profiles import BUILTIN_PROFILES
+from repro.units import MB
+from repro.workloads import WORKLOAD_REGISTRY
+
+HERE = Path(__file__).resolve().parent
+TABLE = HERE / "golden_timelines.json"
+CHAOS_DIR = HERE.parents[1] / "examples" / "chaos"
+
+#: Injected µTLB stalls and nothing else: every round can lose all issuers.
+STALL_ONLY = {"utlb.stall": {"rate": 0.25}}
+
+
+def _case(workload: str, seed: int, gpu_mem_mb: int = 16,
+          profile: Optional[str] = None, sites: Optional[dict] = None) -> dict:
+    return {"workload": workload, "seed": seed, "gpu_mem_mb": gpu_mem_mb,
+            "profile": profile, "sites": sites}
+
+
+def golden_cases() -> Dict[str, dict]:
+    """Case id -> run parameters, in table order."""
+    cases = {}
+    for workload in ("vecadd", "stream", "sgemm", "bfs", "prefetch-kernel"):
+        for seed in (0, 3):
+            cases[f"{workload}/s{seed}"] = _case(workload, seed)
+    cases["stream/4MiB/s0"] = _case("stream", 0, gpu_mem_mb=4)
+    for profile in sorted(BUILTIN_PROFILES):
+        for seed in (0, 7):
+            cases[f"vecadd/{profile}/s{seed}"] = _case("vecadd", seed, profile=profile)
+            cases[f"stream/4MiB/{profile}/s{seed}"] = _case(
+                "stream", seed, gpu_mem_mb=4, profile=profile
+            )
+    for path in sorted(CHAOS_DIR.glob("*.json")):
+        cases[f"stream/{path.name}/s3"] = _case("stream", 3, profile=str(path))
+        cases[f"sgemm/8MiB/{path.name}/s1"] = _case(
+            "sgemm", 1, gpu_mem_mb=8, profile=str(path)
+        )
+    # Runs whose rounds can lose every issuer to an injected µTLB stall.
+    for seed in (0, 1, 2, 7):
+        cases[f"stream/4MiB/stall-only/s{seed}"] = _case(
+            "stream", seed, gpu_mem_mb=4, sites=STALL_ONLY
+        )
+    for seed in (1, 2, 7):
+        cases[f"vecadd/4MiB/utlb-churn/s{seed}"] = _case(
+            "vecadd", seed, gpu_mem_mb=4, profile="utlb-churn"
+        )
+    return cases
+
+
+def run_case(workload: str, seed: int, gpu_mem_mb: int, profile, sites,
+             sanitize: bool = False) -> UvmSystem:
+    """Run one case; ``sanitize`` attaches UVMSan in report mode."""
+    cfg = default_config()
+    cfg.seed = seed
+    cfg.gpu.memory_bytes = gpu_mem_mb * MB
+    cfg.gpu.num_sms = 8
+    cfg.obs = cfg.obs.disabled()
+    if sanitize:
+        cfg.check.enabled = True
+        cfg.check.mode = "report"
+    if profile is not None or sites:
+        cfg.inject.enabled = True
+        cfg.inject.profile = profile
+        cfg.inject.sites = dict(sites or {})
+    cfg.validate()
+    system = UvmSystem(cfg)
+    WORKLOAD_REGISTRY[workload]().run(system)
+    return system
+
+
+def timeline_digest(system: UvmSystem) -> str:
+    """SHA-256 over the final clock and the sorted items of every record."""
+    h = hashlib.sha256(float(system.clock.now).hex().encode())
+    for record in system.records:
+        h.update(repr(sorted(record.to_dict().items())).encode())
+    return h.hexdigest()
+
+
+def load_table() -> Dict[str, str]:
+    return json.loads(TABLE.read_text())
+
+
+CASES = golden_cases()
+
+
+def test_table_covers_every_case():
+    assert sorted(load_table()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_golden_timeline(case_id):
+    system = run_case(**CASES[case_id])
+    assert timeline_digest(system) == load_table()[case_id]
+
+
+if __name__ == "__main__":  # pragma: no cover - table maintenance
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_golden_timelines.py --record")
+    table = {}
+    for case_id, params in CASES.items():
+        table[case_id] = timeline_digest(run_case(**params))
+        print(case_id, table[case_id][:16], flush=True)
+    TABLE.write_text(json.dumps(table, indent=1) + "\n")

@@ -1,49 +1,51 @@
-"""Scalar-vs-SoA fault-pipeline equivalence (the ISSUE 9 tentpole gate).
+"""The fault pipeline against per-fault references.
 
-The structure-of-arrays pipeline (``REPRO_SOA`` / ``config.soa``) must be a
-pure representation change: every observable — assembled batches, buffer
-counters, BatchRecords, the simulated clock — is byte-identical to the
-scalar path.  Four layers of evidence:
+The simulator keeps faults structure-of-arrays (:class:`FaultArrays`),
+decides GMMU writes one at a time but appends them a window at a time, and
+assembles batches with vectorized mask algebra.  Three layers of evidence
+hold that pipeline to plain per-fault models (``fault_oracle``):
 
 1. **Assembler.**  200+ seeded random fault streams (duplicate-heavy,
-   prefetch storms, single-page floods) through ``assemble_batch`` on a
-   ``List[Fault]`` vs the vectorized ``assemble_batch_soa`` on a
-   ``FaultArrays``: identical counters, block order, intra-block page
+   prefetch storms, single-page floods) through ``assemble_batch`` vs the
+   dict-of-sets oracle: identical counters, block order, intra-block page
    order, write/prefetch sets, raw counts — and plain ``int`` types, so
    downstream cost models never see NumPy scalars.
-2. **Buffer.**  Random push/fetch/flush interleavings against
-   ``FaultBuffer`` and ``SoaFaultBuffer`` with overflow-inducing
-   capacities: same accept/drop verdicts, same lifetime counters, same
-   fetched rows.
-3. **Engine.**  Whole-system runs with ``config.soa`` off vs on across
-   workloads that exercise replay storms, eviction under fault, and
-   prefetch instructions: identical record streams and final clock.
-4. **Chaos.**  Every builtin chaos profile and every bundled
-   ``examples/chaos/*.json`` profile, across seeds: injection forces the
-   scalar fallback paths (per-fault pushes, injector sites) and the
-   timelines must still match bit-for-bit.
+2. **Buffer.**  Random window-write/fetch/flush interleavings against
+   ``FaultBuffer`` and the one-push-at-a-time deque oracle, with
+   overflow-inducing capacities and seeded injection: same admit/drop
+   verdicts, same lifetime counters, same fetched rows.
+3. **Engine.**  Workloads that exercise replay storms, eviction under
+   fault and prefetch instructions, and every builtin and bundled chaos
+   profile, run with UVMSan attached: each reproduces its golden timeline
+   (``test_golden_timelines``) with zero invariant violations, so the
+   once-per-window sanitizer call still sees the buffer's conservation
+   identity hold.
 """
 
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import UvmSystem
-from repro.config import default_config
-from repro.core.batch import assemble_batch, assemble_batch_soa
+from repro.core.batch import assemble_batch
 from repro.gpu.fault import AccessType, Fault, FaultArrays
-from repro.gpu.fault_buffer import FaultBuffer, SoaFaultBuffer
+from repro.gpu.fault_buffer import FaultBuffer
 from repro.inject.profiles import BUILTIN_PROFILES
-from repro.units import MB
-from repro.workloads import WORKLOAD_REGISTRY
-
-CHAOS_DIR = Path(__file__).resolve().parents[2] / "examples" / "chaos"
+from tests.property.fault_oracle import (
+    ScalarFaultBuffer,
+    assemble_batch_scalar,
+    write_window,
+)
+from tests.property.test_golden_timelines import (
+    CASES,
+    CHAOS_DIR,
+    load_table,
+    run_case,
+    timeline_digest,
+)
 
 NUM_SMS = 16
 
@@ -131,32 +133,33 @@ class TestAssemblerEquivalence:
         for seed in range(200):
             rng = random.Random(seed)
             faults = random_fault_stream(rng)
-            scalar = assemble_batch(list(faults), NUM_SMS)
-            soa = assemble_batch_soa(FaultArrays.from_faults(faults), NUM_SMS)
-            assert batch_fingerprint(scalar) == batch_fingerprint(soa), seed
+            batch = assemble_batch(FaultArrays.from_faults(faults), NUM_SMS)
+            oracle = assemble_batch_scalar(faults, NUM_SMS)
+            assert batch_fingerprint(oracle) == batch_fingerprint(batch), seed
 
     def test_dispatch_on_fault_arrays(self):
-        """``assemble_batch`` routes a FaultArrays to the SoA assembler."""
+        """``assemble_batch`` keeps the fetched FaultArrays it is handed
+        (no copy on the hot path) and still matches the oracle."""
         faults = random_fault_stream(random.Random(42))
         arrs = FaultArrays.from_faults(faults)
-        via_dispatch = assemble_batch(arrs, NUM_SMS)
-        direct = assemble_batch_soa(FaultArrays.from_faults(faults), NUM_SMS)
-        assert batch_fingerprint(via_dispatch) == batch_fingerprint(direct)
-        assert via_dispatch.faults is arrs  # no copy on the hot path
+        batch = assemble_batch(arrs, NUM_SMS)
+        assert batch.faults is arrs
+        oracle = assemble_batch_scalar(faults, NUM_SMS)
+        assert batch_fingerprint(oracle) == batch_fingerprint(batch)
 
     def test_empty_batch(self):
-        fp = batch_fingerprint(assemble_batch_soa(FaultArrays(), NUM_SMS))
-        assert fp == batch_fingerprint(assemble_batch([], NUM_SMS))
+        fp = batch_fingerprint(assemble_batch(FaultArrays(), NUM_SMS))
+        assert fp == batch_fingerprint(assemble_batch_scalar([], NUM_SMS))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_duplicate_conservation(self, seed):
-        """§4.2 bookkeeping: unique + type-1 + type-2 == raw faults, on
-        both paths, for arbitrary seeded streams."""
+        """§4.2 bookkeeping: unique + type-1 + type-2 == raw faults, for
+        the assembler and the oracle, on arbitrary seeded streams."""
         faults = random_fault_stream(random.Random(seed))
         for batch in (
-            assemble_batch(list(faults), NUM_SMS),
-            assemble_batch_soa(FaultArrays.from_faults(faults), NUM_SMS),
+            assemble_batch_scalar(faults, NUM_SMS),
+            assemble_batch(FaultArrays.from_faults(faults), NUM_SMS),
         ):
             assert (
                 batch.num_unique + batch.dup_same_utlb + batch.dup_cross_utlb
@@ -168,6 +171,19 @@ class TestAssemblerEquivalence:
 
 
 # ------------------------------------------------------- buffer equivalence
+
+
+class SeededInjector:
+    """Fires the ``fault_buffer.*`` sites from one seeded stream, so two
+    instances with the same seed make the same decisions in the same
+    order."""
+
+    def __init__(self, seed: int, rate: float) -> None:
+        self.rng = random.Random(seed)
+        self.rate = rate
+
+    def fire(self, site: str) -> bool:
+        return self.rng.random() < self.rate
 
 
 def buffer_fingerprint(buf):
@@ -189,60 +205,55 @@ def rows_of(fetched):
     ]
 
 
+def random_fault(rng: random.Random, t: float) -> Fault:
+    sm_id = rng.randrange(NUM_SMS)
+    return Fault(rng.randrange(64), AccessType(rng.randrange(3)), sm_id,
+                 sm_id // 2, rng.randrange(1, 99), t)
+
+
 class TestBufferEquivalence:
     def test_random_interleavings(self):
-        """Same op sequence against both buffers: same verdicts, counters,
-        and fetched/flushed rows — including overflow drops."""
+        """Same op sequence against the buffer (window writes) and the
+        oracle (one push per fault): same verdicts, counters, and
+        fetched/flushed rows — including overflow and injected drops and
+        duplicates inside a window."""
         for seed in range(50):
             rng = random.Random(1000 + seed)
             capacity = rng.randrange(1, 24)
-            scalar = FaultBuffer(capacity)
-            soa = SoaFaultBuffer(capacity)
+            buf = FaultBuffer(capacity)
+            oracle = ScalarFaultBuffer(capacity)
+            if seed % 2:
+                # Same seed on both sides: same draws in the same order.
+                rate = rng.random() / 2
+                buf.attach_injector(SeededInjector(seed, rate))
+                oracle = ScalarFaultBuffer(capacity, SeededInjector(seed, rate))
             t = 0.0
             for _ in range(rng.randrange(5, 120)):
                 op = rng.random()
                 if op < 0.7:
-                    sm_id = rng.randrange(NUM_SMS)
-                    args = (
-                        rng.randrange(64),
-                        AccessType(rng.randrange(3)),
-                        sm_id,
-                        sm_id // 2,
-                        rng.randrange(1, 99),
-                        t,
-                    )
-                    t += 0.25
-                    assert scalar.push_scalar(*args) == soa.push_scalar(*args)
+                    faults = []
+                    for _ in range(rng.randrange(1, 8)):
+                        faults.append(random_fault(rng, t))
+                        t += 0.25
+                    assert write_window(buf, faults) == [oracle.push(f) for f in faults]
                 elif op < 0.9:
                     n = rng.randrange(0, capacity + 4)
-                    assert rows_of(scalar.fetch(n)) == rows_of(soa.fetch(n))
+                    assert rows_of(buf.fetch(n)) == rows_of(oracle.fetch(n))
                 else:
-                    assert rows_of(scalar.flush()) == rows_of(soa.flush())
-                assert buffer_fingerprint(scalar) == buffer_fingerprint(soa)
+                    assert rows_of(buf.flush()) == rows_of(oracle.flush())
+                assert buffer_fingerprint(buf) == buffer_fingerprint(oracle)
 
-    def test_extend_bulk_matches_scalar_pushes(self):
-        """A bulk burst lands exactly like the equivalent scalar pushes:
-        same rows, same ``t += interval`` float timestamps."""
+    def test_window_append_matches_scalar_pushes(self):
+        """A 300-fault window that overflows partway lands exactly like the
+        equivalent scalar pushes: same verdicts, rows and counters."""
         rng = random.Random(7)
-        events = []
-        for _ in range(300):
-            sm_id = rng.randrange(NUM_SMS)
-            events.extend(
-                (sm_id, sm_id // 2, rng.randrange(40),
-                 AccessType(rng.randrange(3)), rng.randrange(1, 99))
-            )
-        t0, interval = 3.1, 0.0625
-        soa = SoaFaultBuffer(4096)
-        t_bulk = soa.extend_bulk(events, t0, interval)
-        scalar = FaultBuffer(4096)
-        t = t0
-        for i in range(0, len(events), 5):
-            sm, utlb, page, access, uid = events[i : i + 5]
-            scalar.push_scalar(page, access, sm, utlb, uid, t)
-            t += interval
-        assert t_bulk == t
-        assert rows_of(soa.fetch(300)) == rows_of(scalar.fetch(300))
-        assert buffer_fingerprint(scalar) == buffer_fingerprint(soa)
+        faults = [random_fault(rng, 3.1 + 0.0625 * i) for i in range(300)]
+        buf = FaultBuffer(200)
+        oracle = ScalarFaultBuffer(200)
+        assert write_window(buf, faults) == [oracle.push(f) for f in faults]
+        assert buf.total_overflow_dropped == 100
+        assert rows_of(buf.fetch(300)) == rows_of(oracle.fetch(300))
+        assert buffer_fingerprint(buf) == buffer_fingerprint(oracle)
 
     def test_partial_fetch_preserves_remainder(self):
         """take_front slices rows off the front; the remainder keeps
@@ -260,28 +271,12 @@ class TestBufferEquivalence:
 # -------------------------------------------------------- engine equivalence
 
 
-def run_system(workload: str, *, soa: bool, seed: int = 0,
-               gpu_mem_mb: int = 16, profile=None):
-    cfg = default_config()
-    cfg.seed = seed
-    cfg.gpu.memory_bytes = gpu_mem_mb * MB
-    cfg.gpu.num_sms = 8
-    cfg.obs = cfg.obs.disabled()
-    cfg.soa = soa
-    if profile is not None:
-        cfg.inject.enabled = True
-        cfg.inject.profile = profile
-    cfg.validate()
-    system = UvmSystem(cfg)
-    WORKLOAD_REGISTRY[workload]().run(system)
-    return system
-
-
-def timeline_fingerprint(system):
-    return (
-        system.clock.now,
-        [tuple(sorted(r.to_dict().items())) for r in system.records],
-    )
+def assert_sanitized_golden(case_id: str) -> None:
+    """The case under UVMSan (report mode) reproduces its golden digest
+    with zero invariant violations."""
+    system = run_case(**CASES[case_id], sanitize=True)
+    assert system.engine.sanitizer.total_violations == 0
+    assert timeline_digest(system) == load_table()[case_id]
 
 
 class TestEngineBitIdentity:
@@ -292,42 +287,25 @@ class TestEngineBitIdentity:
         "workload", ["vecadd", "stream", "sgemm", "bfs", "prefetch-kernel"]
     )
     def test_soa_timeline_identity(self, workload):
-        base = timeline_fingerprint(run_system(workload, soa=False))
-        soa = timeline_fingerprint(run_system(workload, soa=True))
-        assert base == soa
+        assert_sanitized_golden(f"{workload}/s0")
 
     def test_evict_under_fault_pressure(self):
-        """4 MiB GPU forces continuous evict-under-fault; the SoA flush /
-        re-demand path must track the scalar one exactly."""
-        base = timeline_fingerprint(run_system("stream", soa=False, gpu_mem_mb=4))
-        soa = timeline_fingerprint(run_system("stream", soa=True, gpu_mem_mb=4))
-        assert base == soa
+        """4 MiB GPU forces continuous evict-under-fault: flush and
+        re-demand on every batch."""
+        assert_sanitized_golden("stream/4MiB/s0")
 
 
 class TestChaosProfileBitIdentity:
-    """Injection forces the scalar fallbacks (per-fault pushes, injector
-    decision points); every profile × seed must stay timeline-identical."""
+    """Injection drives the buffer's admission sites (forced drops and
+    duplicates inside a window) and the µTLB stall/cancel sites."""
 
     @pytest.mark.parametrize("profile", sorted(BUILTIN_PROFILES))
     @pytest.mark.parametrize("seed", [0, 7])
     def test_builtin_profiles(self, profile, seed):
-        base = timeline_fingerprint(
-            run_system("vecadd", soa=False, seed=seed, profile=profile)
-        )
-        soa = timeline_fingerprint(
-            run_system("vecadd", soa=True, seed=seed, profile=profile)
-        )
-        assert base == soa
+        assert_sanitized_golden(f"vecadd/{profile}/s{seed}")
 
     @pytest.mark.parametrize(
         "profile_file", sorted(p.name for p in CHAOS_DIR.glob("*.json"))
     )
     def test_example_profile_files(self, profile_file):
-        path = str(CHAOS_DIR / profile_file)
-        base = timeline_fingerprint(
-            run_system("stream", soa=False, seed=3, profile=path)
-        )
-        soa = timeline_fingerprint(
-            run_system("stream", soa=True, seed=3, profile=path)
-        )
-        assert base == soa
+        assert_sanitized_golden(f"stream/{profile_file}/s3")

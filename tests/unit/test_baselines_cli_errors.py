@@ -54,14 +54,16 @@ class TestExplicitBaseline:
     def test_uvm_fault_path_slower_than_explicit(self, system_factory):
         """Fig 1's core claim at unit scale: servicing one page through the
         fault path costs more than its share of a bulk copy."""
-        from repro.gpu.fault import AccessType
+        from repro.gpu.fault import AccessType, Fault
+        from tests.property.fault_oracle import write_window
 
         system = system_factory(prefetch_enabled=False)
         alloc = system.managed_alloc(1 * MB)
         system.host_touch(alloc)
-        gmmu = system.engine.device.gmmu
-        for page in alloc.pages():
-            gmmu.deliver(page, AccessType.READ, 0, 0, 0.0)
+        write_window(
+            system.engine.device.gmmu,
+            [Fault(page, AccessType.READ, 0, 0, 0, 0.0) for page in alloc.pages()],
+        )
         outcome = system.engine.driver.service_next_batch(slept=True)
         per_page_uvm = outcome.record.duration / outcome.record.num_faults_unique
         per_page_explicit = self.make().h2d_time(1 * MB) / 256

@@ -15,6 +15,7 @@ from repro.gpu.utlb import UTlb
 from repro.sim.clock import SimClock
 from repro.units import PAGE_SIZE
 from repro.workloads import VecAddPageStride
+from tests.property.fault_oracle import write, write_window
 
 
 def make_san(mode: str = "raise") -> Sanitizer:
@@ -112,7 +113,8 @@ class TestFaultBufferRule:
         san = make_san()
         buf = FaultBuffer(capacity=2)
         buf.attach_sanitizer(san)
-        buf._entries.extend(self._fault(p) for p in range(3))  # bypass push
+        for p in range(3):  # bypass admission
+            buf._entries.append(*self._fault(p))
         buf.total_pushed = 3
         with pytest.raises(InvariantViolation, match="exceeds capacity"):
             san.on_fault_buffer(buf)
@@ -120,7 +122,7 @@ class TestFaultBufferRule:
     def test_conservation_violation_fires(self):
         san = make_san()
         buf = FaultBuffer(capacity=8)
-        buf.push(self._fault(1))
+        write(buf, self._fault(1))
         buf.total_pushed += 5  # phantom pushes never fetched/flushed/residual
         with pytest.raises(InvariantViolation, match="conservation"):
             san.on_fault_buffer(buf)
@@ -129,8 +131,7 @@ class TestFaultBufferRule:
         san = make_san()
         buf = FaultBuffer(capacity=4)
         buf.attach_sanitizer(san)
-        for p in range(6):
-            buf.push(self._fault(p))  # two overflow-drop
+        write_window(buf, [self._fault(p) for p in range(6)])  # two overflow-drop
         assert buf.total_overflow_dropped == 2
         buf.fetch(2)
         buf.flush()

@@ -6,8 +6,9 @@ import pytest
 from repro.api import UvmSystem
 from repro.config import default_config
 from repro.errors import InvalidAccess, OutOfDeviceMemory
-from repro.gpu.fault import AccessType
+from repro.gpu.fault import AccessType, Fault
 from repro.units import MB, PAGES_PER_VABLOCK, PAGE_SIZE
+from tests.property.fault_oracle import write_window
 
 
 def make_system(gpu_mem_mb=8, prefetch=False, trace=False, **driver_kw):
@@ -19,9 +20,9 @@ def make_system(gpu_mem_mb=8, prefetch=False, trace=False, **driver_kw):
 
 
 def inject(system, pages, access=AccessType.READ, sm=0):
-    gmmu = system.engine.device.gmmu
-    for i, page in enumerate(pages):
-        assert gmmu.deliver(page, access, sm, warp_uid=0, timestamp=float(i)) is not None
+    utlb = system.engine.device.config.utlb_of_sm(sm)
+    faults = [Fault(page, access, sm, utlb, 0, float(i)) for i, page in enumerate(pages)]
+    assert all(write_window(system.engine.device.gmmu, faults))
 
 
 def service(system, slept=False):

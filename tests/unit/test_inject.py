@@ -26,6 +26,7 @@ from repro.inject import (
 from repro.inject.profiles import load_profile_file, resolve_profile
 from repro.sim.clock import SimClock
 from repro.units import PAGE_SIZE
+from tests.property.fault_oracle import write, write_window
 
 
 def make_config(**kw) -> InjectConfig:
@@ -390,7 +391,7 @@ class TestFaultBufferSites:
     def test_forced_overflow_counts_as_injector_drop(self):
         buf = FaultBuffer(capacity=8)
         buf.attach_injector(ScriptedInjector({"fault_buffer.overflow": [True]}))
-        assert buf.push(fault(1)) is False
+        assert write(buf, fault(1)) is False
         assert buf.total_pushed == 1
         assert buf.total_injector_dropped == 1
         assert buf.total_overflow_dropped == 0
@@ -404,7 +405,7 @@ class TestFaultBufferSites:
                 {"fault_buffer.overflow": [False], "fault_buffer.duplicate": [True]}
             )
         )
-        assert buf.push(fault(3)) is True
+        assert write(buf, fault(3)) is True
         assert len(buf) == 2
         assert buf.total_pushed == 1
         assert buf.total_injected == 1
@@ -420,7 +421,7 @@ class TestFaultBufferSites:
                 {"fault_buffer.overflow": [False], "fault_buffer.duplicate": [True]}
             )
         )
-        assert buf.push(fault(1)) is True
+        assert write(buf, fault(1)) is True
         assert len(buf) == 1  # no room for the duplicate
         assert buf.total_injected == 0
         assert conservation_holds(buf)
@@ -435,8 +436,7 @@ class TestFaultBufferSites:
                 }
             )
         )
-        for page in range(3):
-            buf.push(fault(page))
+        write_window(buf, [fault(page) for page in range(3)])
         buf.fetch(1)
         buf.flush()
         assert conservation_holds(buf)
