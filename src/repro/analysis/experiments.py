@@ -170,13 +170,12 @@ def fig03_vecadd_batches() -> ExperimentResult:
     a, b, c = system.allocations[:3]
     rows = []
     per_batch_comp = []
-    migrates = system.trace.select("migrate")
+    migrates = [args for _t, _kind, args in system.obs.flight.select("migrate")]
     for r in res.records:
         comp = {"A": 0, "B": 0, "C": 0}
-        for e in migrates:
-            if e.payload[0] != r.batch_id:
+        for batch_id, block_id, lo, hi, n in migrates:
+            if batch_id != r.batch_id:
                 continue
-            _, block_id, lo, hi, n = e.payload
             for name, alloc in (("A", a), ("B", b), ("C", c)):
                 if alloc.start_page <= lo < alloc.end_page:
                     comp[name] += n
@@ -637,12 +636,11 @@ def _case_study(name: str, workload, gpu_mb: int) -> ExperimentResult:
 
     # LRU check: eviction order should track allocation order (Fig 16c/17c:
     # first evictions hit the earliest-allocated pages).
-    evicts = system.trace.select("evict")
+    flight = system.obs.flight
     alloc_order: Dict[int, int] = {}
-    for e in system.trace.select("migrate"):
-        block = e.payload[1]
-        alloc_order.setdefault(block, len(alloc_order))
-    eviction_blocks = [e.payload[1] for e in evicts]
+    for _t, _kind, args in flight.select("migrate"):
+        alloc_order.setdefault(args[1], len(alloc_order))
+    eviction_blocks = [args[1] for _t, _kind, args in flight.select("evict")]
     first_k = eviction_blocks[: max(1, len(eviction_blocks) // 4)]
     ranks = [alloc_order.get(b, 0) for b in first_k]
     median_rank = float(np.median(ranks)) if ranks else 0.0

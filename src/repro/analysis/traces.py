@@ -90,10 +90,10 @@ class FaultTrace:
 def capture_trace(system: UvmSystem) -> FaultTrace:
     """Build a :class:`FaultTrace` from a traced run's "fault" events.
 
-    ``system`` must have been constructed with ``trace=True`` (or a trace
-    whose categories include ``"fault"``).
+    ``system`` must have been constructed with ``trace=True``, which turns
+    on the flight recorder's per-fault events.
     """
-    events = system.trace.select("fault")
+    events = system.obs.flight.select("fault")
     if not events:
         raise ValueError(
             "no fault events recorded — construct UvmSystem(trace=True) "
@@ -103,8 +103,7 @@ def capture_trace(system: UvmSystem) -> FaultTrace:
         allocations=[(a.start_page, a.num_pages) for a in system.allocations]
     )
     current_batch = None
-    for event in events:
-        batch_id, page, access, sm_id, warp_uid = event.payload
+    for _t, _kind, (batch_id, page, access, sm_id, warp_uid, _arrival) in events:
         if batch_id != current_batch:
             trace.windows.append([])
             current_batch = batch_id

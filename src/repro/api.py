@@ -29,7 +29,6 @@ from .errors import AllocationError
 from .gpu.warp import KernelLaunch
 from .hostos.cpu import static_first_touch
 from .sim.engine import Engine, LaunchResult
-from .sim.trace import EventTrace
 from .units import PAGE_SIZE, VABLOCK_SIZE, align_up
 
 
@@ -115,16 +114,12 @@ class UvmSystem:
         self,
         config: Optional[SystemConfig] = None,
         trace: bool = False,
-        trace_categories: Optional[set] = None,
     ) -> None:
+        """``trace`` keeps every flight-recorder event, per-fault and
+        per-migration ones included (see :mod:`repro.obs.flight`)."""
         self.config = config if config is not None else default_config()
         self.config.validate()
-        event_trace = EventTrace(
-            enabled=trace,
-            categories=trace_categories,
-            max_events=self.config.obs.trace_max_events,
-        )
-        self.engine = Engine(self.config, trace=event_trace)
+        self.engine = Engine(self.config, trace=trace)
         self._next_page = 0
         self._allocations: List[ManagedAllocation] = []
 
@@ -137,10 +132,6 @@ class UvmSystem:
     @property
     def driver(self):
         return self.engine.driver
-
-    @property
-    def trace(self) -> EventTrace:
-        return self.engine.trace
 
     @property
     def obs(self):

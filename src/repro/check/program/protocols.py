@@ -201,7 +201,6 @@ class SnapshotSpec:
         "GpuPageTable",
         "ChunkAllocator",
         "CopyEngine",
-        "EventTrace",
     )
     #: Cached metric-handle prefix ``_attr_names`` drops unconditionally.
     metric_prefix: str = "_m_"

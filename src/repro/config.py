@@ -209,12 +209,9 @@ class ObsConfig:
     spans: bool = True
     #: Chrome trace-event timeline capture (``ChromeTraceBuilder``).
     chrome_trace: bool = False
-    #: NDJSON structured-log path for batch records + trace events
-    #: (None = no sink).
+    #: NDJSON structured-log path for batch records, plus every
+    #: flight-recorder event while tracing (None = no sink).
     ndjson_path: Optional[str] = None
-    #: Ring-buffer cap for :class:`~repro.sim.trace.EventTrace`
-    #: (None = unbounded, the pre-cap behaviour).
-    trace_max_events: Optional[int] = None
     #: Retention cap for chrome-trace events (drops, never grows unbounded).
     chrome_max_events: int = 1_000_000
     #: Retention cap for completed spans (None = unbounded).
@@ -224,7 +221,8 @@ class ObsConfig:
     #: crash bundles dump for post-mortem forensics.  Purely observational —
     #: the simulated timeline is bit-identical with it on or off.
     flight_recorder: bool = True
-    #: Flight-recorder ring capacity (events retained, newest win).
+    #: Flight-recorder ring capacity (events retained, newest win; a
+    #: tracing system, ``UvmSystem(trace=True)``, keeps every event).
     flight_cap: int = 512
     #: Directory crash bundles are written under on an unhandled
     #: :class:`~repro.errors.UvmError`, invariant violation, or injected
@@ -248,8 +246,6 @@ class ObsConfig:
         )
 
     def validate(self) -> None:
-        if self.trace_max_events is not None and self.trace_max_events <= 0:
-            raise ConfigError("trace_max_events must be positive or None")
         if self.chrome_max_events <= 0:
             raise ConfigError("chrome_max_events must be positive")
         if self.max_spans is not None and self.max_spans <= 0:

@@ -65,10 +65,8 @@ from ..obs.chrome_trace import (
     TID_VABLOCK,
 )
 from ..check.sanitizer import NULL_SANITIZER
-from ..obs.metrics import DEFAULT_COUNT_BUCKETS
 from ..obs.spans import NULL_SPAN
 from ..sim.clock import SimClock
-from ..sim.trace import EventTrace
 from .batch import AssembledBatch, BlockWork, assemble_batch
 from .batch_record import BatchRecord
 from .eviction import LruEvictionPolicy, make_eviction_policy
@@ -139,7 +137,6 @@ class UvmDriver:
         dma: DmaMapper,
         cost_model: CostModel,
         rng: Optional[np.random.Generator] = None,
-        trace: Optional[EventTrace] = None,
         obs: Optional[Observability] = None,
         sanitizer=None,
         injector=None,
@@ -152,7 +149,6 @@ class UvmDriver:
         self.dma = dma
         self.cost = cost_model
         self.rng = rng
-        self.trace = trace
         self.obs = obs if obs is not None else Observability(config.obs, clock)
         #: UVMSan invariant checker (no-op null object unless enabled).
         self.san = sanitizer if sanitizer is not None else NULL_SANITIZER
@@ -179,67 +175,16 @@ class UvmDriver:
         self._current_batch_size = config.driver.batch_size
         #: Unmap work deferred off the fault path (async-unmap ablation).
         self.async_unmap_backlog_usec = 0.0
-        # Observability: cached metric handles (no-op instruments when the
-        # registry is disabled, so the hot path never branches on config).
-        metrics = self.obs.metrics
-        self._m_batches = metrics.counter(
-            "uvm_batches_total", "Batches through the servicing path", labels=("kind",)
-        )
-        self._m_faults = metrics.counter(
-            "uvm_faults_total", "Faults fetched from the HW buffer", labels=("kind",)
-        )
-        self._m_pages = metrics.counter(
-            "uvm_pages_total", "Pages handled on the fault path", labels=("op",)
-        )
-        self._m_bytes = metrics.counter(
-            "uvm_bytes_total", "Bytes migrated over the interconnect", labels=("dir",)
-        )
-        self._m_hostos = metrics.counter(
-            "uvm_hostos_total", "Host-OS operations on the fault path", labels=("op",)
-        )
-        self._m_batch_usec = metrics.histogram(
-            "uvm_batch_service_usec", "Batch servicing time (simulated µs)"
-        )
-        self._m_batch_faults = metrics.histogram(
-            "uvm_batch_faults", "Raw faults per batch", buckets=DEFAULT_COUNT_BUCKETS
-        )
-        self._m_retries = metrics.counter(
-            "uvm_retries_total",
-            "Driver retries after transient fault-path failures",
-            labels=("site",),
-        )
-        self._m_degrade = metrics.counter(
+        # Metric families the batch log already holds (batches, faults,
+        # pages, retries, ...) are folded from it at read time by the
+        # engine.  Degradations mostly have no record field, so they count
+        # at their sites through cached handles (no-op instruments when the
+        # registry is disabled, so the hot path never branches).
+        self._m_degrade = self.obs.metrics.counter(
             "uvm_degrade_total",
             "Graceful degradations on the fault path",
             labels=("kind",),
         )
-        self._m_failovers = metrics.counter(
-            "uvm_ce_failovers_total", "Copy-engine failovers after stuck bursts"
-        )
-        # Labeled children resolved once: ``family.labels(x)`` is a dict
-        # lookup plus (first time) child creation, and _finish_record_obs
-        # pays it 17 times per batch — hoist every fixed label out of the
-        # per-batch path.  Disabled registries hand back the null instrument
-        # from .labels(), so the cached handles stay no-ops.
-        self._m_batches_fault = self._m_batches.labels("fault")
-        self._m_batches_hinted = self._m_batches.labels("hinted")
-        self._m_faults_raw = self._m_faults.labels("raw")
-        self._m_faults_unique = self._m_faults.labels("unique")
-        self._m_faults_duplicate = self._m_faults.labels("duplicate")
-        self._m_faults_dropped = self._m_faults.labels("dropped")
-        self._m_pages_migrated = self._m_pages.labels("migrated_h2d")
-        self._m_pages_populated = self._m_pages.labels("populated")
-        self._m_pages_prefetched = self._m_pages.labels("prefetched")
-        self._m_pages_unmapped = self._m_pages.labels("unmapped")
-        self._m_pages_evicted = self._m_pages.labels("evicted")
-        self._m_bytes_h2d = self._m_bytes.labels("h2d")
-        self._m_bytes_d2h = self._m_bytes.labels("d2h")
-        self._m_hostos_unmap = self._m_hostos.labels("unmap_calls")
-        self._m_hostos_dma = self._m_hostos.labels("dma_mappings")
-        self._m_hostos_radix = self._m_hostos.labels("radix_nodes")
-        self._m_retries_dma = self._m_retries.labels("dma")
-        self._m_retries_ce = self._m_retries.labels("ce")
-        self._m_retries_populate = self._m_retries.labels("populate")
         self._m_degrade_accessed_by = self._m_degrade.labels("accessed-by-skip")
         self._m_degrade_dma_defer = self._m_degrade.labels("dma-defer")
         self._m_degrade_transfer_defer = self._m_degrade.labels("transfer-defer")
@@ -253,6 +198,8 @@ class UvmDriver:
         #: Flight recorder (bounded ring of recent events; null object when
         #: off, so the per-batch paths call it unconditionally).
         self.flight = self.obs.flight
+        #: Tracing recorder: also log every fetched fault and migration.
+        self._tracing = self.flight.tracing
         self.eviction.attach_obs(self.obs)
         #: Simulated timestamp where the current VABlock's service started on
         #: the trace timeline (per-block costs apply to the clock only after
@@ -366,7 +313,6 @@ class UvmDriver:
                 result = self.dma.map_pages(new_pages)
             except DmaMapFault as exc:
                 record.retries_dma += 1
-                self._m_retries_dma.inc()
                 self.flight.record("retry", "dma", attempt, record.batch_id)
                 if attempt >= self.retry.max_attempts:
                     if self.retry.fail_fast:
@@ -442,8 +388,6 @@ class UvmDriver:
             raise
         record.t_end = self.clock.now
         self.log.append(record)
-        if self.trace is not None:
-            self.trace.emit(record.t_end, "batch", record.batch_id, record.num_faults_raw)
         self._finish_record_obs(record)
         self.san.on_batch_end(self, record, outcome)
         self._update_adaptive(record)
@@ -466,20 +410,13 @@ class UvmDriver:
             faults = self.device.fault_buffer.fetch(self.effective_batch_size)
             record.time_fetch = self._spend(self.cost.fetch_cost(len(faults)))
 
-        if self.trace is not None:
+        if self._tracing:
             # Per-fault instrumentation (the paper's first driver variant):
             # origin SM, address, access type, arrival time.  Enables trace
             # capture + open-loop replay (repro.analysis.traces).
             for f in faults:
-                self.trace.emit(
-                    f.timestamp,
-                    "fault",
-                    record.batch_id,
-                    f.page,
-                    int(f.access),
-                    f.sm_id,
-                    f.warp_uid,
-                )
+                self.flight.record("fault", record.batch_id, f.page, int(f.access),
+                                   f.sm_id, f.warp_uid, f.timestamp)
         if chrome_on:
             # Fault instants on the issuing SM's trace row, at buffer-arrival
             # time (the paper's per-fault arrival instrumentation, Fig 4).
@@ -591,7 +528,6 @@ class UvmDriver:
                 return self.dma.map_pages(pages)
             except DmaMapFault as exc:
                 record.retries_dma += 1
-                self._m_retries_dma.inc()
                 self.flight.record("retry", "dma", attempt, record.batch_id)
                 if attempt >= self.retry.max_attempts:
                     if self.retry.fail_fast:
@@ -632,7 +568,6 @@ class UvmDriver:
             except TransferFault as exc:
                 spend(exc.wasted_usec, "time_retry_backoff")
                 record.retries_transfer += 1
-                self._m_retries_ce.inc()
                 self.flight.record("retry", "ce", attempt, record.batch_id)
                 if attempt >= self.retry.max_attempts:
                     if self.retry.fail_fast or not allow_degrade:
@@ -642,7 +577,6 @@ class UvmDriver:
             except TransferStuck as exc:
                 spend(self.retry.deadline_usec, "time_retry_backoff")
                 record.ce_failovers += 1
-                self._m_failovers.inc()
                 self.flight.record("failover", "ce", attempt, record.batch_id)
                 if attempt >= self.retry.max_attempts:
                     if self.retry.fail_fast or not allow_degrade:
@@ -790,7 +724,6 @@ class UvmDriver:
             # releasing its staged buffers — §5.1's pressure path), back
             # off, then retry the population.
             record.retries_populate += 1
-            self._m_retries_populate.inc()
             self.flight.record("retry", "populate", 1, record.batch_id)
             if (
                 self.config.driver.eviction_enabled
@@ -843,18 +776,11 @@ class UvmDriver:
 
         record.pages_prefetched += len(prefetched)
         outcome.serviced_pages.extend(target)
-        if self.trace is not None and target:
+        if self._tracing and target:
             # Fig 16c/17c fault-behaviour data: page extent migrated into
             # this block during this batch.
-            self.trace.emit(
-                self.clock.now,
-                "migrate",
-                record.batch_id,
-                block.block_id,
-                target[0],
-                target[-1],
-                len(target),
-            )
+            self.flight.record("migrate", record.batch_id, block.block_id,
+                               target[0], target[-1], len(target))
         return total, False
 
     def _evict_one(self, exclude: Set[int], record, outcome, spend) -> None:
@@ -891,8 +817,9 @@ class UvmDriver:
         record.evictions += 1
         record.pages_evicted += len(pages)
         outcome.evicted_pages.extend(pages)
-        self._m_pages_evicted.inc(len(pages))
-        self.flight.record("evict", victim_id, len(pages), record.batch_id)
+        first = pages[0] if pages else victim.first_page
+        last = pages[-1] if pages else victim.first_page
+        self.flight.record("evict", record.batch_id, victim_id, first, last, len(pages))
         if self.obs.chrome.enabled:
             self.obs.chrome.duration(
                 f"evict block {victim_id}",
@@ -902,18 +829,6 @@ class UvmDriver:
                 pid=self.obs.pid(PID_EVICTION),
                 tid=0,
                 args={"pages": len(pages), "batch": record.batch_id},
-            )
-        if self.trace is not None:
-            first = pages[0] if pages else victim.first_page
-            last = pages[-1] if pages else victim.first_page
-            self.trace.emit(
-                self.clock.now,
-                "evict",
-                record.batch_id,
-                victim_id,
-                first,
-                last,
-                len(pages),
             )
 
     def _scope_expansion(
@@ -1041,7 +956,8 @@ class UvmDriver:
             offset += usec
 
     def _finish_record_obs(self, record: BatchRecord) -> None:
-        """Fold one finished batch into metrics, spans, trace, and sink."""
+        """Report one finished batch to the flight recorder, spans, the
+        Chrome trace, and the sink (its metrics are folded from the log)."""
         obs = self.obs
         self.flight.record(
             "batch.abort" if record.aborted else "batch.close",
@@ -1049,22 +965,6 @@ class UvmDriver:
             record.num_faults_raw,
             record.duration,
         )
-        (self._m_batches_hinted if record.hinted else self._m_batches_fault).inc()
-        self._m_faults_raw.inc(record.num_faults_raw)
-        self._m_faults_unique.inc(record.num_faults_unique)
-        self._m_faults_duplicate.inc(record.duplicate_count)
-        self._m_faults_dropped.inc(record.dropped_at_flush)
-        self._m_pages_migrated.inc(record.pages_migrated_h2d)
-        self._m_pages_populated.inc(record.pages_populated)
-        self._m_pages_prefetched.inc(record.pages_prefetched)
-        self._m_pages_unmapped.inc(record.pages_unmapped)
-        self._m_bytes_h2d.inc(record.bytes_h2d)
-        self._m_bytes_d2h.inc(record.bytes_d2h)
-        self._m_hostos_unmap.inc(record.unmap_calls)
-        self._m_hostos_dma.inc(record.dma_mappings_created)
-        self._m_hostos_radix.inc(record.radix_nodes_allocated)
-        self._m_batch_usec.observe(record.duration)
-        self._m_batch_faults.observe(record.num_faults_raw)
         if obs.spans.enabled:
             # The batch envelope as a manual span: reconciles against
             # ``BatchRecord.duration``/``service_time`` in tests.

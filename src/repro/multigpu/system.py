@@ -39,7 +39,6 @@ from ..obs import Observability
 from ..obs.chrome_trace import PID_PEER
 from ..sim.clock import SimClock
 from ..sim.engine import Engine, LaunchResult
-from ..sim.trace import EventTrace
 from ..units import PAGE_SIZE, VABLOCK_SIZE, align_up
 
 
@@ -79,7 +78,6 @@ class MultiGpuSystem:
         num_devices: int = 2,
         config: Optional[SystemConfig] = None,
         peer_enabled: bool = True,
-        trace: bool = False,
     ) -> None:
         if num_devices < 1:
             raise ConfigError("need at least one device")
@@ -106,7 +104,6 @@ class MultiGpuSystem:
             cfg = self.config.replace(seed=self.config.seed + device_id)
             engine = Engine(
                 cfg,
-                trace=EventTrace(enabled=trace),
                 clock=self.clock,
                 host_vm=self.host_vm,
                 dma=None,  # DMA/IOMMU mapping tables are per device

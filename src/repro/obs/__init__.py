@@ -1,14 +1,17 @@
-"""Unified observability layer: metrics, spans, Chrome traces, NDJSON logs.
+"""Unified observability layer: metrics, spans, Chrome traces, event log.
 
-One :class:`Observability` object per simulated system bundles the four
+One :class:`Observability` object per simulated system bundles the
 instruments the fault-path analysis needs:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — run-level counters, gauges,
   and histograms with labeled series (snapshot dict / Prometheus text);
+  families the batch log already holds are folded from it at read time;
 * :class:`~repro.obs.spans.SpanProfiler` — nested phase spans recording
   simulated *and* host wall-clock time;
 * :class:`~repro.obs.chrome_trace.ChromeTraceBuilder` — the run as a
   Perfetto/``chrome://tracing`` timeline;
+* :class:`~repro.obs.flight.FlightRecorder` — the run's one event log, a
+  ring of ``(t, kind, args)`` events (unbounded when tracing);
 * :class:`~repro.obs.sinks.NdjsonSink` — structured per-batch / per-event
   log lines (the paper's "system log", machine-readable).
 
@@ -58,11 +61,13 @@ from .spans import NULL_SPAN, SpanProfiler, SpanRecord
 
 
 class Observability:
-    """Facade bundling one system's metrics, spans, trace, and log sink."""
+    """Facade bundling one system's metrics, spans, traces, and logs."""
 
-    def __init__(self, config, clock, pid_base: int = 0, label: str = "") -> None:
+    def __init__(self, config, clock, pid_base: int = 0, label: str = "",
+                 trace: bool = False) -> None:
         """``config`` is an :class:`~repro.config.ObsConfig`; ``clock`` the
-        system's shared :class:`~repro.sim.clock.SimClock`."""
+        system's shared :class:`~repro.sim.clock.SimClock`; ``trace`` makes
+        the flight recorder a tracing one (see :mod:`repro.obs.flight`)."""
         self.config = config
         self.clock = clock
         self.pid_base = pid_base
@@ -75,11 +80,12 @@ class Observability:
         self.sink: Optional[NdjsonSink] = (
             NdjsonSink(config.ndjson_path) if config.ndjson_path else None
         )
-        self.flight = (
-            FlightRecorder(clock, config.flight_cap)
-            if config.flight_recorder
-            else NULL_FLIGHT
-        )
+        if trace:
+            self.flight = FlightRecorder(clock, None, sink=self.sink)
+        elif config.flight_recorder:
+            self.flight = FlightRecorder(clock, config.flight_cap)
+        else:
+            self.flight = NULL_FLIGHT
         if self.chrome.enabled:
             self.chrome.register_tracks(pid_base, label)
 

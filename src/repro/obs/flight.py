@@ -1,13 +1,16 @@
-"""Always-on flight recorder: a bounded ring of recent structured events.
+"""The run's one event log: a ring of ``(sim_time, kind, args)`` events.
 
 Chaos runs used to die with a stack trace and nothing else — the batch log
 shows *completed* batches, the metrics registry shows totals, but neither
 says what the system was doing in the moments before it fell over.  The
-flight recorder is the black box: a fixed-capacity ring
-(:class:`collections.deque`) of small ``(sim_time, kind, args)`` tuples fed
-by the engine, driver, copy engines, injector, and sanitizer at their
-interesting transitions — batch open/close/abort, retries and failovers,
-evictions, checkpoints, injected crashes, invariant violations.
+flight recorder is the black box: a ring (:class:`collections.deque`) of
+small ``(sim_time, kind, args)`` tuples fed by the engine, driver, copy
+engines, and sanitizer at their interesting transitions — batch
+open/close/abort, retries and failovers, evictions, checkpoints, injected
+crashes, invariant violations (``docs/diagnostics.md`` lists every kind).
+A *tracing* recorder (``UvmSystem(trace=True)``) keeps every event, adds
+the per-fault ``fault`` and per-block ``migrate`` kinds of the paper's
+fine-grain instrumentation (§3.1), and tees events into the NDJSON sink.
 
 Design contract (same as every :mod:`repro.obs` instrument):
 
@@ -18,9 +21,12 @@ Design contract (same as every :mod:`repro.obs` instrument):
 * **near-zero cost** — one tuple build plus one deque append per event when
   on; the shared :data:`NULL_FLIGHT` null object when off, so call sites
   never branch;
-* **bounded** — the ring keeps the newest :attr:`capacity` events and counts
-  overwrites in :attr:`dropped`, so a week-long soak costs the same memory
-  as a smoke test.
+* **bounded** — unless tracing, the ring keeps the newest :attr:`capacity`
+  events and counts overwrites in :attr:`dropped`, so a week-long soak
+  costs the same memory as a smoke test;
+* **rewound on restore** — a checkpoint stores :attr:`appended` and a
+  restore calls :meth:`rewind` with it, so a recovered run logs the clean
+  run's events plus the crash seam.
 
 Crash bundles (:mod:`repro.obs.bundle`) dump the ring on the way down; the
 ``uvm-repro analyze`` report engine replays it to name the failing batch.
@@ -34,51 +40,57 @@ from typing import Iterator, List, Optional, Tuple
 #: One recorded event: (simulated time µs, event kind, kind-specific args).
 FlightEvent = Tuple[float, str, Tuple]
 
-#: Event kinds the stock hooks emit (call sites may add more; the bundle
-#: schema treats the kind as an open string).
-KNOWN_KINDS = (
-    "batch.open",
-    "batch.close",
-    "batch.abort",
-    "retry",
-    "failover",
-    "evict",
-    "checkpoint",
-    "crash.injected",
-    "crash.recovered",
-    "launch",
-    "launch.done",
-    "resume",
-    "san.violation",
-    "inject.crash_due",
-)
-
 
 class FlightRecorder:
-    """Bounded ring of recent structured events (the run's black box)."""
+    """Ring of recent structured events (the run's black box)."""
 
-    __slots__ = ("clock", "capacity", "dropped", "_ring")
+    __slots__ = ("clock", "capacity", "sink", "appended", "_ring")
 
     enabled = True
 
-    def __init__(self, clock, capacity: int = 512) -> None:
-        if capacity <= 0:
+    def __init__(self, clock, capacity: Optional[int] = 512, sink=None) -> None:
+        """``capacity`` None makes a tracing recorder, which keeps every
+        event; ``sink`` (an NDJSON sink) receives every event."""
+        if capacity is not None and capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
         self.clock = clock
         self.capacity = capacity
-        self.dropped = 0
+        self.sink = sink
+        #: Events recorded since creation/clear (overwritten ones included).
+        self.appended = 0
         self._ring: deque = deque(maxlen=capacity)
 
     # ------------------------------------------------------------ recording
 
     def record(self, kind: str, *args) -> None:
         """Append one event stamped with the current simulated time."""
-        ring = self._ring
-        if len(ring) == self.capacity:
-            self.dropped += 1
-        ring.append((self.clock.now, kind, args))
+        event = (self.clock.now, kind, args)
+        self._ring.append(event)
+        self.appended += 1
+        if self.sink is not None:
+            self.sink.write_event(event)
+
+    def rewind(self, appended: int) -> None:
+        """Drop the events recorded since :attr:`appended` read ``appended``
+        (those still in the ring); a checkpoint restore calls this."""
+        extra = self.appended - appended
+        if extra <= 0:
+            return
+        for _ in range(min(extra, len(self._ring))):
+            self._ring.pop()
+        self.appended = appended
 
     # -------------------------------------------------------------- queries
+
+    @property
+    def tracing(self) -> bool:
+        """Whether the fine-grain kinds (``fault``, ``migrate``) are on."""
+        return self.capacity is None
+
+    @property
+    def dropped(self) -> int:
+        """Events the bounded ring overwrote (or a rewind could not keep)."""
+        return self.appended - len(self._ring)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -107,16 +119,19 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._ring.clear()
-        self.dropped = 0
+        self.appended = 0
 
     # --------------------------------------------------------- serialization
 
     def to_dicts(self) -> List[dict]:
         """The ring as JSON-ready dicts, oldest first (the bundle format)."""
-        return [
-            {"t": time, "kind": kind, "args": list(args)}
-            for time, kind, args in self._ring
-        ]
+        return [event_dict(event) for event in self._ring]
+
+
+def event_dict(event: FlightEvent) -> dict:
+    """One event in its JSON form: ``{"t", "kind", "args"}``."""
+    time, kind, args = event
+    return {"t": time, "kind": kind, "args": list(args)}
 
 
 class _NullFlightRecorder:
@@ -125,10 +140,15 @@ class _NullFlightRecorder:
     __slots__ = ()
 
     enabled = False
+    tracing = False
     capacity = 0
+    appended = 0
     dropped = 0
 
     def record(self, kind: str, *args) -> None:
+        pass
+
+    def rewind(self, appended: int) -> None:
         pass
 
     def __len__(self) -> int:

@@ -14,13 +14,16 @@ Design goals:
   tuple, Prometheus-style (``uvm_pages_total{op="evicted"}``);
 * **machine-readable export** — :meth:`MetricsRegistry.snapshot` returns a
   plain dict; :meth:`MetricsRegistry.to_prometheus` renders the
-  Prometheus text exposition format for cross-run scraping/diffing.
+  Prometheus text exposition format for cross-run scraping/diffing;
+* **ledger-derived families** — a family a ledger already holds (the
+  batch log) is rebuilt from it at every read by a fold registered with
+  :meth:`MetricsRegistry.add_fold`, so it rewinds with the ledger.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
@@ -253,6 +256,23 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._families: Dict[str, MetricFamily] = {}
+        self._folds: List[Callable[["MetricsRegistry"], None]] = []
+
+    def add_fold(self, fold: Callable[["MetricsRegistry"], None]) -> None:
+        """Register ``fold(registry)``: every read runs each fold against
+        one fresh registry, so folds registering the same family add up
+        (multi-GPU drivers share a registry).  No-op when disabled."""
+        if self.enabled:
+            self._folds.append(fold)
+
+    def _read(self) -> Dict[str, MetricFamily]:
+        """Every family, the derived ones rebuilt from their ledgers now."""
+        if not self._folds:
+            return self._families
+        derived = MetricsRegistry()
+        for fold in self._folds:
+            fold(derived)
+        return {**self._families, **derived._families}
 
     # ------------------------------------------------------------- creation
 
@@ -296,15 +316,15 @@ class MetricsRegistry:
     # --------------------------------------------------------------- export
 
     def __contains__(self, name: str) -> bool:
-        return name in self._families
+        return name in self._read()
 
     def family(self, name: str) -> MetricFamily:
-        return self._families[name]
+        return self._read()[name]
 
     def snapshot(self) -> Dict:
         """Plain-dict dump of every family and series (JSON-serializable)."""
         out: Dict = {}
-        for name, family in sorted(self._families.items()):
+        for name, family in sorted(self._read().items()):
             series = []
             for key, child in sorted(family.series.items()):
                 series.append(
@@ -319,7 +339,7 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (one run = one scrape)."""
         lines: List[str] = []
-        for name, family in sorted(self._families.items()):
+        for name, family in sorted(self._read().items()):
             if family.help:
                 lines.append(f"# HELP {name} {family.help}")
             lines.append(f"# TYPE {name} {family.kind}")

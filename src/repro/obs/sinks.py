@@ -3,8 +3,8 @@
 The instrumented driver emits one log line per batch (§3.1); dmesg-style
 text is hostile to analysis, so :class:`NdjsonSink` writes newline-delimited
 JSON instead — one self-describing object per line, streamable and
-append-only.  Batch records, trace events, and arbitrary dict payloads share
-one file, discriminated by a ``type`` field.
+append-only.  Batch records, flight-recorder events (when tracing), and
+arbitrary dict payloads share one file, discriminated by a ``type`` field.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import json
 from pathlib import Path
 from typing import IO, Optional, Union
 
+from .flight import event_dict
+
 
 class NdjsonSink:
-    """Newline-delimited JSON writer for batch records and trace events."""
+    """Newline-delimited JSON writer for batch records and events."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -38,16 +40,9 @@ class NdjsonSink:
         payload.update(record.to_dict())
         self.write(payload)
 
-    def write_trace_event(self, time: float, category: str, payload) -> None:
-        """Log one :class:`~repro.sim.trace.EventTrace` event."""
-        self.write(
-            {
-                "type": "event",
-                "time": time,
-                "category": category,
-                "payload": list(payload),
-            }
-        )
+    def write_event(self, event) -> None:
+        """Log one flight-recorder ``(t, kind, args)`` event."""
+        self.write({"type": "event", **event_dict(event)})
 
     # ----------------------------------------------------------- lifecycle
 

@@ -1,7 +1,6 @@
-"""Simulation kernel: clock, deterministic RNG, and event tracing."""
+"""Simulation kernel: clock and deterministic RNG."""
 
 from .clock import SimClock
 from .rng import make_rng, spawn_rng
-from .trace import EventTrace, TraceEvent
 
-__all__ = ["SimClock", "make_rng", "spawn_rng", "EventTrace", "TraceEvent"]
+__all__ = ["SimClock", "make_rng", "spawn_rng"]

@@ -14,8 +14,10 @@ on-disk format, so :meth:`to_bytes` is free.
 Attachments are deliberately excluded: observability handles, the sanitizer,
 the injector object, and config/cost-model references stay with the live
 engine, so a restore rewinds the *simulated* world without disturbing the
-instrumentation around it (engine-side resilience counters included — like
-metrics, they never rewind).  The injector contributes its own
+instrumentation around it; engine-side resilience counters never rewind.
+The metric families folded from the batch log rewind with it, and the
+flight recorder drops the events recorded since the capture.  The injector
+contributes its own
 :meth:`~repro.inject.FaultInjector.snapshot` (RNG stream states + counters),
 and the sanitizer is :meth:`~repro.check.sanitizer.Sanitizer.resync`'d after
 restore so the monotonicity watermarks accept the rewound clock.
@@ -31,10 +33,11 @@ import pickle
 from typing import Dict, List
 
 #: Attribute names that are wiring, not simulation state, on any component.
-#: ``_flight`` is the flight recorder: instrumentation like metrics, it
-#: never rewinds on restore (the pre-crash events are the forensic value).
+#: ``_flight`` is the flight recorder: the checkpoint stores its append
+#: count instead (``flight_appended``), and a restore rewinds the ring to
+#: it, so a recovered run's events equal a clean run's plus the crash seam.
 _SKIP_COMMON = frozenset(
-    {"_san", "_inj", "_obs", "_clock", "_pid", "config", "cost_model", "sink", "_flight"}
+    {"_san", "_inj", "_obs", "_clock", "_pid", "config", "cost_model", "_flight"}
 )
 #: Per-kind extra exclusions (references into other captured components).
 _SKIP_EXTRA: Dict[str, frozenset] = {
@@ -119,7 +122,7 @@ def _build_state(engine) -> dict:
         "copy_engines": [_capture_obj(ce) for ce in device.copy_engines],
         "host_vm": _capture_obj(engine.host_vm),
         "dma": _capture_obj(engine.dma),
-        "trace": _capture_obj(engine.trace),
+        "flight_appended": engine.flight.appended,
         "vablocks": driver.vablocks,
         "log_records": list(driver.log.records),
         "driver": {name: getattr(driver, name) for name in _DRIVER_ATTRS},
@@ -173,7 +176,7 @@ class EngineCheckpoint:
             _restore_obj(ce, ce_state)
         _restore_obj(engine.host_vm, state["host_vm"])
         _restore_obj(engine.dma, state["dma"])
-        _restore_obj(engine.trace, state["trace"])
+        engine.flight.rewind(state["flight_appended"])
         driver.vablocks = state["vablocks"]
         driver.log.records[:] = state["log_records"]
         for name in _DRIVER_ATTRS:

@@ -51,11 +51,11 @@ from ..hostos.dma import DmaMapper
 from ..hostos.host_vm import HostVm
 from ..obs import Observability
 from ..obs.chrome_trace import PID_SM
+from ..obs.metrics import DEFAULT_COUNT_BUCKETS
 from ..units import vablock_of_page
 from .checkpoint import EngineCheckpoint
 from .clock import SimClock
 from .rng import spawn_rng
-from .trace import EventTrace
 
 
 @dataclass
@@ -110,9 +110,10 @@ class EngineCounters:
     The CPU-touch D2H migration burst retries outside any driver batch, so
     its retries/failovers have no :class:`BatchRecord` to land in.  They
     accumulate here instead and surface through the chaos report and the
-    shared ``uvm_retries_total``/``uvm_ce_failovers_total`` metric families.
+    ``uvm_retries_total``/``uvm_ce_failovers_total`` metric families
+    (:meth:`Engine._fold_metrics` adds them to the batch log's totals).
     Instrumentation, not simulation state: deliberately excluded from
-    checkpoints (like metrics, it never rewinds on crash recovery).
+    checkpoints (it never rewinds on crash recovery).
     """
 
     d2h_retries: int = 0
@@ -133,7 +134,7 @@ class Engine:
     def __init__(
         self,
         config: SystemConfig,
-        trace: Optional[EventTrace] = None,
+        trace: bool = False,
         clock: Optional[SimClock] = None,
         host_vm: Optional[HostVm] = None,
         dma: Optional[DmaMapper] = None,
@@ -142,13 +143,16 @@ class Engine:
         """``clock``/``host_vm``/``dma``/``obs`` may be shared across
         engines — the multi-GPU coordinator passes one host-side state (and
         one observability layer, with per-device scoped trace tracks) to
-        every device's engine (one host OS, many GPUs, as in real UVM)."""
+        every device's engine (one host OS, many GPUs, as in real UVM).
+        ``trace`` builds the engine's own observability layer with a
+        tracing flight recorder (see :mod:`repro.obs.flight`)."""
         config.validate()
         self.config = config
         self.cost = CostModel().apply_overrides(config.cost_overrides)
         self.clock = clock if clock is not None else SimClock()
-        self.trace = trace if trace is not None else EventTrace(enabled=False)
-        self.obs = obs if obs is not None else Observability(config.obs, self.clock)
+        if obs is None:
+            obs = Observability(config.obs, self.clock, trace=trace)
+        self.obs = obs
         self.device = GpuDevice(
             config.gpu,
             copy_bandwidth_bytes_per_usec=self.cost.link_bandwidth_bytes_per_usec,
@@ -161,8 +165,6 @@ class Engine:
         if self.obs.any_enabled:
             for ce in self.device.copy_engines:
                 ce.attach_obs(self.obs, self.clock)
-        if self.obs.sink is not None and self.trace.sink is None:
-            self.trace.sink = self.obs.sink
         #: Cached flag so the per-warp hot path never touches the builder.
         self._chrome_on = self.obs.chrome.enabled
         self._pid_sm = self.obs.pid(PID_SM)
@@ -213,16 +215,7 @@ class Engine:
         )
         #: Engine-side resilience counters (no BatchRecord on these paths).
         self.counters = EngineCounters()
-        # Shared with the driver's families (same name + help → the registry
-        # returns the same family object to both).
-        self._m_retries_ce = metrics.counter(
-            "uvm_retries_total",
-            "Driver retries after transient fault-path failures",
-            labels=("site",),
-        ).labels("ce")
-        self._m_failovers = metrics.counter(
-            "uvm_ce_failovers_total", "Copy-engine failovers after stuck bursts"
-        )
+        metrics.add_fold(self._fold_metrics)
         self.driver = UvmDriver(
             config=config,
             device=self.device,
@@ -231,7 +224,6 @@ class Engine:
             dma=self.dma,
             cost_model=self.cost,
             rng=spawn_rng(config.seed, "driver-jitter"),
-            trace=self.trace,
             obs=self.obs,
             sanitizer=self.sanitizer,
             injector=self.injector,
@@ -308,10 +300,10 @@ class Engine:
         raises :class:`repro.errors.RetryExhausted` in both failure modes;
         stuck bursts fail over to the sibling engine like the driver does.
         Retry overhead is charged straight to the clock and accounted in
-        :attr:`counters` (there is no batch record on this path); the shared
+        :attr:`counters` (there is no batch record on this path), which the
         ``uvm_retries_total{site="ce"}``/``uvm_ce_failovers_total`` families
-        tick too, mirroring the driver's convention (transient fault →
-        retry, stuck → failover only).
+        read, mirroring the driver's convention (transient fault → retry,
+        stuck → failover only).
         """
         ce = self.device.copy_engines[self.driver._active_ce_id]
         retry = self.driver.retry
@@ -324,7 +316,6 @@ class Engine:
                 self.clock.advance(exc.wasted_usec)
                 counters.d2h_backoff_usec += exc.wasted_usec
                 counters.d2h_retries += 1
-                self._m_retries_ce.inc()
                 self.flight.record("retry", "ce", attempt)
                 if attempt >= retry.max_attempts:
                     raise RetryExhausted("ce.transfer_fault", attempt, exc)
@@ -335,7 +326,6 @@ class Engine:
                 self.clock.advance(retry.deadline_usec)
                 counters.d2h_backoff_usec += retry.deadline_usec
                 counters.d2h_failovers += 1
-                self._m_failovers.inc()
                 self.flight.record("failover", "ce", attempt)
                 if attempt >= retry.max_attempts:
                     raise RetryExhausted("ce.stuck", attempt, exc)
@@ -475,6 +465,75 @@ class Engine:
             total_faults=sum(r.num_faults_raw for r in records),
         )
 
+    # -------------------------------------------------------------- metrics
+
+    def _fold_metrics(self, metrics) -> None:
+        """Rebuild the metric families the batch log and :attr:`counters`
+        already hold; the registry runs this at every read, so a crash
+        recovery that rewinds the log rewinds these families with it."""
+        records = self.driver.log.records
+        batches = metrics.counter(
+            "uvm_batches_total", "Batches through the servicing path", labels=("kind",)
+        )
+        hinted = sum(1 for r in records if r.hinted)
+        batches.labels("fault").inc(len(records) - hinted)
+        batches.labels("hinted").inc(hinted)
+        faults = metrics.counter(
+            "uvm_faults_total", "Faults fetched from the HW buffer", labels=("kind",)
+        )
+        faults.labels("raw").inc(sum(r.num_faults_raw for r in records))
+        faults.labels("unique").inc(sum(r.num_faults_unique for r in records))
+        faults.labels("duplicate").inc(sum(r.duplicate_count for r in records))
+        faults.labels("dropped").inc(sum(r.dropped_at_flush for r in records))
+        pages = metrics.counter(
+            "uvm_pages_total", "Pages handled on the fault path", labels=("op",)
+        )
+        pages.labels("migrated_h2d").inc(sum(r.pages_migrated_h2d for r in records))
+        pages.labels("populated").inc(sum(r.pages_populated for r in records))
+        pages.labels("prefetched").inc(sum(r.pages_prefetched for r in records))
+        pages.labels("unmapped").inc(sum(r.pages_unmapped for r in records))
+        pages.labels("evicted").inc(sum(r.pages_evicted for r in records))
+        moved = metrics.counter(
+            "uvm_bytes_total", "Bytes migrated over the interconnect", labels=("dir",)
+        )
+        moved.labels("h2d").inc(sum(r.bytes_h2d for r in records))
+        moved.labels("d2h").inc(sum(r.bytes_d2h for r in records))
+        hostos = metrics.counter(
+            "uvm_hostos_total", "Host-OS operations on the fault path", labels=("op",)
+        )
+        hostos.labels("unmap_calls").inc(sum(r.unmap_calls for r in records))
+        hostos.labels("dma_mappings").inc(sum(r.dma_mappings_created for r in records))
+        hostos.labels("radix_nodes").inc(sum(r.radix_nodes_allocated for r in records))
+        batch_usec = metrics.histogram(
+            "uvm_batch_service_usec", "Batch servicing time (simulated µs)"
+        )
+        batch_faults = metrics.histogram(
+            "uvm_batch_faults", "Raw faults per batch", buckets=DEFAULT_COUNT_BUCKETS
+        )
+        for r in records:
+            batch_usec.observe(r.duration)
+            batch_faults.observe(r.num_faults_raw)
+        retries = metrics.counter(
+            "uvm_retries_total",
+            "Driver retries after transient fault-path failures",
+            labels=("site",),
+        )
+        retries.labels("dma").inc(sum(r.retries_dma for r in records))
+        retries.labels("populate").inc(sum(r.retries_populate for r in records))
+        # The ce site counts in-batch transfer retries and CPU-touch D2H ones.
+        retries.labels("ce").inc(
+            sum(r.retries_transfer for r in records) + self.counters.d2h_retries
+        )
+        failovers = metrics.counter(
+            "uvm_ce_failovers_total", "Copy-engine failovers after stuck bursts"
+        )
+        num_failovers = (
+            sum(r.ce_failovers for r in records) + self.counters.d2h_failovers
+        )
+        if num_failovers:
+            # Label-less: its one series appears with the first failover.
+            failovers.inc(num_failovers)
+
     # ------------------------------------------------- checkpoint and crash
 
     def checkpoint(self) -> EngineCheckpoint:
@@ -512,18 +571,22 @@ class Engine:
             return
         every = self.config.inject.checkpoint_every
         if every > 0 and batch_id % every == 0:
-            self._auto_checkpoint = EngineCheckpoint.capture(self)
+            # Recorded first so a restore's rewind of the flight recorder
+            # keeps the event.
             self.flight.record("checkpoint", batch_id)
+            self._auto_checkpoint = EngineCheckpoint.capture(self)
         if self.injector.crash_due(batch_id):
             self.injector.record_crash()
             if self.config.inject.crash_recovery and self._auto_checkpoint is not None:
                 # Rewind to the latest checkpoint and replay from there.
                 # Recovery charges no simulated time: the simulated world
                 # itself rolls back, and determinism of the replayed
-                # timeline is the property under test.
-                self.flight.record("crash.injected", batch_id)
+                # timeline is the property under test.  The restore rewinds
+                # the flight recorder too, so the crash seam is recorded
+                # after it.
                 self._auto_checkpoint.restore_into(self)
                 self.injector.record_recovery()
+                self.flight.record("crash.injected", batch_id)
                 self.flight.record("crash.recovered", batch_id)
             else:
                 self.flight.record("crash.injected", batch_id)

@@ -35,7 +35,7 @@ PROFILES = sorted(BUILTIN_PROFILES) + EXAMPLE_PROFILES
 CRASH_BATCH = 4
 
 
-def _crash_run(profile, seed, bundle_root):
+def _crash_run(profile, seed, bundle_root, trace=False):
     """Run stream under ``profile`` with a forced unrecovered crash; the
     inline site merges over the profile, so every profile dies at the same
     batch and the bundle is the only artifact under test."""
@@ -48,7 +48,7 @@ def _crash_run(profile, seed, bundle_root):
     cfg.inject.crash_recovery = False
     cfg.inject.checkpoint_every = 2
     cfg.obs.bundle_dir = str(bundle_root)
-    system = UvmSystem(cfg)
+    system = UvmSystem(cfg, trace=trace)
     with pytest.raises(InjectedCrash):
         WORKLOAD_REGISTRY["stream"]().run(system)
     bundle = system.engine.last_bundle
@@ -82,6 +82,17 @@ class TestBundleOnCrash:
         assert (a / MANIFEST_NAME).read_bytes() == (
             b / MANIFEST_NAME
         ).read_bytes()
+
+    def test_traced_run_bundles_its_unbounded_log(self, tmp_path):
+        bundle = _crash_run("crashy", 0, tmp_path, trace=True)
+        manifest = read_manifest(bundle)
+        jsonschema.validate(manifest, SCHEMA)
+        assert manifest["flight"]["capacity"] is None
+        assert manifest["flight"]["dropped"] == 0
+        lines = (bundle / EVENTS_NAME).read_text().splitlines()
+        kinds = {json.loads(line)["kind"] for line in lines}
+        assert {"fault", "migrate", "batch.open", "crash.injected"} <= kinds
+        assert len(lines) == manifest["flight"]["recorded"]
 
     def test_analyze_cli_renders_bundle(self, tmp_path, capsys):
         from repro.cli import main

@@ -80,10 +80,10 @@ class TestScoreboardSerialization:
         first_write_batch = None
         seen_reads = 0
         for r in res.records:
-            for e in system.trace.select("migrate"):
-                if e.payload[0] != r.batch_id:
+            for _t, _kind, args in system.obs.flight.select("migrate"):
+                if args[0] != r.batch_id:
                     continue
-                _, _block, lo, hi, n = e.payload
+                _, _block, lo, hi, n = args
                 if lo in c_pages and first_write_batch is None:
                     first_write_batch = r.batch_id
         # First write occurs strictly after the first batch (which holds

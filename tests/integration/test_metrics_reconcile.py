@@ -1,13 +1,15 @@
 """Metrics totals reconcile exactly with the per-batch + engine ledgers.
 
-Resilience events are double-entry bookkeeping: each one lands in a
-BatchRecord counter (or, for the CPU-touch D2H path, an EngineCounters
-field) *and* ticks a metric family.  Across every bundled chaos profile and
-several seeds the two ledgers must agree to the unit — a drift means some
-path charges one ledger without the other (the engine-side gap these
-identities were added to catch).
+Batch, fault, page, byte, host-OS, retry and failover families are folded
+from the batch log (and, for the CPU-touch D2H path, the EngineCounters)
+when the registry is read; degradations still count at their sites.
+Across every bundled chaos profile, several seeds, and runs whose injected
+crash replays batches from a checkpoint, metrics and ledgers must agree to
+the unit — a replay must rewind both, and a site-counted family must not
+drift from the record field it mirrors.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from repro.api import UvmSystem
 from repro.config import default_config
 from repro.units import MB
-from repro.workloads import RegularStream
+from repro.workloads import WORKLOAD_REGISTRY, RegularStream
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples" / "chaos"
 PROFILES = sorted(EXAMPLES_DIR.glob("*.json"))
@@ -31,19 +33,53 @@ def metric_value(snap, name, **labels):
     return 0.0
 
 
-def run_profile(profile, seed):
+def small_stream_config(seed):
     cfg = default_config()
     cfg.seed = seed
     cfg.gpu.memory_bytes = 16 * MB
     cfg.gpu.num_sms = 8
     cfg.check.enabled = True
     cfg.check.mode = "report"
+    return cfg
+
+
+def run_profile(profile, seed):
+    cfg = small_stream_config(seed)
     cfg.inject.enabled = True
     cfg.inject.profile = str(profile)
     cfg.inject.checkpoint_every = 8
     cfg.validate()
     system = UvmSystem(cfg)
     RegularStream().run(system)
+    return system
+
+
+def run_crash_at_6(seed, trace=False):
+    """A crash at batch 6 restores the batch-4 checkpoint, so batches 5 and
+    6 run twice."""
+    cfg = small_stream_config(seed)
+    cfg.inject.enabled = True
+    cfg.inject.sites = {"engine.crash": {"at_batch": 6}}
+    cfg.inject.checkpoint_every = 4
+    cfg.validate()
+    system = UvmSystem(cfg, trace=trace)
+    RegularStream().run(system)
+    return system
+
+
+def run_crash_midrun_default_stream(seed):
+    """The bundled ``crash_midrun`` profile on the default-config ``stream``
+    workload: its crash at batch 10 replays from the launch-start
+    checkpoint."""
+    cfg = default_config()
+    cfg.seed = seed
+    cfg.check.enabled = True
+    cfg.check.mode = "report"
+    cfg.inject.enabled = True
+    cfg.inject.profile = str(EXAMPLES_DIR / "crash_midrun.json")
+    cfg.validate()
+    system = UvmSystem(cfg)
+    WORKLOAD_REGISTRY["stream"]().run(system)
     return system
 
 
@@ -55,6 +91,39 @@ def assert_reconciles(system):
     def total(name):
         return sum(getattr(r, name) for r in records)
 
+    hinted = sum(1 for r in records if r.hinted)
+    assert metric_value(snap, "uvm_batches_total", kind="fault") == len(records) - hinted
+    assert metric_value(snap, "uvm_batches_total", kind="hinted") == hinted
+    for kind, field in (
+        ("raw", "num_faults_raw"),
+        ("unique", "num_faults_unique"),
+        ("duplicate", "duplicate_count"),
+        ("dropped", "dropped_at_flush"),
+    ):
+        assert metric_value(snap, "uvm_faults_total", kind=kind) == total(field)
+    for op, field in (
+        ("migrated_h2d", "pages_migrated_h2d"),
+        ("populated", "pages_populated"),
+        ("prefetched", "pages_prefetched"),
+        ("unmapped", "pages_unmapped"),
+        ("evicted", "pages_evicted"),
+    ):
+        assert metric_value(snap, "uvm_pages_total", op=op) == total(field)
+    assert metric_value(snap, "uvm_bytes_total", dir="h2d") == total("bytes_h2d")
+    assert metric_value(snap, "uvm_bytes_total", dir="d2h") == total("bytes_d2h")
+    for op, field in (
+        ("unmap_calls", "unmap_calls"),
+        ("dma_mappings", "dma_mappings_created"),
+        ("radix_nodes", "radix_nodes_allocated"),
+    ):
+        assert metric_value(snap, "uvm_hostos_total", op=op) == total(field)
+    for name, field in (
+        ("uvm_batch_service_usec", "duration"),
+        ("uvm_batch_faults", "num_faults_raw"),
+    ):
+        (series,) = snap[name]["series"]
+        assert series["value"]["count"] == len(records)
+        assert series["value"]["sum"] == pytest.approx(total(field))
     assert metric_value(snap, "uvm_retries_total", site="dma") == total("retries_dma")
     assert metric_value(snap, "uvm_retries_total", site="populate") == total(
         "retries_populate"
@@ -81,6 +150,41 @@ def assert_reconciles(system):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_profile_totals_reconcile(profile, seed):
     assert_reconciles(run_profile(profile, seed))
+
+
+@pytest.mark.parametrize(
+    "run, seed",
+    [
+        (run_crash_at_6, 0),
+        (run_crash_at_6, 1),
+        (run_crash_at_6, 2),
+        (run_crash_midrun_default_stream, 0),
+    ],
+    ids=["crash6-ckpt4-s0", "crash6-ckpt4-s1", "crash6-ckpt4-s2", "crash_midrun-default-s0"],
+)
+def test_replayed_run_reconciles(run, seed):
+    """A crash recovery replays batches: the metrics follow the rewound
+    log instead of counting the replayed batches twice."""
+    system = run(seed)
+    assert system.injector.summary()["recoveries"] == 1
+    assert_reconciles(system)
+
+
+def test_replayed_trace_is_the_clean_trace_plus_the_crash_seam():
+    fine_kinds = ("fault", "migrate", "evict", "batch.close")
+    crashed = run_crash_at_6(0, trace=True)
+    clean = UvmSystem(small_stream_config(0), trace=True)
+    RegularStream().run(clean)
+
+    def fine(system):
+        return [e for e in system.obs.flight if e[1] in fine_kinds]
+
+    assert fine(clean)
+    assert fine(crashed) == fine(clean)
+    kinds = Counter(e[1] for e in crashed.obs.flight)
+    assert kinds["crash.injected"] == 1
+    assert kinds["crash.recovered"] == 1
+    assert [r.to_dict() for r in crashed.records] == [r.to_dict() for r in clean.records]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

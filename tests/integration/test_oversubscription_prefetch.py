@@ -61,11 +61,12 @@ class TestOversubscription:
         """Fig 16c/17c: dense sweeps evict in allocation order."""
         system = make_system(gpu_mem_mb=16, trace=True)
         StreamTriad(nbytes=8 * MB).run(system)
-        evicts = [e.payload[1] for e in system.trace.select("evict")]
+        flight = system.obs.flight
+        evicts = [args[1] for _t, _kind, args in flight.select("evict")]
         migrates = []
-        for e in system.trace.select("migrate"):
-            if e.payload[1] not in migrates:
-                migrates.append(e.payload[1])
+        for _t, _kind, args in flight.select("migrate"):
+            if args[1] not in migrates:
+                migrates.append(args[1])
         # First evicted block is among the first allocated blocks.
         assert evicts[0] in migrates[:4]
 

@@ -20,8 +20,8 @@ from repro.obs import (
     SpanProfiler,
     read_ndjson,
 )
+from repro.obs.flight import FlightRecorder
 from repro.sim.clock import SimClock
-from repro.sim.trace import EventTrace
 
 
 # ---------------------------------------------------------------- metrics
@@ -290,12 +290,10 @@ class TestNdjsonSink:
         path = tmp_path / "log.ndjson"
         with NdjsonSink(path) as sink:
             sink.write({"type": "custom", "v": 1})
-            sink.write_trace_event(3.5, "fault", (7, 8))
+            sink.write_event((3.5, "fault", (7, 8)))
         rows = read_ndjson(path)
         assert rows[0] == {"type": "custom", "v": 1}
-        assert rows[1]["type"] == "event"
-        assert rows[1]["time"] == 3.5
-        assert rows[1]["category"] == "fault"
+        assert rows[1] == {"type": "event", "t": 3.5, "kind": "fault", "args": [7, 8]}
 
 
 # ----------------------------------------------------------------- facade
@@ -323,63 +321,42 @@ class TestObservabilityFacade:
         with pytest.raises(ConfigError):
             ObsConfig(chrome_max_events=0).validate()
         with pytest.raises(ConfigError):
-            ObsConfig(trace_max_events=0).validate()
-        with pytest.raises(ConfigError):
             ObsConfig(max_spans=-1).validate()
 
 
-# ------------------------------------------------- EventTrace ring + JSONL
+# ------------------------------------------- event trace ring (flight recorder)
 
 
 class TestEventTraceRing:
     def test_ring_keeps_newest_and_counts_drops(self):
-        trace = EventTrace(max_events=3)
+        trace = FlightRecorder(SimClock(), capacity=3)
         for i in range(5):
-            trace.emit(float(i), "fault", i)
+            trace.record("fault", i)
         assert len(trace) == 3
         assert trace.dropped == 2
-        assert [e.payload[0] for e in trace] == [2, 3, 4]
-        assert trace[0].time == 2.0
-        assert [e.payload[0] for e in trace[1:]] == [3, 4]
+        assert [e[2][0] for e in trace] == [2, 3, 4]
+        assert trace.appended == 5
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
-            EventTrace(max_events=0)
+            FlightRecorder(SimClock(), capacity=0)
+        with pytest.raises(ValueError):
+            FlightRecorder(SimClock(), capacity=-1)
 
     def test_clear_resets_dropped(self):
-        trace = EventTrace(max_events=1)
-        trace.emit(0.0, "a")
-        trace.emit(1.0, "a")
+        trace = FlightRecorder(SimClock(), capacity=1)
+        trace.record("a")
+        trace.record("a")
         trace.clear()
         assert len(trace) == 0
         assert trace.dropped == 0
 
-    def test_jsonl_round_trip(self, tmp_path):
-        trace = EventTrace()
-        trace.emit(1.5, "fault", 3, "read")
-        trace.emit(2.5, "batch", 0)
-        path = trace.to_jsonl(tmp_path / "trace.jsonl")
-        loaded = EventTrace.from_jsonl(path)
-        assert len(loaded) == 2
-        assert loaded[0].time == 1.5
-        assert loaded[0].category == "fault"
-        assert loaded[0].payload == (3, "read")
-        assert loaded[1].payload == (0,)
-
-    def test_jsonl_reload_with_cap(self, tmp_path):
-        trace = EventTrace()
-        for i in range(10):
-            trace.emit(float(i), "fault", i)
-        path = trace.to_jsonl(tmp_path / "trace.jsonl")
-        loaded = EventTrace.from_jsonl(path, max_events=4)
-        assert len(loaded) == 4
-        assert [e.payload[0] for e in loaded] == [6, 7, 8, 9]
-
     def test_sink_tee(self, tmp_path):
         path = tmp_path / "tee.ndjson"
         sink = NdjsonSink(path)
-        trace = EventTrace(sink=sink)
-        trace.emit(0.5, "evict", 12)
+        trace = FlightRecorder(SimClock(), capacity=4, sink=sink)
+        trace.record("evict", 0, 12, 512, 1023, 512)
         sink.close()
-        rows = read_ndjson(path)
-        assert rows[0]["category"] == "evict"
+        assert read_ndjson(path) == [
+            {"type": "event", **trace.to_dicts()[0]},
+        ]

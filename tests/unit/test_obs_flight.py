@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.api import UvmSystem
 from repro.config import ObsConfig, default_config
 from repro.errors import ConfigError
 from repro.obs import Observability
@@ -20,6 +21,8 @@ from repro.obs.bundle import (
 from repro.obs.flight import FlightRecorder, NULL_FLIGHT
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.clock import SimClock
+from repro.units import MB
+from repro.workloads import RegularStream
 
 
 # ------------------------------------------------------------------- flight
@@ -75,6 +78,59 @@ class TestFlightRecorder:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             FlightRecorder(SimClock(), capacity=0)
+
+    def test_unbounded_and_fine_grained_when_tracing(self):
+        cfg = default_config()
+        cfg.gpu.memory_bytes = 16 * MB
+        cfg.obs.flight_cap = 16
+        system = UvmSystem(cfg, trace=True)
+        RegularStream(nbytes=16 * MB).run(system)
+        flight = system.obs.flight
+        assert flight.tracing and flight.capacity is None
+        assert len(flight) == flight.appended > cfg.obs.flight_cap
+        assert flight.dropped == 0
+        faults = flight.select("fault")
+        assert len(faults) == sum(r.num_faults_raw for r in system.records)
+        assert flight.select("migrate")
+        closes = flight.select("batch.close")
+        assert [e[2][0] for e in closes] == [r.batch_id for r in system.records]
+        untraced = UvmSystem(cfg)
+        RegularStream(nbytes=16 * MB).run(untraced)
+        assert not untraced.obs.flight.tracing
+        assert untraced.obs.flight.select("fault") == []
+        assert untraced.obs.flight.select("migrate") == []
+
+    def test_rewind_drops_events_since_the_mark(self):
+        flight = FlightRecorder(SimClock(), capacity=4)
+        for i in range(3):
+            flight.record("a", i)
+        mark = flight.appended
+        for i in range(3, 6):
+            flight.record("b", i)
+        flight.rewind(mark)
+        # Two of the three kept events were overwritten by the newer ones.
+        assert [e[2][0] for e in flight] == [2]
+        assert flight.appended == mark
+        assert flight.dropped == 2
+        flight.rewind(mark + 10)  # a mark ahead of the ring is a no-op
+        assert len(flight) == 1
+
+    def test_restore_rewinds_the_ring(self):
+        cfg = default_config(prefetch_enabled=False)
+        cfg.gpu.memory_bytes = 16 * MB
+        system = UvmSystem(cfg, trace=True)
+        checkpoints = {}
+
+        def hook(engine, batch_id):
+            if batch_id == 2:
+                checkpoints["at"] = (engine.checkpoint(), engine.flight.events())
+
+        system.engine._batch_hooks.append(hook)
+        RegularStream(nbytes=16 * MB).run(system)
+        ckpt, events = checkpoints["at"]
+        assert len(system.obs.flight) > len(events)
+        ckpt.restore_into(system.engine)
+        assert system.obs.flight.events() == events
 
     def test_null_flight_is_inert(self):
         NULL_FLIGHT.record("anything", 1, 2)

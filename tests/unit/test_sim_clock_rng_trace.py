@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.config import ObsConfig
+from repro.obs import Observability
+from repro.obs.flight import FlightRecorder
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng, spawn_rng
-from repro.sim.trace import EventTrace, TraceEvent
 
 
 class TestSimClock:
@@ -73,52 +75,41 @@ class TestRng:
 
 
 class TestEventTrace:
+    """The run's event trace is the flight recorder's ring."""
+
     def test_emit_and_len(self):
-        trace = EventTrace()
-        trace.emit(1.0, "fault", 42)
-        trace.emit(2.0, "batch", 0)
+        clock = SimClock()
+        trace = FlightRecorder(clock)
+        clock.advance(1.0)
+        trace.record("fault", 42)
+        clock.advance(1.0)
+        trace.record("batch", 0)
         assert len(trace) == 2
+        assert [e[0] for e in trace] == [1.0, 2.0]
 
     def test_disabled_records_nothing(self):
-        trace = EventTrace(enabled=False)
-        trace.emit(1.0, "fault", 42)
-        assert len(trace) == 0
-
-    def test_category_filter(self):
-        trace = EventTrace(categories={"batch"})
-        trace.emit(1.0, "fault", 1)
-        trace.emit(2.0, "batch", 2)
-        assert len(trace) == 1
-        assert trace[0].category == "batch"
+        obs = Observability(ObsConfig(flight_recorder=False), SimClock())
+        assert not obs.flight.enabled
+        obs.flight.record("fault", 42)
+        assert len(obs.flight) == 0
+        assert obs.flight.events() == []
 
     def test_select(self):
-        trace = EventTrace()
-        trace.emit(1.0, "evict", 3, 100)
-        trace.emit(2.0, "evict", 4, 50)
-        trace.emit(3.0, "batch", 0)
+        trace = FlightRecorder(SimClock())
+        trace.record("evict", 3, 100)
+        trace.record("evict", 4, 50)
+        trace.record("batch", 0)
         evicts = trace.select("evict")
-        assert [e.payload[0] for e in evicts] == [3, 4]
-
-    def test_select_with_predicate(self):
-        trace = EventTrace()
-        trace.emit(1.0, "evict", 3, 100)
-        trace.emit(2.0, "evict", 4, 50)
-        big = trace.select("evict", lambda e: e.payload[1] > 60)
-        assert len(big) == 1
+        assert [e[2][0] for e in evicts] == [3, 4]
 
     def test_clear(self):
-        trace = EventTrace()
-        trace.emit(1.0, "x")
+        trace = FlightRecorder(SimClock())
+        trace.record("x")
         trace.clear()
         assert len(trace) == 0
 
-    def test_event_is_frozen(self):
-        event = TraceEvent(1.0, "x", ())
-        with pytest.raises(AttributeError):
-            event.time = 2.0
-
     def test_iteration_order(self):
-        trace = EventTrace()
+        trace = FlightRecorder(SimClock())
         for i in range(5):
-            trace.emit(float(i), "t", i)
-        assert [e.payload[0] for e in trace] == list(range(5))
+            trace.record("t", i)
+        assert [e[2][0] for e in trace] == list(range(5))
