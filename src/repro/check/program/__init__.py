@@ -2,7 +2,7 @@
 
 PR 2's determinism lint sees one file at a time; this package sees the
 project.  A shared IR (:mod:`~repro.check.program.ir`: module index,
-symbol tables, intra-package call graph) feeds nine passes through one
+symbol tables, intra-package call graph) feeds seven passes through one
 engine (:mod:`~repro.check.program.engine`):
 
 * ``determinism`` — the per-file hazard rules, ported onto the IR;
@@ -19,9 +19,6 @@ engine (:mod:`~repro.check.program.engine`):
   catalog (:mod:`~repro.check.program.protocols`): BatchRecord
   open→close/abort, spans, SQLite ledgers, atomic-write temp files,
   telemetry monitors (:mod:`~repro.check.program.lifecycle`);
-* ``snapshot`` — checkpoint-coverage drift between the engine's mutable
-  attributes and ``sim/checkpoint.py`` capture/skip lists
-  (:mod:`~repro.check.program.snapshot`);
 * ``suppression-hygiene`` — stale ``lint-ok`` comments and dead
   allowlist entries.
 
@@ -56,10 +53,9 @@ from .ir import ProjectIR, build_project_ir
 from .lifecycle import LifecyclePass
 from .local_rules import LocalRulesPass
 from .metric_drift import MetricDriftPass
-from .protocols import PROTOCOLS, SNAPSHOT, ResourceProtocol
+from .protocols import PROTOCOLS, ResourceProtocol
 from .sarif import sarif_to_json, to_sarif
 from .shared_state import SharedStatePass, find_worker_entry_points
-from .snapshot import SnapshotCoveragePass
 from .taint import SimTaintPass
 
 __all__ = [
@@ -77,10 +73,8 @@ __all__ = [
     "ResourceProtocol",
     "Rule",
     "SEED_SUFFIXES",
-    "SNAPSHOT",
     "SharedStatePass",
     "SimTaintPass",
-    "SnapshotCoveragePass",
     "SuppressionHygienePass",
     "all_rules",
     "apply_baseline",

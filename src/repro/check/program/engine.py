@@ -38,7 +38,6 @@ from .lifecycle import LifecyclePass
 from .local_rules import LocalRulesPass
 from .metric_drift import MetricDriftPass
 from .shared_state import SharedStatePass
-from .snapshot import SnapshotCoveragePass
 from .taint import SimTaintPass
 
 
@@ -51,19 +50,17 @@ def default_passes() -> List[AnalysisPass]:
         SharedStatePass(),
         DimensionsPass(),
         LifecyclePass(),
-        SnapshotCoveragePass(),
     ]
 
 
 #: Analysis-seed files: editing one changes what the passes report in
 #: *other* files (unit signatures, the metric catalog, the protocol
-#: catalog, the checkpoint capture lists), so a ``--changed-only`` run
-#: restricted to the diff would report a silently stale clean result.
+#: catalog), so a ``--changed-only`` run restricted to the diff would
+#: report a silently stale clean result.
 SEED_SUFFIXES = (
     "repro/units.py",
     "repro/obs/catalog.py",
     "repro/check/program/protocols.py",
-    "repro/sim/checkpoint.py",
     "repro/check/lint_allow.txt",
     "repro/check/lint_baseline.json",
 )
@@ -105,8 +102,8 @@ class AnalysisReport:
     #: on-disk path → checkout-independent path used in fingerprints.
     stable_paths: Dict[str, str] = field(default_factory=dict)
     #: pass name → wall seconds spent in its ``run`` (plus ``"ir"`` for the
-    #: IR build and ``"total"``); the bench gate holds the sum under a
-    #: ceiling so the analysis cannot quietly outgrow CI.
+    #: IR build and ``"total"``); CI holds the total under a 30 s
+    #: ceiling so the analysis cannot quietly outgrow it.
     timings: Dict[str, float] = field(default_factory=dict)
     #: pass name → raw finding count before suppression/allowlist/baseline
     #: filtering (``by_pass`` only counts what survived).

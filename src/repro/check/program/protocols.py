@@ -1,15 +1,10 @@
-"""Declarative protocol catalog for the lifecycle / snapshot passes.
+"""Declarative protocol catalog for the lifecycle pass.
 
-The simulator's hand-maintained contracts live here as *data* so the two
-protocol passes stay generic:
-
-* :data:`PROTOCOLS` — linear resources the :class:`~.lifecycle.LifecyclePass`
-  tracks: how each is acquired, what discharges the close obligation, and
-  which module names are in scope.
-* :data:`SNAPSHOT` — how ``repro/sim/checkpoint.py`` is shaped (skip-set and
-  verbatim attr-list globals, component classes captured by ``_capture_obj``)
-  so the :class:`~.snapshot.SnapshotCoveragePass` can diff the engine's
-  mutable-attribute set against what a checkpoint actually captures.
+The simulator's hand-maintained resource contracts live here as *data* so
+the protocol pass stays generic: :data:`PROTOCOLS` lists the linear
+resources the :class:`~.lifecycle.LifecyclePass` tracks — how each is
+acquired, what discharges the close obligation, and which module names are
+in scope.
 
 Names are matched by *dotted suffix* (``"log.append"`` matches
 ``self.log.append``; a callee pattern ``"BatchRecord"`` matches the resolved
@@ -23,9 +18,8 @@ whenever a seed is in the diff (see ``engine.SEED_SUFFIXES``).
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import Mapping, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 def suffix_match(dotted: str, pattern: str) -> bool:
@@ -163,47 +157,3 @@ PROTOCOLS: Tuple[ResourceProtocol, ...] = (
     ),
 )
 
-
-# ---------------------------------------------------------------- snapshot
-
-#: Marks a deliberately-uncaptured attribute assignment:
-#: ``self.last_bundle = None  # snapshot: skip``.
-SNAPSHOT_SKIP_RE = re.compile(r"#\s*snapshot:\s*skip\b")
-#: A line that *mentions* the vocabulary at all (to flag typos like
-#: ``# snapshot:skip-this``)—kept loose on purpose.
-SNAPSHOT_MARK = "# snapshot:"
-
-
-@dataclass(frozen=True)
-class SnapshotSpec:
-    """Shape of the checkpoint module the coverage pass interprets."""
-
-    #: Module-name last component; the pass activates only when a module
-    #: with this name defines ``skip_common_global``.
-    checkpoint_module: str = "checkpoint"
-    skip_common_global: str = "_SKIP_COMMON"
-    skip_extra_global: str = "_SKIP_EXTRA"
-    #: Verbatim attr-list global → local name of the class it captures.
-    attr_lists: Mapping[str, str] = field(
-        default_factory=lambda: {
-            "_ENGINE_ATTRS": "Engine",
-            "_DRIVER_ATTRS": "UvmDriver",
-        }
-    )
-    #: Classes captured generically by ``_capture_obj``/``_attr_names``
-    #: (every non-skip attribute is pickled): a ``# snapshot: skip``
-    #: annotation in one of these must be backed by an actual exclusion.
-    component_classes: Tuple[str, ...] = (
-        "FaultBuffer",
-        "Gmmu",
-        "UTlb",
-        "StreamingMultiprocessor",
-        "GpuPageTable",
-        "ChunkAllocator",
-        "CopyEngine",
-    )
-    #: Cached metric-handle prefix ``_attr_names`` drops unconditionally.
-    metric_prefix: str = "_m_"
-
-
-SNAPSHOT = SnapshotSpec()

@@ -41,10 +41,10 @@ Subcommands:
 * ``analyze <input...>`` — post-hoc report over observability NDJSON logs
   or crash-bundle directories: fault-latency percentiles, per-phase stall
   attribution, overflow-storm/thrashing detectors; ``--diff A B`` compares
-  two logs with a relative tolerance (see ``docs/diagnostics.md``);
-* ``bench`` — run ``benchmarks/bench_simperf.py``; ``--check`` gates the
-  fresh run against the committed ``BENCH_baseline.json`` and exits
-  non-zero on a performance regression (the CI ``bench-gate`` job).
+  two logs with a relative tolerance (see ``docs/diagnostics.md``).
+
+Simulator performance is measured with ``perfbench/run.py`` (see
+``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -282,28 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--json", action="store_true",
                     help="print reports as JSON")
 
-    be = sub.add_parser(
-        "bench",
-        help="run the micro-benchmark suite (benchmarks/bench_simperf.py); "
-             "--check gates against the committed baseline",
-    )
-    be.add_argument("--check", action="store_true",
-                    help="compare against the baseline and exit non-zero "
-                         "on a performance regression")
-    be.add_argument("--baseline", default=None,
-                    help="baseline JSON (default BENCH_baseline.json at the "
-                         "repo root)")
-    be.add_argument("--report", default=None,
-                    help="use a pre-computed bench report JSON instead of "
-                         "running the suite (testing/CI replay)")
-    be.add_argument("--out", default=None,
-                    help="write the fresh bench report JSON to this path")
-    be.add_argument("--tolerance", type=float, default=0.35,
-                    help="allowed relative speedup drop vs baseline "
-                         "(default 0.35 — run-to-run speedup noise reaches "
-                         "~25%%; a real 2x slowdown is a 50%% drop)")
-    be.add_argument("--json", action="store_true",
-                    help="print the bench report as JSON")
     return parser
 
 
@@ -894,82 +872,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 print(render_report(report, title=f"analyze {path}"))
         return 0
-
-    if args.command == "bench":
-        import json as _json
-        from pathlib import Path
-
-        from .obs.analyze import bench_gate
-
-        if args.report:
-            try:
-                with open(args.report, "r", encoding="utf-8") as fh:
-                    fresh = _json.load(fh)
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read report: {exc}", file=sys.stderr)
-                return 2
-        else:
-            bench_path = (
-                Path(__file__).resolve().parents[2]
-                / "benchmarks"
-                / "bench_simperf.py"
-            )
-            if not bench_path.is_file():
-                print(
-                    f"error: {bench_path} not found (pass --report to gate "
-                    "a pre-computed run)",
-                    file=sys.stderr,
-                )
-                return 2
-            import importlib.util
-
-            spec_mod = importlib.util.spec_from_file_location(
-                "bench_simperf", bench_path
-            )
-            module = importlib.util.module_from_spec(spec_mod)
-            spec_mod.loader.exec_module(module)
-            fresh = module.run_suite()
-        if args.out:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _json.dump(fresh, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        if not args.check:
-            if args.json:
-                print(_json.dumps(fresh, indent=2, sort_keys=True))
-            else:
-                for name in sorted(fresh.get("hot_paths", {})):
-                    stats = fresh["hot_paths"][name]
-                    print(f"{name}: {stats['speedup']:.2f}x speedup")
-                e2e = fresh.get("end_to_end", {})
-                if e2e:
-                    print(
-                        f"end_to_end: {e2e.get('batches')} batches in "
-                        f"{e2e.get('wall_sec', 0):.2f}s wall"
-                    )
-            return 0
-        baseline_path = (
-            Path(args.baseline)
-            if args.baseline
-            else Path(__file__).resolve().parents[2] / "BENCH_baseline.json"
-        )
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as fh:
-                baseline = _json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        ok, problems = bench_gate(fresh, baseline, tolerance=args.tolerance)
-        if ok:
-            print(
-                f"bench check OK vs {baseline_path} "
-                f"(tolerance {args.tolerance:.0%})"
-            )
-            return 0
-        print(f"bench check FAILED vs {baseline_path}:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
 
     if args.command == "run":
         for exp_id in args.experiments:

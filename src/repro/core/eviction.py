@@ -39,10 +39,10 @@ class LruEvictionPolicy:
         #: block_id → None, ordered least- to most-recently fault-touched.
         self._order: "OrderedDict[int, None]" = OrderedDict()
         self.total_evictions = 0
-        #: Metric handles installed by :meth:`attach_obs` (null-safe: the
-        #: driver always attaches, pointing at no-op instruments when the
-        #: metrics registry is disabled).
-        self._m_evictions = None
+        #: Gauge handle installed by :meth:`attach_obs` (null-safe: the
+        #: driver always attaches, pointing at a no-op instrument when the
+        #: metrics registry is disabled).  ``uvm_evictions_total`` is folded
+        #: from the batch log (``BatchRecord.evictions``), not counted here.
         self._m_resident = None
 
     def __len__(self) -> int:
@@ -65,11 +65,6 @@ class LruEvictionPolicy:
 
     def attach_obs(self, obs) -> None:
         """Register this policy's metric series with ``obs.metrics``."""
-        self._m_evictions = obs.metrics.counter(
-            "uvm_evictions_total",
-            "VABlocks evicted from device memory",
-            labels=("policy",),
-        ).labels(self.name)
         self._m_resident = obs.metrics.gauge(
             "uvm_resident_vablocks",
             "GPU-allocated VABlocks tracked by the eviction policy",
@@ -79,8 +74,7 @@ class LruEvictionPolicy:
         """A block lost its chunk: drop from the order."""
         self._order.pop(block_id, None)
         self.total_evictions += 1
-        if self._m_evictions is not None:
-            self._m_evictions.inc()
+        if self._m_resident is not None:
             self._m_resident.set(len(self._order))
 
     def pick_victim(self, exclude: Set[int]) -> Optional[int]:

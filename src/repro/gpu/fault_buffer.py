@@ -61,9 +61,9 @@ class FaultBuffer:
         self.total_injected = 0
         self.total_injector_dropped = 0
         #: Attached UVMSan checker, or None (the common, zero-cost case).
-        self._san = None  # snapshot: skip
+        self._san = None
         #: Attached fault injector, or None (the common, zero-cost case).
-        self._inj = None  # snapshot: skip
+        self._inj = None
 
     def __len__(self) -> int:
         return len(self._entries.timestamps)

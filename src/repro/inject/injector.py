@@ -202,6 +202,10 @@ class FaultInjector:
         }
 
     def restore_state(self, snap: dict) -> None:
+        # A stream first spawned after the capture respawns fresh on its
+        # next draw, exactly as it did the first time.
+        for site in set(self._rngs) - set(snap["rng_states"]):
+            del self._rngs[site]
         for site in sorted(snap["rng_states"]):
             self._rng_for(site).bit_generator.state = snap["rng_states"][site]
         self.opportunities = dict(snap["opportunities"])

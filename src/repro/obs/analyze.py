@@ -15,8 +15,7 @@ report without re-running the simulation:
   the buffer flush, §4's overflow feedback loop) and migration thrashing
   (sustained evict-while-migrating windows, §5.1's pressure pathology);
 * **A/B diff** — two reports compared leaf-by-leaf with a relative
-  tolerance, the primitive behind ``analyze --diff`` and the
-  ``bench --check`` perf-regression gate.
+  tolerance, the primitive behind ``analyze --diff``.
 
 Everything here is pure post-processing: dict in, dict out, renderable as
 ASCII.  Nothing imports the simulator.
@@ -52,12 +51,6 @@ PHASE_FIELDS = (
 
 #: Default relative tolerance for ``diff_reports`` (10 %).
 DEFAULT_TOLERANCE = 0.10
-
-#: Absolute wall-time ceiling for one whole-program lint run (all passes,
-#: interprocedural fixpoints included).  Generous vs the ~2.5 s committed
-#: baseline, but hard: a fixpoint that stops converging fails the gate
-#: on any machine.
-LINT_WALL_CEILING_SEC = 30.0
 
 
 # ------------------------------------------------------------------ loading
@@ -318,91 +311,6 @@ def diff_reports(
         "within_tolerance": not changes,
         "changes": changes,
     }
-
-
-# --------------------------------------------------------------- bench gate
-
-
-def bench_gate(
-    fresh: dict, baseline: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> Tuple[bool, List[str]]:
-    """Perf-regression gate: fresh ``bench_simperf`` results vs the
-    committed baseline.  Returns (ok, human-readable problems).
-
-    Checks, in order of trustworthiness:
-
-    * determinism anchors — simulated batch count and final clock of the
-      end-to-end run must match the baseline *exactly* (they are functions
-      of (workload, config, seed), so any drift is a behavior change, not
-      noise);
-    * UVMSan timeline identity must still hold;
-    * per-hot-path speedup ratios may not fall more than ``tolerance``
-      below baseline (ratios of two local timings, so machine-speed
-      differences largely cancel);
-    * end-to-end wall time may not exceed 1.5× baseline (wall clocks are
-      noisy across machines; 1.5× catches real slowdowns like an
-      accidental O(n²), not scheduler jitter);
-    * the whole-program lint may not exceed 1.5× its baseline wall time
-      nor the absolute ``LINT_WALL_CEILING_SEC`` ceiling, so the
-      interprocedural fixpoints (sim-taint, dimensions) stay interactive.
-    """
-    problems: List[str] = []
-
-    fresh_e2e = fresh.get("end_to_end", {})
-    base_e2e = baseline.get("end_to_end", {})
-    for key in ("batches", "clock_usec"):
-        if fresh_e2e.get(key) != base_e2e.get(key):
-            problems.append(
-                f"end_to_end.{key}: baseline {base_e2e.get(key)!r}, "
-                f"fresh {fresh_e2e.get(key)!r} (determinism anchor moved)"
-            )
-
-    fresh_san = fresh.get("uvmsan", {})
-    if fresh_san and not fresh_san.get("timeline_identical", True):
-        problems.append("uvmsan.timeline_identical: sanitizer now perturbs the timeline")
-
-    fresh_hot = fresh.get("hot_paths", {})
-    base_hot = baseline.get("hot_paths", {})
-    for name in sorted(base_hot):
-        base_speedup = base_hot[name].get("speedup")
-        fresh_speedup = fresh_hot.get(name, {}).get("speedup")
-        if fresh_speedup is None:
-            problems.append(f"hot_paths.{name}: missing from fresh run")
-            continue
-        floor = base_speedup * (1.0 - tolerance)
-        if fresh_speedup < floor:
-            problems.append(
-                f"hot_paths.{name}.speedup: {fresh_speedup:.2f}x < "
-                f"{floor:.2f}x floor (baseline {base_speedup:.2f}x "
-                f"- {tolerance:.0%} tolerance)"
-            )
-
-    base_wall = base_e2e.get("wall_sec")
-    fresh_wall = fresh_e2e.get("wall_sec")
-    if base_wall and fresh_wall and fresh_wall > 1.5 * base_wall:
-        problems.append(
-            f"end_to_end.wall_sec: {fresh_wall:.2f}s > 1.5x baseline "
-            f"({base_wall:.2f}s)"
-        )
-
-    # The whole-program lint (interprocedural fixpoints included) must
-    # stay interactive: same 1.5x-vs-baseline rule as the end-to-end wall
-    # time, plus an absolute ceiling so a runaway fixpoint fails even on
-    # a machine with a slow committed baseline.
-    base_lint = baseline.get("lint", {}).get("total_sec")
-    fresh_lint = fresh.get("lint", {}).get("total_sec")
-    if base_lint and fresh_lint and fresh_lint > 1.5 * base_lint:
-        problems.append(
-            f"lint.total_sec: {fresh_lint:.2f}s > 1.5x baseline "
-            f"({base_lint:.2f}s)"
-        )
-    if fresh_lint and fresh_lint > LINT_WALL_CEILING_SEC:
-        problems.append(
-            f"lint.total_sec: {fresh_lint:.2f}s > absolute "
-            f"{LINT_WALL_CEILING_SEC:.0f}s ceiling"
-        )
-
-    return (not problems, problems)
 
 
 # ---------------------------------------------------------------- rendering

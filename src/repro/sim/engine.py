@@ -201,7 +201,7 @@ class Engine:
                 ce.attach_flight(self.flight)
         #: Where the latest crash bundle landed (None until a crash writes
         #: one; see :meth:`_capture_bundle`).
-        self.last_bundle = None  # snapshot: skip — diagnostics, not sim state
+        self.last_bundle = None
         metrics = self.obs.metrics
         self._m_kernels = metrics.counter("uvm_kernels_total", "Kernel launches run")
         self._m_kernel_usec = metrics.histogram(
@@ -240,7 +240,7 @@ class Engine:
         #: In-flight launch state (checkpointable); None outside a launch.
         self._progress: Optional[LaunchProgress] = None
         #: Latest auto-checkpoint (crash-recovery restore target).
-        self._auto_checkpoint = None  # snapshot: skip — the checkpoint itself
+        self._auto_checkpoint = None
         #: Test/tooling hooks called as ``hook(engine, batch_id)`` after
         #: every serviced batch (checkpoint property tests attach here).
         self._batch_hooks: List[Callable[["Engine", int], None]] = []
@@ -493,6 +493,11 @@ class Engine:
         pages.labels("prefetched").inc(sum(r.pages_prefetched for r in records))
         pages.labels("unmapped").inc(sum(r.pages_unmapped for r in records))
         pages.labels("evicted").inc(sum(r.pages_evicted for r in records))
+        metrics.counter(
+            "uvm_evictions_total",
+            "VABlocks evicted from device memory",
+            labels=("policy",),
+        ).labels(self.driver.eviction.name).inc(sum(r.evictions for r in records))
         moved = metrics.counter(
             "uvm_bytes_total", "Bytes migrated over the interconnect", labels=("dir",)
         )

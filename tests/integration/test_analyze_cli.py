@@ -1,6 +1,5 @@
 """CLI integration for the report engine: ``uvm-repro analyze`` over real
-run logs, the A/B diff exit codes, the ``bench --check`` perf gate, and
-``metrics --percentiles``.
+run logs, the A/B diff exit codes, and ``metrics --percentiles``.
 """
 
 import json
@@ -65,93 +64,6 @@ class TestAnalyzeRecords:
 
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.ndjson")]) == 2
-
-
-def _bench_report():
-    return {
-        "end_to_end": {"batches": 42, "clock_usec": 18955.3, "wall_sec": 0.1},
-        "uvmsan": {"timeline_identical": True},
-        "hot_paths": {
-            "checkpoint": {"speedup": 6.0},
-            "metric_labels": {"speedup": 5.0},
-        },
-    }
-
-
-class TestBenchCheckCli:
-    def _write(self, path, report):
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    def test_pass_against_matching_baseline(self, tmp_path, capsys):
-        fresh, base = tmp_path / "fresh.json", tmp_path / "base.json"
-        self._write(fresh, _bench_report())
-        self._write(base, _bench_report())
-        code = main(
-            ["bench", "--check", "--report", str(fresh),
-             "--baseline", str(base)]
-        )
-        assert code == 0
-        assert "bench check OK" in capsys.readouterr().out
-
-    def test_synthetic_slowdown_fails(self, tmp_path, capsys):
-        slow = _bench_report()
-        for stats in slow["hot_paths"].values():
-            stats["speedup"] /= 2.0  # a 2x slowdown on every hot path
-        slow["end_to_end"]["wall_sec"] *= 2.0
-        fresh, base = tmp_path / "fresh.json", tmp_path / "base.json"
-        self._write(fresh, slow)
-        self._write(base, _bench_report())
-        code = main(
-            ["bench", "--check", "--report", str(fresh),
-             "--baseline", str(base)]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "bench check FAILED" in out
-        assert "hot_paths.checkpoint.speedup" in out
-        assert "wall_sec" in out
-
-    def test_determinism_drift_fails_even_when_faster(self, tmp_path, capsys):
-        drifted = _bench_report()
-        drifted["end_to_end"]["batches"] = 43
-        fresh, base = tmp_path / "fresh.json", tmp_path / "base.json"
-        self._write(fresh, drifted)
-        self._write(base, _bench_report())
-        code = main(
-            ["bench", "--check", "--report", str(fresh),
-             "--baseline", str(base)]
-        )
-        assert code == 1
-        assert "determinism anchor" in capsys.readouterr().out
-
-    def test_report_without_check_prints_speedups(self, tmp_path, capsys):
-        fresh = tmp_path / "fresh.json"
-        self._write(fresh, _bench_report())
-        assert main(["bench", "--report", str(fresh)]) == 0
-        out = capsys.readouterr().out
-        assert "checkpoint: 6.00x speedup" in out
-
-    def test_missing_baseline_exit_2(self, tmp_path):
-        fresh = tmp_path / "fresh.json"
-        self._write(fresh, _bench_report())
-        code = main(
-            ["bench", "--check", "--report", str(fresh),
-             "--baseline", str(tmp_path / "absent.json")]
-        )
-        assert code == 2
-
-    def test_committed_baseline_is_valid_gate_input(self, tmp_path, capsys):
-        # The repo's committed baseline must gate itself clean: same file as
-        # fresh report and baseline is the degenerate no-regression case.
-        from pathlib import Path
-
-        baseline = Path(__file__).resolve().parents[2] / "BENCH_baseline.json"
-        assert baseline.is_file()
-        code = main(
-            ["bench", "--check", "--report", str(baseline),
-             "--baseline", str(baseline)]
-        )
-        assert code == 0
 
 
 class TestMetricsPercentilesCli:

@@ -1,7 +1,7 @@
 """Metrics totals reconcile exactly with the per-batch + engine ledgers.
 
-Batch, fault, page, byte, host-OS, retry and failover families are folded
-from the batch log (and, for the CPU-touch D2H path, the EngineCounters)
+Batch, fault, page, eviction, byte, host-OS, retry and failover families
+are folded from the batch log (and, for the CPU-touch D2H path, the EngineCounters)
 when the registry is read; degradations still count at their sites.
 Across every bundled chaos profile, several seeds, and runs whose injected
 crash replays batches from a checkpoint, metrics and ledgers must agree to
@@ -67,6 +67,21 @@ def run_crash_at_6(seed, trace=False):
     return system
 
 
+def run_crashy_oversubscribed(seed):
+    """``crashy`` at 4 MiB: the crash at batch 12 restores the batch-10
+    checkpoint, and the replayed batches 11 and 12 evict."""
+    cfg = small_stream_config(seed)
+    cfg.gpu.memory_bytes = 4 * MB
+    cfg.inject.enabled = True
+    cfg.inject.profile = "crashy"
+    cfg.inject.checkpoint_every = 5
+    cfg.validate()
+    system = UvmSystem(cfg)
+    RegularStream().run(system)
+    assert all(r.evictions for r in system.records[11:13])
+    return system
+
+
 def run_crash_midrun_default_stream(seed):
     """The bundled ``crash_midrun`` profile on the default-config ``stream``
     workload: its crash at batch 10 replays from the launch-start
@@ -109,6 +124,9 @@ def assert_reconciles(system):
         ("evicted", "pages_evicted"),
     ):
         assert metric_value(snap, "uvm_pages_total", op=op) == total(field)
+    assert metric_value(
+        snap, "uvm_evictions_total", policy=engine.driver.eviction.name
+    ) == total("evictions")
     assert metric_value(snap, "uvm_bytes_total", dir="h2d") == total("bytes_h2d")
     assert metric_value(snap, "uvm_bytes_total", dir="d2h") == total("bytes_d2h")
     for op, field in (
@@ -158,9 +176,16 @@ def test_profile_totals_reconcile(profile, seed):
         (run_crash_at_6, 0),
         (run_crash_at_6, 1),
         (run_crash_at_6, 2),
+        (run_crashy_oversubscribed, 0),
         (run_crash_midrun_default_stream, 0),
     ],
-    ids=["crash6-ckpt4-s0", "crash6-ckpt4-s1", "crash6-ckpt4-s2", "crash_midrun-default-s0"],
+    ids=[
+        "crash6-ckpt4-s0",
+        "crash6-ckpt4-s1",
+        "crash6-ckpt4-s2",
+        "crashy-4MiB-ckpt5-s0",
+        "crash_midrun-default-s0",
+    ],
 )
 def test_replayed_run_reconciles(run, seed):
     """A crash recovery replays batches: the metrics follow the rewound

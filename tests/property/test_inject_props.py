@@ -12,17 +12,27 @@ Three guarantees the fault-injection layer must keep (ISSUE: robustness):
 3. **Checkpoint/restore round-trips.**  Capturing a checkpoint at an
    arbitrary batch boundary, then restoring and resuming, reproduces the
    uninterrupted run's final BatchRecords and clock exactly — including
-   under active injection and across repeated restores.
+   under active injection and across repeated restores.  A restore puts
+   back every attribute of the simulated state as it was at the capture,
+   and a run that crashes and recovers equals the run that never crashed,
+   across workloads, memory sizes, policies and chaos profiles.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from enum import Enum
+from pathlib import Path
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import UvmSystem
 from repro.config import default_config
+from repro.core.eviction import EVICTION_POLICIES
+from repro.inject import BUILTIN_PROFILES
 from repro.sim.checkpoint import EngineCheckpoint
 from repro.units import MB
 from repro.workloads import RegularStream, Sgemm, VecAddPageStride
@@ -35,11 +45,13 @@ WORKLOADS = {
 
 
 def build_config(seed=0, gpu_mem_mb=16, inject=None, profile=None, sites=None,
-                 checkpoint_every=0, sanitize=False):
+                 checkpoint_every=0, sanitize=False, prefetch=True, eviction="lru"):
     cfg = default_config()
     cfg.seed = seed
     cfg.gpu.memory_bytes = gpu_mem_mb * MB
     cfg.gpu.num_sms = 8
+    cfg.driver.prefetch_enabled = prefetch
+    cfg.driver.eviction_policy = eviction
     if inject is not None:
         cfg.inject.enabled = inject
         cfg.inject.profile = profile
@@ -140,19 +152,119 @@ class TestScheduleDeterminism:
         assert system.injector.summary()["fired_total"] > 0
 
 
-def run_with_checkpoint(at_batch, **cfg_kw):
-    """Run stream to completion, capturing a checkpoint at ``at_batch``."""
+#: Attributes that are wiring or diagnostics rather than simulation state,
+#: so a restore leaves them as they are.  Cached metric handles (``_m_*``)
+#: are wiring too.
+_NOT_STATE_GROUPS = {
+    ("obs", "_obs"): "observability layer; its ledger families fold from the log",
+    ("flight", "_flight"): "event log: a restore rewinds it to the capture's count",
+    ("sanitizer", "san", "_san"): "UVMSan is resynced after a restore, not rewound",
+    ("injector", "inj", "_inj"): "compared through snapshot() and its spawned sites",
+    ("counters",): "engine resilience counters never rewind",
+    ("last_bundle",): "where the latest crash bundle landed",
+    ("_auto_checkpoint",): "the crash-recovery restore target itself",
+    ("_batch_hooks",): "test and tooling callbacks",
+}
+NOT_STATE = {name: why for names, why in _NOT_STATE_GROUPS.items() for name in names}
+
+
+def state_names(obj):
+    """``obj``'s attributes (slots, then instance dict) that are state.
+
+    Enumerated here rather than taken from ``sim/checkpoint.py``, so the
+    check does not trust the capture lists it is checking."""
+    names = []
+    for klass in type(obj).__mro__:
+        names += [n for n in getattr(klass, "__slots__", ()) if n not in names]
+    names += [n for n in getattr(obj, "__dict__", {}) if n not in names]
+    return [
+        n for n in names
+        if n not in NOT_STATE and not n.startswith("_m_") and hasattr(obj, n)
+    ]
+
+
+def state_components(engine):
+    """The engine, the driver, and every component a checkpoint captures."""
+    device, driver = engine.device, engine.driver
+    parts = {
+        "engine": engine, "driver": driver, "clock": engine.clock, "device": device,
+        "fault_buffer": device.fault_buffer, "gmmu": device.gmmu,
+        "page_table": device.page_table, "chunks": device.chunks,
+        "host_vm": engine.host_vm, "dma": engine.dma, "vablocks": driver.vablocks,
+        "log": driver.log, "eviction": driver.eviction, "prefetcher": driver.prefetcher,
+    }
+    for kind in ("utlbs", "sms", "copy_engines"):
+        for i, part in enumerate(getattr(device, kind)):
+            parts[f"{kind}[{i}]"] = part
+    return parts
+
+
+def simulation_state(engine):
+    """``component.attribute`` -> a structural copy of its value, plus the
+    injector's state.  Sets stay sets, arrays become bytes, objects become
+    their state attributes, and a reference to a component compared on its
+    own stays a reference."""
+    parts = state_components(engine)
+    labels = {id(obj): label for label, obj in parts.items()}
+    memo = {}  # shared objects (a warp in an SM and in a waiter list) once
+
+    def freeze(value):
+        if value is None or isinstance(value, (int, float, str, Enum, np.generic)):
+            return value
+        if id(value) in labels:
+            return ("component", labels[id(value)])
+        if id(value) not in memo:
+            memo[id(value)] = freeze_container(value)
+        return memo[id(value)]
+
+    def freeze_container(value):
+        if isinstance(value, np.ndarray):
+            return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, np.random.Generator):
+            return ("rng", repr(value.bit_generator.state))
+        if isinstance(value, (set, frozenset)):
+            return frozenset(map(freeze, value))
+        if isinstance(value, dict):
+            return ("dict", tuple((freeze(k), freeze(v)) for k, v in value.items()))
+        if isinstance(value, (list, tuple, deque)):
+            return (type(value).__name__, tuple(map(freeze, value)))
+        attrs = [(name, freeze(getattr(value, name))) for name in state_names(value)]
+        return (type(value).__name__, tuple(attrs))
+
+    state = {
+        f"{label}.{name}": freeze(getattr(obj, name))
+        for label, obj in parts.items()
+        for name in state_names(obj)
+    }
+    injector = engine.injector
+    state["injector.snapshot"] = freeze(injector.snapshot())
+    state["injector.spawned"] = frozenset(getattr(injector, "_rngs", ()))
+    return state
+
+
+def assert_state_equal(recorded, restored):
+    differ = sorted(
+        name for name in recorded.keys() | restored.keys()
+        if recorded.get(name) != restored.get(name)
+    )
+    assert not differ, f"restore left these attributes unlike the capture: {differ}"
+
+
+def run_with_checkpoint(at_batch, workload=RegularStream, **cfg_kw):
+    """Run ``workload()`` to completion, capturing a checkpoint (and the
+    simulation state it should restore) at ``at_batch``."""
     system = UvmSystem(build_config(**cfg_kw))
     captured = {}
 
     def hook(engine, batch_id):
         if batch_id == at_batch and "ckpt" not in captured:
             captured["ckpt"] = engine.checkpoint()
+            captured["state"] = simulation_state(engine)
 
     system.engine._batch_hooks.append(hook)
-    RegularStream().run(system)
+    workload().run(system)
     assert "ckpt" in captured, f"batch {at_batch} never completed"
-    return system, captured["ckpt"]
+    return system, captured["ckpt"], captured["state"]
 
 
 class TestCheckpointRestore:
@@ -160,7 +272,7 @@ class TestCheckpointRestore:
 
     @pytest.mark.parametrize("at_batch", [1, 5, 10])
     def test_roundtrip_reproduces_tail(self, at_batch):
-        system, ckpt = run_with_checkpoint(at_batch, gpu_mem_mb=8)
+        system, ckpt, _ = run_with_checkpoint(at_batch, gpu_mem_mb=8)
         final = timeline_fingerprint(system)
         assert len(system.records) > at_batch + 1  # the checkpoint is mid-run
         ckpt.restore_into(system.engine)
@@ -170,7 +282,7 @@ class TestCheckpointRestore:
         assert timeline_fingerprint(system) == final
 
     def test_double_restore_is_stable(self):
-        system, ckpt = run_with_checkpoint(5, gpu_mem_mb=8)
+        system, ckpt, _ = run_with_checkpoint(5, gpu_mem_mb=8)
         final = timeline_fingerprint(system)
         for _ in range(2):
             ckpt.restore_into(system.engine)
@@ -180,7 +292,7 @@ class TestCheckpointRestore:
     def test_roundtrip_under_active_injection(self):
         """The injector's RNG streams are part of checkpoint state: replay
         after restore re-injects the same faults at the same points."""
-        system, ckpt = run_with_checkpoint(
+        system, ckpt, _ = run_with_checkpoint(
             5, gpu_mem_mb=8, inject=True, profile="flaky-interconnect", sanitize=True
         )
         final = timeline_fingerprint(system)
@@ -192,7 +304,7 @@ class TestCheckpointRestore:
         assert system.sanitizer.total_violations == 0
 
     def test_serialized_roundtrip(self):
-        system, ckpt = run_with_checkpoint(5, gpu_mem_mb=8)
+        system, ckpt, _ = run_with_checkpoint(5, gpu_mem_mb=8)
         final = timeline_fingerprint(system)
         revived = EngineCheckpoint.from_bytes(ckpt.to_bytes())
         revived.restore_into(system.engine)
@@ -205,6 +317,69 @@ class TestCheckpointRestore:
         system = UvmSystem(build_config())
         with pytest.raises(SimulationError):
             system.engine.resume()
+
+
+CHAOS_DIR = Path(__file__).resolve().parents[2] / "examples" / "chaos"
+CHAOS_FILES = sorted(str(path) for path in CHAOS_DIR.glob("*.json"))
+PROFILES = [None, *sorted(BUILTIN_PROFILES), *CHAOS_FILES]
+#: sgemm at n=1024 (12 MiB) runs in-core at 16 MiB and oversubscribed
+#: below, at a fraction of the default size's cost.
+ROUND_TRIP_WORKLOADS = {
+    "vecadd": WORKLOADS["vecadd"],
+    "stream": WORKLOADS["stream"],
+    "sgemm": lambda: Sgemm(n=1024),
+}
+#: An ``engine.crash`` batch no run here reaches.
+PAST_THE_END = 10**9
+
+
+class TestRestoreAcrossTheConfigSpace:
+    """Checkpoint coverage as behaviour: whatever state a component holds,
+    a restore must put it back, so the resumed and the recovered runs
+    both equal the run that was never interrupted."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        workload=st.sampled_from(sorted(ROUND_TRIP_WORKLOADS)),
+        seed=st.integers(min_value=0, max_value=2**16),
+        gpu_mem_mb=st.integers(min_value=2, max_value=8).map(lambda n: 2 * n),
+        prefetch=st.booleans(),
+        eviction=st.sampled_from(sorted(EVICTION_POLICIES)),
+        profile=st.sampled_from(PROFILES),
+        at_batch=st.integers(min_value=1, max_value=7),
+        checkpoint_every=st.sampled_from((0, 4)),
+    )
+    @example(workload="stream", seed=0, gpu_mem_mb=4, prefetch=True, eviction="lru",
+             profile="kitchen-sink", at_batch=7, checkpoint_every=0)
+    @example(workload="stream", seed=0, gpu_mem_mb=4, prefetch=True, eviction="lru",
+             profile="memory-pressure", at_batch=1, checkpoint_every=0)
+    def test_restore_reproduces_the_capture_and_the_clean_run(
+        self, workload, seed, gpu_mem_mb, prefetch, eviction, profile, at_batch,
+        checkpoint_every,
+    ):
+        if workload == "vecadd":
+            at_batch = 1  # its shortest run (16 MiB, prefetch on) has two batches
+        make = ROUND_TRIP_WORKLOADS[workload]
+        cfg_kw = dict(
+            seed=seed, gpu_mem_mb=gpu_mem_mb, prefetch=prefetch, eviction=eviction,
+            inject=True, profile=profile, checkpoint_every=checkpoint_every,
+        )
+        system, ckpt, captured = run_with_checkpoint(
+            at_batch, make, sites={"engine.crash": {"at_batch": PAST_THE_END}}, **cfg_kw
+        )
+        clean = timeline_fingerprint(system)
+
+        ckpt.restore_into(system.engine)
+        assert_state_equal(captured, simulation_state(system.engine))
+        system.engine.resume()
+        assert timeline_fingerprint(system) == clean
+
+        crashed = UvmSystem(
+            build_config(sites={"engine.crash": {"at_batch": at_batch}}, **cfg_kw)
+        )
+        make().run(crashed)
+        assert crashed.injector.summary()["recoveries"] == 1
+        assert timeline_fingerprint(crashed) == clean
 
 
 class TestCrashRecovery:

@@ -1,16 +1,18 @@
-"""Protocol/lifecycle pass family over the protoproj fixture.
+"""Lifecycle pass over the protoproj fixture.
 
 Three layers of tests:
 
-* fixture true-positives — every rule in the family fires exactly where
+* fixture true-positives — every rule of the pass fires exactly where
   protoproj seeds it, and each violation's clean twin stays silent;
 * mutation scenarios — fixing a seeded violation clears its finding, and
-  the ISSUE acceptance mutations on a copy of the real tree (deleting a
-  ``_SKIP_COMMON`` entry, dropping an ``_abort_record`` call) each
-  produce a finding;
-* the dogfood pin — the real ``src/repro`` tree is clean under both
-  passes, so any future lifecycle/coverage regression fails here
-  rather than landing in the baseline.
+  dropping an ``_abort_record`` call from a copy of the real tree
+  produces a finding;
+* the dogfood pin — the real ``src/repro`` tree is clean under the pass,
+  so any future lifecycle regression fails here rather than landing in
+  the baseline.
+
+Checkpoint coverage is checked at runtime instead, by the restore
+round-trip property in ``tests/property/test_inject_props.py``.
 """
 
 from __future__ import annotations
@@ -22,22 +24,15 @@ import pytest
 
 from repro.check.program import run_analysis, seeds_in_changed
 from repro.check.program.lifecycle import LifecyclePass
-from repro.check.program.snapshot import SnapshotCoveragePass
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "protoproj"
 REPO_SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
 
-FAMILY_RULES = (
-    "lifecycle-leak",
-    "lifecycle-exception-leak",
-    "snapshot-uncaptured",
-    "snapshot-skip-drift",
-    "snapshot-stale-skip",
-)
+FAMILY_RULES = ("lifecycle-leak", "lifecycle-exception-leak")
 
 
 def family_passes():
-    return [LifecyclePass(), SnapshotCoveragePass()]
+    return [LifecyclePass()]
 
 
 def analyze(path=FIXTURES):
@@ -98,24 +93,6 @@ class TestFixtureSeeds:
         ):
             assert clean_fn not in blob
 
-    def test_snapshot_findings(self):
-        report = analyze()
-        unc = by_rule(report, "snapshot-uncaptured")
-        assert len(unc) == 1
-        assert "Engine.drift" in unc[0].message
-
-        drift = by_rule(report, "snapshot-skip-drift")
-        assert len(drift) == 2
-        msgs = " ".join(f.message for f in drift)
-        assert "Engine.steps" in msgs  # annotated but captured verbatim
-        assert "Gmmu._hook" in msgs  # annotated but not excluded
-
-        stale = by_rule(report, "snapshot-stale-skip")
-        assert len(stale) == 1
-        assert "'ghost'" in stale[0].message
-        # extra_buf IS assigned (gmmu.py): the _SKIP_EXTRA entry is live.
-        assert "extra_buf" not in " ".join(f.message for f in stale)
-
 
 class TestMutationScenarios:
     def test_adding_close_clears_the_leak(self, proto_copy):
@@ -130,17 +107,9 @@ class TestMutationScenarios:
         )
         assert by_rule(analyze(proto_copy), "lifecycle-leak") == []
 
-    def test_annotating_uncaptured_attr_clears_it(self, proto_copy):
-        engine = proto_copy / "engine.py"
-        src = engine.read_text()
-        engine.write_text(
-            src.replace("self.drift = 0", "self.drift = 0  # snapshot: skip")
-        )
-        assert by_rule(analyze(proto_copy), "snapshot-uncaptured") == []
-
 
 class TestAcceptanceOnRealTree:
-    """The ISSUE acceptance mutations: each must produce a finding."""
+    """A mutation of the real tree must produce a finding."""
 
     def test_removing_abort_record_is_flagged(self, repro_copy):
         driver = repro_copy / "core" / "driver.py"
@@ -155,18 +124,6 @@ class TestAcceptanceOnRealTree:
             if "[batch-record]" in f.message and f.path.endswith("driver.py")
         ]
         assert batch, "dropping _abort_record must surface a record leak"
-
-    def test_deleting_skip_common_entry_is_flagged(self, repro_copy):
-        ckpt = repro_copy / "sim" / "checkpoint.py"
-        src = ckpt.read_text()
-        assert '"_san", ' in src
-        ckpt.write_text(src.replace('"_san", ', "", 1))
-        report = run_analysis([repro_copy], passes=[SnapshotCoveragePass()])
-        drift = by_rule(report, "snapshot-skip-drift")
-        assert any("_san" in f.message for f in drift), (
-            "deleting _san from _SKIP_COMMON must contradict the "
-            "'# snapshot: skip' annotations on the fault buffers"
-        )
 
 
 class TestDogfoodPin:

@@ -165,6 +165,19 @@ class TestFaultInjector:
         b.restore_state(snap)
         assert [b.fire("dma.map_fail") for _ in range(30)] == tail
 
+    def test_restore_forgets_streams_spawned_after_the_capture(self):
+        """A site first drawn after the capture must restart its stream
+        after a restore, as it did the first time."""
+        sites = {"ce.brownout": {"rate": 0.4}, "host.populate_enomem": {"rate": 0.4}}
+        inj = make_injector_for(sites, seed=5)
+        for _ in range(10):
+            inj.fire("ce.brownout")
+        snap = inj.snapshot()
+        tail = [inj.fire("host.populate_enomem") for _ in range(20)]
+        inj.restore_state(snap)
+        assert inj.snapshot() == snap
+        assert [inj.fire("host.populate_enomem") for _ in range(20)] == tail
+
     def test_crash_is_one_shot_and_survives_restore(self):
         inj = make_injector_for({"engine.crash": {"at_batch": 5}})
         snap = inj.snapshot()

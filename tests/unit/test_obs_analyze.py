@@ -20,10 +20,6 @@ from repro.obs.analyze import (
     render_report,
 )
 
-# Aliased: pytest collects bench_* names (see python_functions in
-# pyproject.toml), and an imported bench_gate would look like a benchmark.
-from repro.obs.analyze import bench_gate as run_bench_gate
-
 
 def _record(batch_id, duration=100.0, **extra):
     """A minimal batch-record dict as the NDJSON sink would emit it."""
@@ -239,90 +235,6 @@ class TestDiffReports:
 
     def test_default_tolerance(self):
         assert DEFAULT_TOLERANCE == 0.10
-
-
-# --------------------------------------------------------------- bench gate
-
-
-def _bench_report(**overrides):
-    report = {
-        "end_to_end": {"batches": 42, "clock_usec": 18955.3, "wall_sec": 0.1},
-        "uvmsan": {"timeline_identical": True},
-        "hot_paths": {
-            "checkpoint": {"speedup": 6.0},
-            "metric_labels": {"speedup": 5.0},
-        },
-        "lint": {"total_sec": 3.0},
-    }
-    for key, value in overrides.items():
-        section, leaf = key.split("__")
-        report[section] = dict(report[section])
-        report[section][leaf] = value
-    return report
-
-
-class TestBenchGate:
-    def test_passes_against_itself(self):
-        base = _bench_report()
-        ok, problems = run_bench_gate(base, base, tolerance=0.10)
-        assert ok and problems == []
-
-    def test_determinism_anchor_drift_fails(self):
-        ok, problems = run_bench_gate(
-            _bench_report(end_to_end__batches=43), _bench_report()
-        )
-        assert not ok
-        assert any("determinism anchor" in p for p in problems)
-
-    def test_timeline_identity_fails(self):
-        ok, problems = run_bench_gate(
-            _bench_report(uvmsan__timeline_identical=False), _bench_report()
-        )
-        assert not ok
-        assert any("timeline" in p for p in problems)
-
-    def test_speedup_regression_fails(self):
-        fresh = _bench_report(hot_paths__checkpoint={"speedup": 3.0})
-        ok, problems = run_bench_gate(fresh, _bench_report(), tolerance=0.10)
-        assert not ok
-        assert any("hot_paths.checkpoint" in p for p in problems)
-
-    def test_speedup_within_tolerance_passes(self):
-        fresh = _bench_report(hot_paths__checkpoint={"speedup": 5.5})
-        ok, _ = run_bench_gate(fresh, _bench_report(), tolerance=0.10)
-        assert ok
-
-    def test_missing_hot_path_fails(self):
-        fresh = _bench_report()
-        del fresh["hot_paths"]["metric_labels"]
-        ok, problems = run_bench_gate(fresh, _bench_report())
-        assert not ok
-        assert any("missing from fresh run" in p for p in problems)
-
-    def test_wall_time_blowup_fails(self):
-        fresh = _bench_report(end_to_end__wall_sec=0.2)
-        ok, problems = run_bench_gate(fresh, _bench_report())
-        assert not ok
-        assert any("wall_sec" in p for p in problems)
-
-    def test_lint_slowdown_vs_baseline_fails(self):
-        fresh = _bench_report(lint__total_sec=5.0)
-        ok, problems = run_bench_gate(fresh, _bench_report())
-        assert not ok
-        assert any("lint.total_sec" in p and "1.5x" in p for p in problems)
-
-    def test_lint_absolute_ceiling_fails(self):
-        fresh = _bench_report(lint__total_sec=45.0)
-        base = _bench_report(lint__total_sec=40.0)
-        ok, problems = run_bench_gate(fresh, base)
-        assert not ok
-        assert any("ceiling" in p for p in problems)
-
-    def test_lint_missing_from_baseline_is_tolerated(self):
-        base = _bench_report()
-        del base["lint"]
-        ok, problems = run_bench_gate(_bench_report(), base)
-        assert ok and problems == []
 
 
 # ---------------------------------------------------------------- rendering
