@@ -48,7 +48,7 @@ from .telemetry import HEARTBEAT_INTERVAL_SEC, HeartbeatThread, emit
 
 #: Cell-checkpoint file format version (bump on layout change; a mismatched
 #: or unreadable file is ignored and the cell reruns from scratch).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Default auto-checkpoint cadence in serviced batches.
 DEFAULT_CHECKPOINT_EVERY = 8
@@ -86,20 +86,25 @@ def write_cell_checkpoint(path: str, state: dict) -> None:
 
 
 def load_cell_checkpoint(path: str, key: str) -> Optional[dict]:
-    """The checkpoint at ``path`` if it exists, parses, and matches ``key``.
+    """The checkpoint at ``path`` if it exists, parses, matches ``key`` and
+    holds an engine blob that decodes; the decoded
+    :class:`~repro.sim.checkpoint.EngineCheckpoint` is under ``"engine"``.
 
     Any corruption or identity mismatch silently degrades to a from-scratch
     rerun — a bad checkpoint file must never fail a resumable job.
     """
+    from ..sim.checkpoint import EngineCheckpoint
+
     try:
         with open(path, "rb") as fh:
             state = pickle.load(fh)
+        if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
+            return None
+        if state.get("cell_key") != key:
+            return None
+        state["engine"] = EngineCheckpoint.from_bytes(state["engine_blob"])
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
-        return None
-    if state.get("cell_key") != key:
+            ImportError, IndexError, KeyError, TypeError, ValueError):
         return None
     return state
 
@@ -286,9 +291,7 @@ def run_cell(
     if payload.get("resume") and ckpt_path is not None:
         restored = load_cell_checkpoint(ckpt_path, key)
     if restored is not None:
-        EngineCheckpoint.from_bytes(restored["engine_blob"]).restore_into(
-            system.engine
-        )
+        restored["engine"].restore_into(system.engine)
         _restore_engine_counters(system.engine, restored["counters"])
         result.launches = pickle.loads(restored["launches"])
         t0 = restored["t0_usec"]

@@ -15,7 +15,8 @@ Bundle layout (schema: ``docs/schemas/bundle.schema.json``)::
       events.ndjson    the flight-recorder ring, oldest first
       metrics.json     MetricsRegistry.snapshot()
       spans.json       SpanProfiler.totals()
-      checkpoint.bin   latest auto-checkpoint pickle (only when one exists)
+      checkpoint.bin   latest auto-checkpoint, ``EngineCheckpoint.to_bytes()``
+                       (only when one exists)
 
 Every byte is a function of simulated state — no wall-clock timestamps, no
 hostnames — so two equal-seed crashes produce byte-identical event dumps

@@ -4,12 +4,26 @@
 :class:`~repro.sim.engine.Engine` — clock, RNG streams, fault buffer, µTLBs,
 SM/warp scheduling state, page table, chunk allocator, copy-engine counters,
 host VM/DMA state, the driver's VABlock manager and batch log, and the
-in-flight launch progress — into a single pickle blob.  The pickle memo
-plays the role deepcopy's memo used to: shared references (the same
-:class:`WarpState` appearing in ``sm.active`` and the engine's waiter lists)
-survive the round trip with identity intact, while costing one serialize
-pass instead of a recursive Python-level copy.  The blob doubles as the
-on-disk format, so :meth:`to_bytes` is free.
+in-flight launch progress.  A checkpoint is two pickles:
+
+* the **program pickle** — the current launch's warp programs
+  (``Engine._programs``).  Programs are immutable, so it is made once per
+  launch, cached on the engine, and shared by every capture in the launch;
+* the **state pickle** — everything mutable, made on each capture.  It
+  names a launch program by its index in the program table (through the
+  pickler's ``dispatch_table``), so a capture's cost tracks the live
+  state, not the size of the kernel.  A program outside the table (one
+  enqueued by hand) is pickled by value.
+
+Only live state is captured: a warp leaves the engine's registry when it
+retires, so retired warps and their programs are not in the state pickle.
+The pickle memo plays the role deepcopy's memo used to: shared references
+(the same :class:`WarpState` appearing in ``sm.active`` and the engine's
+waiter lists) survive the round trip with identity intact, while costing
+one serialize pass instead of a recursive Python-level copy.
+:meth:`~EngineCheckpoint.to_bytes` wraps both pickles into one
+self-contained blob, so crash bundles and campaign cell files restore in a
+fresh process.
 
 Attachments are deliberately excluded: observability handles, the sanitizer,
 the injector object, and config/cost-model references stay with the live
@@ -23,14 +37,20 @@ and the sanitizer is :meth:`~repro.check.sanitizer.Sanitizer.resync`'d after
 restore so the monotonicity watermarks accept the rewound clock.
 
 Restores are repeatable: every :meth:`restore_into` unpickles a fresh object
-graph from the stored blob, so one checkpoint can seed many resumed
+graph from the stored pickles, so one checkpoint can seed many resumed
 timelines (the checkpoint/restore determinism property tests rely on this).
 """
 
 from __future__ import annotations
 
+import copyreg
+import io
 import pickle
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..gpu.warp import WarpProgram
+
+_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Attribute names that are wiring, not simulation state, on any component.
 #: ``_flight`` is the flight recorder: the checkpoint stores its append
@@ -132,10 +152,79 @@ def _build_state(engine) -> dict:
     }
 
 
+def _program_at(index: int) -> WarpProgram:
+    """The name a state pickle gives the launch's ``index``-th program.
+
+    :class:`_StateUnpickler` resolves the name to the restored program, so
+    this body runs only when a state pickle is loaded without its table."""
+    raise pickle.UnpicklingError(
+        f"program {index} of a checkpoint state loads only with its program table"
+    )
+
+
+class _ProgramTable:
+    """One launch's warp programs, pickled once, plus the pickler
+    ``dispatch_table`` that names each of them by index in a state pickle."""
+
+    __slots__ = ("programs", "blob", "dispatch_table")
+
+    def __init__(
+        self, programs: Tuple[WarpProgram, ...], blob: Optional[bytes] = None
+    ) -> None:
+        self.programs = programs
+        self.blob = pickle.dumps(programs, protocol=_PROTOCOL) if blob is None else blob
+        index = {id(program): i for i, program in enumerate(programs)}
+
+        def reduce_program(program):
+            i = index.get(id(program))
+            if i is None:
+                return program.__reduce_ex__(_PROTOCOL)
+            return _program_at, (i,)
+
+        self.dispatch_table = {**copyreg.dispatch_table, WarpProgram: reduce_program}
+
+    @classmethod
+    def of(cls, engine) -> "_ProgramTable":
+        """The engine's table for its current launch, pickled on first use."""
+        table = engine._program_pickle
+        if table is None or table.programs is not engine._programs:
+            table = engine._program_pickle = cls(engine._programs)
+        return table
+
+    def dumps(self, state: dict) -> bytes:
+        out = io.BytesIO()
+        pickler = pickle.Pickler(out, protocol=_PROTOCOL)
+        pickler.dispatch_table = self.dispatch_table
+        pickler.dump(state)
+        return out.getvalue()
+
+
+class _StateUnpickler(pickle.Unpickler):
+    """Loads a state pickle, resolving program indices against ``programs``."""
+
+    def __init__(self, blob: bytes, programs: Sequence[WarpProgram]) -> None:
+        super().__init__(io.BytesIO(blob))
+        self._programs = programs
+
+    def find_class(self, module: str, name: str):
+        if module == __name__ and name == _program_at.__name__:
+            return self._programs.__getitem__
+        return super().find_class(module, name)
+
+
+def _load(programs_blob: bytes, blob: bytes) -> Tuple[_ProgramTable, dict]:
+    """Fresh copies of a checkpoint's program table and state."""
+    table = _ProgramTable(pickle.loads(programs_blob), programs_blob)
+    return table, _StateUnpickler(blob, table.programs).load()
+
+
 class EngineCheckpoint:
     """One restorable snapshot of an engine's simulation state."""
 
-    def __init__(self, blob: bytes, clock_now: float, num_records: int) -> None:
+    def __init__(
+        self, programs_blob: bytes, blob: bytes, clock_now: float, num_records: int
+    ) -> None:
+        self._programs_blob = programs_blob
         self._blob = blob
         self._clock_now = clock_now
         self._num_records = num_records
@@ -146,22 +235,25 @@ class EngineCheckpoint:
     def capture(cls, engine) -> "EngineCheckpoint":
         """Snapshot ``engine`` without perturbing it (no RNG draws, no
         clock advances) — safe to call at any batch boundary."""
+        table = _ProgramTable.of(engine)
         state = _build_state(engine)
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        return cls(blob, state["clock_now"], len(state["log_records"]))
+        blob = table.dumps(state)
+        return cls(table.blob, blob, state["clock_now"], len(state["log_records"]))
 
     # ------------------------------------------------------------- restore
 
     def restore_into(self, engine) -> None:
         """Rewind ``engine`` to this snapshot (repeatable: every restore
-        unpickles pristine copies from the stored blob)."""
-        state = pickle.loads(self._blob)
+        unpickles pristine copies from the stored pickles)."""
+        table, state = _load(self._programs_blob, self._blob)
         driver = engine.driver
         device = engine.device
         engine.clock.restore(state["clock_now"])
         engine.rng.bit_generator.state = state["engine_rng"]
         if driver.rng is not None and state["driver_rng"] is not None:
             driver.rng.bit_generator.state = state["driver_rng"]
+        engine._programs = table.programs
+        engine._program_pickle = table
         for name in _ENGINE_ATTRS:
             setattr(engine, name, state["engine"][name])
         _restore_obj(device.fault_buffer, state["fault_buffer"])
@@ -190,14 +282,18 @@ class EngineCheckpoint:
     # -------------------------------------------------------- serialization
 
     def to_bytes(self) -> bytes:
-        """The snapshot's pickle blob (pure data: plain containers, numpy
-        arrays, warp/fault/record dataclasses) — already serialized."""
-        return self._blob
+        """One self-contained blob holding both pickles (pure data: plain
+        containers, numpy arrays, warp/fault/record dataclasses)."""
+        return pickle.dumps((self._programs_blob, self._blob), protocol=_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EngineCheckpoint":
-        state = pickle.loads(blob)
-        return cls(blob, state["clock_now"], len(state["log_records"]))
+        """Take back a :meth:`to_bytes` blob; raises if it does not decode."""
+        programs_blob, state_blob = pickle.loads(blob)
+        _, state = _load(programs_blob, state_blob)
+        return cls(
+            programs_blob, state_blob, state["clock_now"], len(state["log_records"])
+        )
 
     def summary(self) -> dict:
         """Identifying facts about the snapshot (same dict idiom as the

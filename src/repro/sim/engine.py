@@ -44,7 +44,7 @@ from ..gpu.copy_engine import contiguous_runs
 from ..inject import make_injector
 from ..gpu.device import GpuDevice
 from ..gpu.fault import AccessType, FaultArrays
-from ..gpu.warp import KernelLaunch, WarpState
+from ..gpu.warp import KernelLaunch, WarpProgram, WarpState
 from ..hostos.cost_model import CostModel
 from ..hostos.cpu import HostCpu
 from ..hostos.dma import DmaMapper
@@ -230,7 +230,12 @@ class Engine:
         )
         #: page → warps blocked on it.
         self._waiters: Dict[int, List[WarpState]] = {}
+        #: uid → live (activated, not yet retired) warp.
         self._warps: Dict[int, WarpState] = {}
+        #: The current launch's warp programs, in launch order.
+        self._programs: Tuple[WarpProgram, ...] = ()
+        #: The checkpoint layer's cached pickle of ``_programs``.
+        self._program_pickle = None
         self._prefetch_queue: List[Tuple[int, int]] = []  # (sm_id, page)
         self._uid = 0
         self._last_retire_at = 0.0
@@ -380,7 +385,8 @@ class Engine:
         occupancy = kernel.occupancy or self.config.gpu.max_warps_per_sm
         for sm in device.sms:
             sm.occupancy_limit = min(occupancy, self.config.gpu.max_warps_per_sm)
-        for i, program in enumerate(kernel.programs):
+        self._programs = tuple(kernel.programs)
+        for i, program in enumerate(self._programs):
             device.sms[i % len(device.sms)].enqueue(program)
 
         self._progress = LaunchProgress(
@@ -790,6 +796,7 @@ class Engine:
             # Trailing compute of the final phases still occupies the GPU.
             self._last_retire_at = max(self._last_retire_at, warp.ready_at)
             sm.retire(warp)
+            del self._warps[warp.uid]
             return
         for page in result.new_waits:
             self._waiters.setdefault(page, []).append(warp)

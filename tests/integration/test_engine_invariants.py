@@ -168,3 +168,65 @@ class TestDeadlockDetection:
         res = system.launch(k2)
         assert res.num_batches == 0
         assert res.kernel_time_usec > 0  # compute still takes time
+
+
+class TestCheckpointHoldsLiveState:
+    """A checkpoint costs what a restart needs: live warps only, and each
+    launch's immutable programs pickled once."""
+
+    def test_registry_holds_exactly_the_active_warps(self):
+        system = make_system()
+        mismatched = []
+
+        def hook(engine, batch_id):
+            active = {w.uid for sm in engine.device.sms for w in sm.active}
+            if set(engine._warps) != active:
+                mismatched.append(batch_id)
+
+        system.engine._batch_hooks.append(hook)
+        for _ in range(2):
+            StreamTriad(nbytes=2 * MB).run(system)
+        assert len(system.records) > 0
+        assert not mismatched, f"retired warps still registered at {mismatched}"
+        assert system.engine._warps == {}
+
+    def test_launch_start_state_does_not_grow_with_kernels_run(self):
+        system = make_system()
+        alloc = system.managed_alloc(16 * PAGE_SIZE)
+        kernel = KernelLaunch(
+            "repeat",
+            [WarpProgram([Phase.of([alloc.page(i)], compute_usec=1.0)]) for i in range(16)],
+        )
+        sizes = []
+        for _ in range(5):
+            sizes.append(len(system.engine.checkpoint()._blob))
+            system.launch(kernel)
+        # The first launch faults the pages in; the later ones only hit, so
+        # nothing but retired warps could make the state grow.
+        assert len(set(sizes[1:])) == 1, sizes
+
+    def test_captures_in_one_launch_share_the_program_pickle(self):
+        system = make_system()
+        ckpts = {}
+
+        def hook(engine, batch_id):
+            if batch_id in (1, 3):
+                ckpts[batch_id] = engine.checkpoint()
+
+        system.engine._batch_hooks.append(hook)
+        StreamTriad(nbytes=2 * MB).run(system)
+        assert ckpts[1]._programs_blob is ckpts[3]._programs_blob
+        # A restore installs the checkpoint's table, so it is not re-pickled.
+        ckpts[1].restore_into(system.engine)
+        assert system.engine.checkpoint()._programs_blob is ckpts[1]._programs_blob
+
+    def test_program_outside_the_launch_pickles_by_value(self):
+        system = make_system()
+        program = WarpProgram([Phase.of([1, 2])], label="enqueued by hand")
+        sm = system.engine.device.sms[0]
+        sm.enqueue(program)
+        ckpt = system.engine.checkpoint()
+        sm.queued.clear()
+        ckpt.restore_into(system.engine)
+        (restored,) = system.engine.device.sms[0].queued
+        assert restored == program and restored is not program

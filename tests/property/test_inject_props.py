@@ -45,13 +45,18 @@ WORKLOADS = {
 
 
 def build_config(seed=0, gpu_mem_mb=16, inject=None, profile=None, sites=None,
-                 checkpoint_every=0, sanitize=False, prefetch=True, eviction="lru"):
+                 checkpoint_every=0, sanitize=False, prefetch=True, eviction="lru",
+                 batch_size=None, utlb_cap=None):
     cfg = default_config()
     cfg.seed = seed
     cfg.gpu.memory_bytes = gpu_mem_mb * MB
     cfg.gpu.num_sms = 8
     cfg.driver.prefetch_enabled = prefetch
     cfg.driver.eviction_policy = eviction
+    if batch_size is not None:
+        cfg.driver.batch_size = batch_size
+    if utlb_cap is not None:
+        cfg.gpu.utlb_outstanding_limit = utlb_cap
     if inject is not None:
         cfg.inject.enabled = inject
         cfg.inject.profile = profile
@@ -164,6 +169,7 @@ _NOT_STATE_GROUPS = {
     ("last_bundle",): "where the latest crash bundle landed",
     ("_auto_checkpoint",): "the crash-recovery restore target itself",
     ("_batch_hooks",): "test and tooling callbacks",
+    ("_program_pickle",): "a cache of the launch's program pickle, not simulation state",
 }
 NOT_STATE = {name: why for names, why in _NOT_STATE_GROUPS.items() for name in names}
 
@@ -329,6 +335,11 @@ ROUND_TRIP_WORKLOADS = {
     "stream": WORKLOADS["stream"],
     "sgemm": lambda: Sgemm(n=1024),
 }
+#: Driver batch sizes: Fig 9's sweep around the default 256.
+BATCH_SIZES = (32, 64, 128, 256, 512, 1024)
+#: µTLB outstanding caps up to the default 56; a larger cap shortens the
+#: 16 MiB ``stream`` run below the eight batches ``at_batch`` may need.
+UTLB_CAPS = (8, 16, 32, 56)
 #: An ``engine.crash`` batch no run here reaches.
 PAST_THE_END = 10**9
 
@@ -348,14 +359,18 @@ class TestRestoreAcrossTheConfigSpace:
         profile=st.sampled_from(PROFILES),
         at_batch=st.integers(min_value=1, max_value=7),
         checkpoint_every=st.sampled_from((0, 4)),
+        batch_size=st.sampled_from(BATCH_SIZES),
+        utlb_cap=st.sampled_from(UTLB_CAPS),
     )
     @example(workload="stream", seed=0, gpu_mem_mb=4, prefetch=True, eviction="lru",
-             profile="kitchen-sink", at_batch=7, checkpoint_every=0)
+             profile="kitchen-sink", at_batch=7, checkpoint_every=0,
+             batch_size=256, utlb_cap=56)
     @example(workload="stream", seed=0, gpu_mem_mb=4, prefetch=True, eviction="lru",
-             profile="memory-pressure", at_batch=1, checkpoint_every=0)
+             profile="memory-pressure", at_batch=1, checkpoint_every=0,
+             batch_size=256, utlb_cap=56)
     def test_restore_reproduces_the_capture_and_the_clean_run(
         self, workload, seed, gpu_mem_mb, prefetch, eviction, profile, at_batch,
-        checkpoint_every,
+        checkpoint_every, batch_size, utlb_cap,
     ):
         if workload == "vecadd":
             at_batch = 1  # its shortest run (16 MiB, prefetch on) has two batches
@@ -363,6 +378,7 @@ class TestRestoreAcrossTheConfigSpace:
         cfg_kw = dict(
             seed=seed, gpu_mem_mb=gpu_mem_mb, prefetch=prefetch, eviction=eviction,
             inject=True, profile=profile, checkpoint_every=checkpoint_every,
+            batch_size=batch_size, utlb_cap=utlb_cap,
         )
         system, ckpt, captured = run_with_checkpoint(
             at_batch, make, sites={"engine.crash": {"at_batch": PAST_THE_END}}, **cfg_kw

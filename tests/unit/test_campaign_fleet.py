@@ -1,10 +1,13 @@
 """Unit tests for the fleet's pure pieces: retry policy, chaos parsing,
-failure taxonomy, row shaping, and mode routing.
+failure taxonomy, row shaping, mode routing, and cell-checkpoint loading.
 
 The process-level behavior (real kills, escalation, resume) lives in
 ``tests/integration/test_campaign_fleet.py``; everything here is
 deterministic single-process logic.
 """
+
+import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +20,13 @@ from repro.campaign import (
     make_row,
 )
 from repro.campaign.runner import _uses_fleet
-from repro.campaign.worker import FAILURE_CLASSES
+from repro.campaign.worker import (
+    CHECKPOINT_VERSION,
+    FAILURE_CLASSES,
+    cell_key,
+    run_cell,
+    write_cell_checkpoint,
+)
 
 
 class TestRetryPolicy:
@@ -138,3 +147,45 @@ class TestModeRouting:
         assert _uses_fleet(1, config)
         config = FleetConfig(chaos=FleetChaos())
         assert not _uses_fleet(1, config)
+
+
+class TestCellCheckpointFile:
+    """A resumable cell never fails on a bad checkpoint file: it reruns."""
+
+    PAYLOAD = {
+        "index": 0,
+        "workload": "vecadd",
+        "config_label": "base",
+        "seed": 0,
+        "overrides": {},
+    }
+
+    @pytest.mark.parametrize(
+        "engine_blob",
+        [b"not a checkpoint", pickle.dumps({"clock_now": 0.0})],
+        ids=["garbage", "single-pickle-layout"],
+    )
+    def test_undecodable_engine_blob_reruns_from_scratch(self, tmp_path, engine_blob):
+        path = str(tmp_path / "cell-0.ckpt")
+        write_cell_checkpoint(
+            path,
+            {
+                "version": CHECKPOINT_VERSION,
+                "cell_key": cell_key(self.PAYLOAD),
+                "cell_index": 0,
+                "next_step": 1,
+                "in_launch": False,
+                "engine_blob": engine_blob,
+                "launches": pickle.dumps([]),
+                "counters": {},
+                "t0_usec": 0.0,
+                "batches": 0,
+            },
+        )
+        events = []
+        resumed = run_cell(
+            dict(self.PAYLOAD, checkpoint_path=path, resume=True),
+            telemetry=SimpleNamespace(put=events.append),
+        )
+        assert "job.resume" not in [event["type"] for event in events]
+        assert resumed == run_cell(dict(self.PAYLOAD))
