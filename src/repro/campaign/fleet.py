@@ -202,8 +202,8 @@ class _WorkerHandle:
         self.process.start()
         #: Index of the job this worker is running (None = idle).
         self.job: Optional[int] = None
-        self.dispatched_at: float = 0.0  # dim: [wall]
-        self.termed_at: Optional[float] = None  # dim: [wall]
+        self.dispatched_at: float = 0.0
+        self.termed_at: Optional[float] = None
         self.kill_reason: Optional[str] = None
 
     @property
@@ -256,7 +256,7 @@ class _JobSlot:
     cache_key: Optional[str]
     run_attempts: int = 0
     base_attempts: int = 0
-    next_eligible: float = 0.0  # dim: [wall]
+    next_eligible: float = 0.0
 
     @property
     def attempt_no(self) -> int:
@@ -303,7 +303,8 @@ class FleetCoordinator:
         self._result_q = self._manager.Queue()
         self._telemetry_q = self._manager.Queue()
         # Fleet self-observation: registered here, declared (with units) in
-        # repro.obs.catalog — the metric-drift pass checks both directions.
+        # repro.obs.catalog; tests/unit/check/test_obs_catalog.py checks
+        # this registry against the catalog.
         self.metrics = MetricsRegistry()
         self._m_retries = self.metrics.counter(
             "uvm_fleet_retries_total",

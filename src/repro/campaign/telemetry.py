@@ -145,8 +145,8 @@ class JobState:
     config: str
     seed: int
     batches: int = 0
-    started_at: float = 0.0  # dim: [wall]
-    last_seen: float = 0.0  # dim: [wall]
+    started_at: float = 0.0
+    last_seen: float = 0.0
 
 
 @dataclass
@@ -160,7 +160,7 @@ class CampaignProgress:
     failed: int = 0
     retried: int = 0
     batches_done: int = 0
-    started_at: float = 0.0  # dim: [wall]
+    started_at: float = 0.0
     running: Dict[int, JobState] = field(default_factory=dict)
 
     @property

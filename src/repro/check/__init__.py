@@ -9,10 +9,11 @@ Three complementary layers guard the reproduction's fidelity guarantee:
 * :mod:`repro.check.program` — the whole-program engine: a project IR
   (module index, symbol tables, intra-package call graph) feeding the
   interprocedural passes — ``sim-taint`` (wall-clock/unseeded-RNG values
-  flowing into the simulated timeline), ``metric-drift`` (call sites vs
-  the :mod:`repro.obs.catalog` declarations), ``mp-shared-state``
-  (module-global mutation reachable from campaign pool workers), and
-  ``suppression-hygiene`` — plus the committed baseline and SARIF export.
+  flowing into the simulated timeline), ``mp-shared-state``
+  (module-global mutation reachable from campaign pool workers),
+  ``lifecycle`` (resource open/close linearity over the protocol
+  catalog), and ``suppression-hygiene`` — plus the committed baseline and
+  SARIF export.
   The per-file rules run as one more pass on the same engine; everything
   is reachable through ``uvm-repro lint``.
 * :mod:`repro.check.sanitizer` — UVMSan, a config-gated runtime invariant

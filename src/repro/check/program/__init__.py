@@ -2,25 +2,24 @@
 
 PR 2's determinism lint sees one file at a time; this package sees the
 project.  A shared IR (:mod:`~repro.check.program.ir`: module index,
-symbol tables, intra-package call graph) feeds seven passes through one
+symbol tables, intra-package call graph) feeds five passes through one
 engine (:mod:`~repro.check.program.engine`):
 
 * ``determinism`` — the per-file hazard rules, ported onto the IR;
 * ``sim-taint`` — interprocedural taint from wall-clock / unseeded-RNG
   sources into sim-clock, event-timestamp, and BatchRecord-timer sinks;
-* ``metric-drift`` — metric/span call sites cross-checked against the
-  declarative :mod:`repro.obs.catalog` (units included);
 * ``mp-shared-state`` — module-global reads/writes reachable from
   multiprocessing worker entry points;
-* ``dimensions`` — interprocedural units-and-dimensions inference
-  (bytes/page/region/vablock vs sim-µs/wall-s;
-  :mod:`~repro.check.program.dimensions`);
 * ``lifecycle`` — resource linearity over the declarative protocol
   catalog (:mod:`~repro.check.program.protocols`): BatchRecord
   open→close/abort, spans, SQLite ledgers, atomic-write temp files,
   telemetry monitors (:mod:`~repro.check.program.lifecycle`);
 * ``suppression-hygiene`` — stale ``lint-ok`` comments and dead
   allowlist entries.
+
+The metric/span catalog (:mod:`repro.obs.catalog`) is checked at run
+time instead, by :func:`repro.obs.catalog.validate_registry` and the
+coverage test in ``tests/unit/check/test_obs_catalog.py``.
 
 Filtering order: line suppressions → allowlist → committed baseline
 (:mod:`~repro.check.program.baseline`).  Output: human, JSON
@@ -36,7 +35,6 @@ from .baseline import (
     load_baseline,
     save_baseline,
 )
-from .dimensions import DimensionsPass
 from .engine import (
     AnalysisReport,
     SEED_SUFFIXES,
@@ -52,7 +50,6 @@ from .hygiene import SuppressionHygienePass
 from .ir import ProjectIR, build_project_ir
 from .lifecycle import LifecyclePass
 from .local_rules import LocalRulesPass
-from .metric_drift import MetricDriftPass
 from .protocols import PROTOCOLS, ResourceProtocol
 from .sarif import sarif_to_json, to_sarif
 from .shared_state import SharedStatePass, find_worker_entry_points
@@ -63,11 +60,9 @@ __all__ = [
     "AnalysisReport",
     "BaselineEntry",
     "DEFAULT_BASELINE_PATH",
-    "DimensionsPass",
     "Finding",
     "LifecyclePass",
     "LocalRulesPass",
-    "MetricDriftPass",
     "PROTOCOLS",
     "ProjectIR",
     "ResourceProtocol",

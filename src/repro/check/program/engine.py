@@ -31,12 +31,10 @@ import time
 from ..lint import AllowEntry, LintFinding, _SUPPRESS_RE
 from .base import AnalysisPass, Finding, Rule, fingerprint_findings, normalize_path
 from .baseline import BaselineEntry, apply_baseline
-from .dimensions import DimensionsPass
 from .hygiene import SuppressionHygienePass
 from .ir import ProjectIR, build_project_ir
 from .lifecycle import LifecyclePass
 from .local_rules import LocalRulesPass
-from .metric_drift import MetricDriftPass
 from .shared_state import SharedStatePass
 from .taint import SimTaintPass
 
@@ -46,20 +44,16 @@ def default_passes() -> List[AnalysisPass]:
     return [
         LocalRulesPass(),
         SimTaintPass(),
-        MetricDriftPass(),
         SharedStatePass(),
-        DimensionsPass(),
         LifecyclePass(),
     ]
 
 
 #: Analysis-seed files: editing one changes what the passes report in
-#: *other* files (unit signatures, the metric catalog, the protocol
-#: catalog), so a ``--changed-only`` run restricted to the diff would
-#: report a silently stale clean result.
+#: *other* files (the protocol catalog, the allowlist, the baseline), so a
+#: ``--changed-only`` run restricted to the diff would report a silently
+#: stale clean result.
 SEED_SUFFIXES = (
-    "repro/units.py",
-    "repro/obs/catalog.py",
     "repro/check/program/protocols.py",
     "repro/check/lint_allow.txt",
     "repro/check/lint_baseline.json",

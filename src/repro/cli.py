@@ -16,8 +16,7 @@ Subcommands:
   (Prometheus text, or ``--json`` for the snapshot dict);
 * ``lint [paths...]`` — whole-program static analysis over the simulator
   sources: per-file determinism rules plus the interprocedural sim-taint,
-  metric-drift, mp-shared-state, suppression-hygiene, and dimensions
-  (bytes/page/µs unit inference) passes, filtered
+  mp-shared-state, lifecycle, and suppression-hygiene passes, filtered
   through the allowlist and the committed baseline (exit 0 clean / 1
   findings / 2 usage error; ``--format json|sarif`` for machine output,
   ``--changed-only`` to scope reporting to a git diff);
@@ -517,8 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
             else:
-                # Analysis seeds (units table, obs catalog, protocol
-                # catalog, checkpoint skip sets, allow/baseline files)
+                # Analysis seeds (protocol catalog, allow/baseline files)
                 # parameterize findings in *other* files — a diff touching
                 # one invalidates every file's results, so restricting the
                 # report to the diff would silently hide regressions.

@@ -115,7 +115,7 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
             sm_fault_counts=np.zeros(num_sms, dtype=np.int32),
         )
 
-    pages = faults.pages_array()  # dim: [page]
+    pages = faults.pages_array()
     accesses = faults.accesses_array()
     utlb_ids = faults.utlb_ids_array()
     sm_counts = np.bincount(faults.sm_ids_array(), minlength=num_sms).astype(
@@ -127,12 +127,12 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
     # earliest arrival is recovered as the minimum argsort index per run,
     # and the page-rank scatter below is order-insensitive within a run.
     order = np.argsort(pages)
-    sorted_pages = pages[order]  # dim: [page]
+    sorted_pages = pages[order]
     is_first = np.empty(n, dtype=bool)
     is_first[0] = True
     np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=is_first[1:])
     run_starts = np.nonzero(is_first)[0]
-    uniq_pages = sorted_pages[run_starts]  # dim: [page]
+    uniq_pages = sorted_pages[run_starts]
     first_idx = np.minimum.reduceat(order, run_starts)
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.cumsum(is_first) - 1
@@ -173,7 +173,7 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
     block_rank = np.empty(num_blocks, dtype=np.int64)
     block_rank[block_order] = np.arange(num_blocks)
     perm = np.argsort(block_rank[blk_inv] * n + first_idx)
-    grouped_pages = uniq_pages[perm]  # dim: [page]
+    grouped_pages = uniq_pages[perm]
     grouped_written = page_written[perm]
     grouped_prefetch_only = ~page_demanded[perm]
     blk_ends = np.empty(num_blocks, dtype=np.int64)

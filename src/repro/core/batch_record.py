@@ -30,12 +30,12 @@ class BatchRecord:
 
     batch_id: int
     #: Simulated time servicing began/ended (µs).
-    t_start: float = 0.0  # dim: us
-    t_end: float = 0.0  # dim: us
+    t_start: float = 0.0
+    t_end: float = 0.0
     #: Arrival timestamps of the first/last fault fetched (Fig 4's per-fault
     #: buffer-arrival instrumentation).
-    t_first_fault: float = 0.0  # dim: us
-    t_last_fault: float = 0.0  # dim: us
+    t_first_fault: float = 0.0
+    t_last_fault: float = 0.0
 
     # --- size and duplicates -------------------------------------------------
     num_faults_raw: int = 0
@@ -60,16 +60,16 @@ class BatchRecord:
     vablock_fault_counts: Optional[np.ndarray] = None
 
     # --- migration -----------------------------------------------------------
-    pages_migrated_h2d: int = 0  # dim: count
-    bytes_h2d: int = 0  # dim: bytes
+    pages_migrated_h2d: int = 0
+    bytes_h2d: int = 0
     pages_populated: int = 0
     #: Pages added by the prefetcher beyond the faulted set.
     pages_prefetched: int = 0
 
     # --- eviction ------------------------------------------------------------
     evictions: int = 0
-    pages_evicted: int = 0  # dim: count
-    bytes_d2h: int = 0  # dim: bytes
+    pages_evicted: int = 0
+    bytes_d2h: int = 0
     #: Evicted blocks that skipped CPU unmapping (already unmapped — the
     #: lower "levels" of Fig 13).
     evictions_unmap_free: int = 0

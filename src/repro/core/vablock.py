@@ -75,14 +75,14 @@ def legal_transition(old: VABlockPhase, new: VABlockPhase) -> bool:
 class VABlockState:
     """Driver-side state for one 2 MiB VABlock."""
 
-    block_id: int  # dim: vablock
+    block_id: int
     #: Global page ids belonging to a managed allocation within this block
     #: (a tail block may be partial).
-    valid_pages: Set[int]  # dim: [page]
+    valid_pages: Set[int]
     #: Physical chunk id on the device, or None.
-    gpu_chunk: Optional[int] = None  # dim: chunk
+    gpu_chunk: Optional[int] = None
     #: Pages currently GPU-resident.
-    resident_pages: Set[int] = field(default_factory=set)  # dim: [page]
+    resident_pages: Set[int] = field(default_factory=set)
     #: Compulsory DMA/radix state created (once per block lifetime).
     dma_initialized: bool = False
     #: Number of times this block has been evicted.

@@ -44,12 +44,12 @@ class Fault(NamedTuple):
         timestamp: simulated arrival time at the fault buffer (µs), Fig 4.
     """
 
-    page: int  # dim: page
+    page: int
     access: AccessType
     sm_id: int
     utlb_id: int
     warp_uid: int
-    timestamp: float  # dim: us
+    timestamp: float
 
     @property
     def is_prefetch(self) -> bool:
@@ -89,9 +89,9 @@ class FaultArrays:
         #: ``access`` entries are :class:`AccessType` members stored
         #: as-given (coercion deferred to :meth:`accesses_array`).
         self.flat: List = []
-        self.timestamps: List[float] = []  # dim: [us]
+        self.timestamps: List[float] = []
 
-    def append(  # dim: page=page, timestamp=us
+    def append(
         self,
         page: int,
         access: AccessType,
@@ -157,7 +157,7 @@ class FaultArrays:
     # ------------------------------------------------------ numpy views
 
     def pages_array(self) -> np.ndarray:
-        return np.asarray(self.flat[self._PAGE :: 5], dtype=np.int64)  # dim: [page]
+        return np.asarray(self.flat[self._PAGE :: 5], dtype=np.int64)
 
     def accesses_array(self) -> np.ndarray:
         # array('q') coerces IntEnum members via the __index__ fast path,

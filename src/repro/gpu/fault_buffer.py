@@ -76,7 +76,7 @@ class FaultBuffer:
         """Enable the ``fault_buffer.*`` injection sites on this buffer."""
         self._inj = injector
 
-    def admit(  # dim: page=page, timestamp=us
+    def admit(
         self,
         window: FaultArrays,
         page: int,

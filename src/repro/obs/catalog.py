@@ -4,41 +4,39 @@ emits.
 The registry API registers families lazily at call sites, which is
 ergonomic but drift-prone: rename a family at its one registration site
 and every dashboard, reconciliation identity, and cross-run diff silently
-loses the series.  This module is the single declarative source of truth
-the ``metric-drift`` whole-program pass (:mod:`repro.check.program`)
-checks every call site in ``src/`` against:
+loses the series.  This module is the single declarative source of truth,
+checked by running the simulator:
 
-* a family registered anywhere but missing here → ``metric-undeclared``;
-* kind / label-key disagreement with the declaration → ``metric-mismatch``;
-* an entry here that no call site emits → ``metric-unused``;
-* a ``span(...)`` name missing from :data:`SPAN_CATALOG` →
-  ``span-undeclared``;
-* an entry with a missing or unknown ``unit`` → ``metric-no-unit``.
+* :func:`validate_registry` rejects a family a live registry holds that
+  is undeclared here, whose kind or label keys disagree with its
+  declaration, or whose declared ``unit`` is missing or outside
+  :data:`UNIT_VOCAB`;
+* ``tests/unit/check/test_obs_catalog.py`` runs the benchmark matrix at
+  reduced scale, a recovered chaos run, a two-GPU run and a fleet
+  coordinator, and asserts that the families they register and the spans
+  they record are exactly the entries below, so the catalog can drift
+  from reality in neither direction.
 
-Every entry declares its measurement ``unit`` (one of
-:data:`repro.check.program.dims.UNIT_VOCAB`): ``bytes``/``us``/``wall_s``
-are strong dimensions the ``dimensions`` pass checks emission arguments
-against, while count-like units (``pages``, ``faults``, ``batches``, …)
-additionally reject any strongly-dimensioned argument — a page *id*
-observed into a ``pages`` counter is a bug, not a count.
-
-The pass parses this file *statically* (the dict literals below must stay
-literals — no comprehensions, no computed keys).  A runtime cross-check in
-``tests/unit/check/test_obs_catalog.py`` additionally runs a real workload
-and asserts the registered families agree with these declarations, so the
-catalog can drift from reality in neither direction.
-
-When adding a metric: register it at the call site, declare it here with a
-unit, done — CI's ``lint-program`` job fails on any half alone.
+When adding a metric or span: register or record it at the call site,
+declare it here with a unit, and make sure one of the coverage runs
+emits it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
+#: Every unit a catalog entry may declare.  ``bytes``/``us``/``wall_s`` are
+#: physical quantities; the rest count events of the named kind.
+UNIT_VOCAB = frozenset(
+    {"bytes", "pages", "us", "wall_s", "count", "batches", "faults",
+     "kernels", "rounds", "vablocks", "bursts", "ops", "retries",
+     "violations", "bundles", "recoveries", "evictions", "kills",
+     "resumes", "writes"}
+)
+
 #: family name → {"kind": counter|gauge|histogram, "labels": (keys...),
-#: "help": one-liner, "unit": measurement unit}.  Keep alphabetical; keep
-#: values literal.
+#: "help": one-liner, "unit": measurement unit}.  Keep alphabetical.
 METRIC_CATALOG: Dict[str, dict] = {
     "uvm_batch_faults": {
         "kind": "histogram",
@@ -207,7 +205,7 @@ METRIC_CATALOG: Dict[str, dict] = {
 #: span name → {"help": one-line description, "unit": duration unit}.
 #: Covers ``obs.span(...)`` / ``spans.span(...)`` context spans and the
 #: manual ``spans.record(...)`` replayed spans.  Every span duration is
-#: simulated microseconds.  Keep alphabetical; keep literal.
+#: simulated microseconds.  Keep alphabetical.
 SPAN_CATALOG: Dict[str, dict] = {
     "driver.batch": {
         "help": "one batch envelope, reconciled against BatchRecord",
@@ -260,10 +258,6 @@ def declared_label_keys(name: str) -> Tuple[str, ...]:
 def validate_registry(registry) -> list:
     """Runtime cross-check: every family a live registry holds must match
     its declaration.  Returns human-readable problem strings (empty = ok).
-
-    Used by the catalog unit test after a real workload run, closing the
-    loop the static pass cannot: the pass proves call sites agree with the
-    catalog, this proves the *runtime* registry does too.
     """
     problems = []
     snapshot = registry.snapshot()
@@ -282,6 +276,9 @@ def validate_registry(registry) -> list:
                 f"{name}: declared labels {tuple(decl['labels'])!r}, "
                 f"registered {tuple(family.label_names)!r}"
             )
-        if not decl.get("unit"):
+        unit = decl.get("unit")
+        if not unit:
             problems.append(f"{name}: declaration carries no unit")
+        elif unit not in UNIT_VOCAB:
+            problems.append(f"{name}: unit {unit!r} not in UNIT_VOCAB")
     return problems

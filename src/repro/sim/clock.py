@@ -25,28 +25,28 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:  # dim: start=us
-        self._now = float(start)  # dim: us
+    def __init__(self, start: float = 0.0) -> None:
+        self._now = float(start)
 
     @property
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
 
-    def advance(self, usec: float) -> float:  # dim: usec=us -> us
+    def advance(self, usec: float) -> float:
         """Advance by ``usec`` (must be non-negative); returns the new time."""
         if usec < 0:
             raise ValueError(f"cannot advance clock by negative time {usec}")
         self._now += usec
         return self._now
 
-    def advance_to(self, deadline: float) -> float:  # dim: deadline=us -> us
+    def advance_to(self, deadline: float) -> float:
         """Advance to ``deadline`` if it is in the future; never rewinds."""
         if deadline > self._now:
             self._now = deadline
         return self._now
 
-    def restore(self, now: float) -> None:  # dim: now=us
+    def restore(self, now: float) -> None:
         """Set the clock to an absolute time — checkpoint restore only.
 
         The only sanctioned rewind: :class:`repro.sim.checkpoint` rolls the

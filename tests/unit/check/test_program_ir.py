@@ -21,8 +21,6 @@ class TestProjectIR:
             "miniproj.clock",
             "miniproj.graph",
             "miniproj.hygiene_mod",
-            "miniproj.metrics_use",
-            "miniproj.obs_catalog",
             "miniproj.pool",
             "miniproj.timing",
         }

@@ -58,87 +58,6 @@ class TestSimTaintPass:
         assert by_rule(analyze(mini_copy), "sim-taint") == []
 
 
-class TestMetricDriftPass:
-    DRIFT_RULES = ("metric-undeclared", "metric-mismatch", "metric-unused",
-                   "span-undeclared", "metric-no-unit")
-
-    def drift(self, report):
-        return [f for f in report.findings if f.rule in self.DRIFT_RULES]
-
-    def test_pristine_fixture_is_clean(self):
-        assert self.drift(analyze()) == []
-
-    def test_renamed_emission_yields_exactly_one_finding(self, mini_copy):
-        """The acceptance scenario: rename one metric family at one call
-        site and observe exactly one finding."""
-        use = mini_copy / "metrics_use.py"
-        src = use.read_text()
-        assert src.count('"mini_batches_total"') == 2
-        use.write_text(
-            src.replace('"mini_batches_total"', '"mini_batchez_total"', 1)
-        )
-        findings = self.drift(analyze(mini_copy))
-        assert len(findings) == 1
-        assert findings[0].rule == "metric-undeclared"
-        assert "mini_batchez_total" in findings[0].message
-
-    def test_label_set_mismatch_detected(self, mini_copy):
-        use = mini_copy / "metrics_use.py"
-        use.write_text(
-            use.read_text().replace('labels=("kind",)', 'labels=("mode",)', 1)
-        )
-        findings = self.drift(analyze(mini_copy))
-        assert [f.rule for f in findings] == ["metric-mismatch"]
-        assert "('kind',)" in findings[0].message
-
-    def test_labels_arity_mismatch_detected(self, mini_copy):
-        use = mini_copy / "metrics_use.py"
-        # Only the chained form (counter(...).labels(...)) carries arity
-        # statically; the variable-receiver form in `instrument` does not.
-        use.write_text(
-            use.read_text().replace('.labels("prefetch")',
-                                    '.labels("prefetch", "extra")')
-        )
-        findings = self.drift(analyze(mini_copy))
-        assert [f.rule for f in findings] == ["metric-mismatch"]
-        assert "2 value(s)" in findings[0].message
-
-    def test_dead_declaration_reported_as_unused(self, mini_copy):
-        cat = mini_copy / "obs_catalog.py"
-        cat.write_text(
-            cat.read_text().replace(
-                '"mini_resident_pages": {',
-                '"mini_orphan_pages": {\n'
-                '        "kind": "gauge",\n'
-                '        "help": "never emitted",\n'
-                '        "labels": (),\n'
-                '        "unit": "pages",\n'
-                '    },\n'
-                '    "mini_resident_pages": {',
-            )
-        )
-        findings = self.drift(analyze(mini_copy))
-        assert [f.rule for f in findings] == ["metric-unused"]
-        assert "mini_orphan_pages" in findings[0].message
-
-    def test_undeclared_span_detected(self, mini_copy):
-        use = mini_copy / "metrics_use.py"
-        use.write_text(
-            use.read_text().replace('obs.span("mini.batch")',
-                                    'obs.span("mini.mystery")')
-        )
-        rules = sorted(f.rule for f in self.drift(analyze(mini_copy)))
-        # the renamed span is undeclared AND the declared one goes unused
-        assert rules == ["metric-unused", "span-undeclared"]
-
-    def test_numpy_histogram_not_mistaken_for_metric(self):
-        report = analyze()
-        assert not any(
-            "histogram" in f.message and "not_a_metric" in f.message
-            for f in self.drift(report)
-        )
-
-
 class TestSharedStatePass:
     def test_worker_reachable_write_flagged_once(self):
         writes = by_rule(analyze(), "mp-global-write")

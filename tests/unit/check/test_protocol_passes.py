@@ -145,12 +145,12 @@ class TestSeedInvalidation:
 
         monkeypatch.setattr(
             program, "changed_files",
-            lambda ref: ["src/repro/units.py", "src/repro/core/batch.py"],
+            lambda ref: ["src/repro/check/lint_allow.txt", "src/repro/core/batch.py"],
         )
         cli_main(["lint", str(FIXTURES), "--changed-only"])
         err = capsys.readouterr().err
         assert "analysis seed(s) changed" in err
-        assert "units.py" in err
+        assert "lint_allow.txt" in err
 
     def test_changed_only_stays_narrow_without_seeds(
         self, monkeypatch, capsys
@@ -170,11 +170,11 @@ class TestSeedInvalidation:
         changed = [
             "src/repro/core/driver.py",
             "src/repro/check/program/protocols.py",
-            "src/repro/obs/catalog.py",
+            "src/repro/check/lint_allow.txt",
         ]
         seeds = seeds_in_changed(changed)
         assert seeds == ["src/repro/check/program/protocols.py",
-                         "src/repro/obs/catalog.py"]
+                         "src/repro/check/lint_allow.txt"]
 
     def test_non_seed_changes_pass_through(self):
         assert seeds_in_changed(["src/repro/core/batch.py"]) == []
