@@ -18,6 +18,13 @@ per-fault hot paths guard their hook calls on an attached-sanitizer ``None``
 check, so a regular run pays nothing.  The sanitizer only ever *reads*
 simulator state: the simulated timeline is bit-identical with it on or off.
 
+The VABlock rules cost what a batch changed: the driver reports every
+block whose chunk or page sets it changes, a batch end checks only those
+blocks, and a :class:`BlockLedger` carries the global identities (chunks in
+use, pages in the page table) from one batch to the next.  A full scan of
+every block runs every :data:`FULL_SCAN_EVERY` batches, at the end of each
+launch and after a checkpoint restore.
+
 Violations raise :class:`repro.errors.InvariantViolation` with clock/batch
 context ("raise" mode) or accumulate on :attr:`Sanitizer.violations`
 ("report" mode, used by ``repro validate``), and always increment the
@@ -26,17 +33,181 @@ context ("raise" mode) or accumulate on :attr:`Sanitizer.violations`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import InvariantViolation
 from ..units import PAGE_SIZE
-from ..core.vablock import VABlockPhase, legal_transition
+from ..core.vablock import VABlockPhase, VABlockState, legal_transition
 
 #: Absolute + relative float tolerance for timer reconciliation: component
 #: costs are summed in a different order by the clock than by
 #: ``BatchRecord.service_time``, so allow double-rounding slack only.
 _ABS_TOL = 1e-6
 _REL_TOL = 1e-9
+
+#: Batch ends between two full VABlock scans.  In between, a batch end
+#: checks only the blocks the batch touched (see :meth:`Sanitizer.on_batch_end`).
+FULL_SCAN_EVERY = 64
+
+#: One failed block rule: ``(rule, detail, block id or None)``.
+Finding = Tuple[str, str, Optional[int]]
+
+
+class BlockLedger:
+    """Running chunk and page accounting over one driver's VABlocks.
+
+    :meth:`check` runs the per-block rules on some blocks and re-accounts
+    each: the chunk it holds (and the chunk → block map the shared-chunk
+    rule needs) and how many of its tracked pages — resident or
+    remote-mapped — the GPU page table maps.  :meth:`identities` then
+    compares the running totals against the chunk allocator and the page
+    table.  Re-checking only the blocks that changed therefore keeps both
+    global identities exact without walking every block.
+    """
+
+    __slots__ = ("chunk_of", "owner_of", "mapped_of", "mapped_total")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        #: Block id → the chunk it held when last checked.
+        self.chunk_of: Dict[int, int] = {}
+        #: Chunk → the block id first seen holding it.
+        self.owner_of: Dict[int, int] = {}
+        #: Block id → its tracked pages the page table maps.
+        self.mapped_of: Dict[int, int] = {}
+        self.mapped_total = 0
+
+    def check(self, blocks, pt_resident, phases=None) -> List[Finding]:
+        """Per-block rules for ``blocks``, re-accounting each.  ``phases``
+        (block id → last phase seen) adds the transition rule and is
+        updated."""
+        chunk_of = self.chunk_of
+        owner_of = self.owner_of
+        # Release every old chunk first: a chunk freed by one of these
+        # blocks may have been granted to another of them.
+        for block in blocks:
+            old_chunk = chunk_of.pop(block.block_id, None)
+            if old_chunk is not None and owner_of.get(old_chunk) == block.block_id:
+                del owner_of[old_chunk]
+        findings: List[Finding] = []
+        for block in blocks:
+            self._check_block(block, pt_resident, phases, findings)
+        return findings
+
+    def _check_block(self, block, pt_resident, phases, findings) -> None:
+        block_id = block.block_id
+        resident = block.resident_pages
+        remote = block.remote_pages
+        chunk = block.gpu_chunk
+        if phases is not None:
+            phase = block.phase
+            old = phases.get(block_id, VABlockPhase.REGISTERED)
+            if not legal_transition(old, phase):
+                findings.append((
+                    "vablock-state",
+                    f"block {block_id} jumped {old.value} -> {phase.value} "
+                    "without passing the allocation path",
+                    block_id,
+                ))
+            phases[block_id] = phase
+        if not resident <= block.valid_pages:
+            stray = next(iter(resident - block.valid_pages))
+            findings.append((
+                "residency",
+                f"block {block_id} has resident page {stray} outside its "
+                "valid range",
+                block_id,
+            ))
+        if chunk is None and resident:
+            findings.append((
+                "vablock-state",
+                f"block {block_id} has {len(resident)} resident pages but no "
+                "physical chunk",
+                block_id,
+            ))
+        if chunk is not None:
+            self.chunk_of[block_id] = chunk
+            owner = self.owner_of.setdefault(chunk, block_id)
+            if owner != block_id:
+                findings.append((
+                    "memory",
+                    f"blocks {owner} and {block_id} share physical chunk "
+                    f"{chunk}",
+                    block_id,
+                ))
+        mapped = 0
+        for pages in (resident, remote):
+            if pages <= pt_resident:
+                mapped += len(pages)
+                continue
+            missing = pages - pt_resident
+            mapped += len(pages) - len(missing)
+            findings.append((
+                "residency",
+                f"page {next(iter(missing))} tracked as resident by block "
+                f"{block_id} but absent from the GPU page table "
+                f"({len(missing)} total)",
+                block_id,
+            ))
+        if remote:
+            double = resident & remote
+            if double:
+                mapped -= len(double & pt_resident)
+                findings.append((
+                    "residency",
+                    f"block {block_id} page {next(iter(double))} is both "
+                    "migrated and remote-mapped",
+                    block_id,
+                ))
+        self.mapped_total += mapped - self.mapped_of.get(block_id, 0)
+        self.mapped_of[block_id] = mapped
+
+    def identities(self, device) -> List[Finding]:
+        """Allocated blocks against chunks in use, and mapped tracked pages
+        against the page table."""
+        findings: List[Finding] = []
+        used = device.chunks.used_chunks
+        if len(self.chunk_of) != used:
+            findings.append((
+                "memory",
+                f"{len(self.chunk_of)} GPU-allocated blocks vs {used} chunks "
+                "in use",
+                None,
+            ))
+        gap = len(device.page_table.resident) - self.mapped_total
+        if gap > 0:
+            findings.append((
+                "residency",
+                f"{gap} pages mapped in the GPU page table but tracked by no "
+                "VABlock",
+                None,
+            ))
+        elif gap < 0:
+            findings.append((
+                "residency",
+                f"{-gap} pages tracked by VABlocks left the GPU page table "
+                "since their blocks were last checked",
+                None,
+            ))
+        return findings
+
+
+def scan_blocks(
+    driver, phases=None, ledger: Optional[BlockLedger] = None
+) -> List[Finding]:
+    """Full VABlock scan: the per-block rules on every block, then the
+    global identities.  ``ledger`` (a fresh one by default) is rebuilt from
+    scratch; ``phases`` is as for :meth:`BlockLedger.check`."""
+    if ledger is None:
+        ledger = BlockLedger()
+    ledger.clear()
+    findings = ledger.check(
+        driver.vablocks.blocks(), driver.device.page_table.resident, phases
+    )
+    findings.extend(ledger.identities(driver.device))
+    return findings
 
 
 class NullSanitizer:
@@ -63,6 +234,9 @@ class NullSanitizer:
     def on_block_evicted(self, block) -> None:
         pass
 
+    def on_block_touched(self, block) -> None:
+        pass
+
     def on_utlb(self, utlb) -> None:
         pass
 
@@ -82,7 +256,13 @@ class NullSanitizer:
         pass
 
     def summary(self) -> dict:
-        return {"enabled": False, "violations": 0, "by_rule": {}}
+        return {
+            "enabled": False,
+            "violations": 0,
+            "by_rule": {},
+            "full_scans": 0,
+            "blocks_checked": 0,
+        }
 
 
 NULL_SANITIZER = NullSanitizer()
@@ -129,10 +309,19 @@ class Sanitizer:
         self._ce_d2h0 = 0
         #: Last phase observed per block — transitions that bypass the
         #: allocate/evict hooks (illegal REGISTERED→RESIDENT jumps) show up
-        #: as illegal edges at the next scan.
+        #: as illegal edges when the block is next checked.
         self._phases: Dict[int, VABlockPhase] = {}
         #: Highest allocation stamp seen (stamps must be strictly monotonic).
         self._max_stamp = 0
+        #: Blocks whose chunk or page sets changed since they were last
+        #: checked, by id in hook order.
+        self._touched: Dict[int, VABlockState] = {}
+        #: Running chunk/page accounting behind the global identities.
+        self._ledger = BlockLedger()
+        self._batches_since_scan = 0
+        #: Full scans run, and blocks checked by the per-batch path.
+        self.full_scans = 0
+        self.blocks_checked = 0
 
     # ------------------------------------------------------------ reporting
 
@@ -162,6 +351,8 @@ class Sanitizer:
             "mode": self.mode,
             "violations": self.total_violations,
             "by_rule": by_rule,
+            "full_scans": self.full_scans,
+            "blocks_checked": self.blocks_checked,
         }
 
     # ----------------------------------------------------------- primitives
@@ -284,6 +475,7 @@ class Sanitizer:
             )
         self._max_stamp = max(self._max_stamp, block.alloc_stamp)
         self._phases[block.block_id] = VABlockPhase.ALLOCATED
+        self._touched[block.block_id] = block
 
     def on_block_evicted(self, block) -> None:
         """A VABlock just lost its chunk (§5.1 evict edge)."""
@@ -309,6 +501,12 @@ class Sanitizer:
                 block=block.block_id,
             )
         self._phases[block.block_id] = VABlockPhase.REGISTERED
+        self._touched[block.block_id] = block
+
+    def on_block_touched(self, block) -> None:
+        """``block``'s resident or remote-mapped pages changed; it is
+        checked at the next batch end."""
+        self._touched[block.block_id] = block
 
     # --------------------------------------------------------- batch bounds
 
@@ -336,7 +534,11 @@ class Sanitizer:
         self.on_fault_buffer(driver.device.fault_buffer)
         for utlb in driver.device.utlbs:
             self.on_utlb(utlb)
-        self._scan_blocks(driver)
+        self._batches_since_scan += 1
+        if self._batches_since_scan >= FULL_SCAN_EVERY:
+            self._scan_blocks(driver)
+        else:
+            self._check_touched(driver)
         self._batch_id = None
 
     def on_batch_abort(self, driver, record) -> None:
@@ -522,82 +724,31 @@ class Sanitizer:
 
     # --------------------------------------------------------- global scans
 
+    def _report(self, findings: List[Finding]) -> None:
+        for rule, detail, block_id in findings:
+            if block_id is None:
+                self._violate(rule, detail)
+            else:
+                self._violate(rule, detail, block=block_id)
+
+    def _check_touched(self, driver) -> None:
+        """Per-block rules on the blocks touched since the last check, then
+        the global identities from the running ledger."""
+        touched = self._touched
+        if touched:
+            self._report(self._ledger.check(
+                touched.values(), driver.device.page_table.resident, self._phases
+            ))
+            self.blocks_checked += len(touched)
+            touched.clear()
+        self._report(self._ledger.identities(driver.device))
+
     def _scan_blocks(self, driver) -> None:
-        """VABlock state machine + residency/page-table/chunk consistency."""
-        device = driver.device
-        seen_chunks: Dict[int, int] = {}
-        tracked_pages = set()
-        allocated_blocks = 0
-        for block in driver.vablocks.blocks():
-            phase = block.phase
-            old = self._phases.get(block.block_id, VABlockPhase.REGISTERED)
-            if not legal_transition(old, phase):
-                self._violate(
-                    "vablock-state",
-                    f"block {block.block_id} jumped {old.value} -> "
-                    f"{phase.value} without passing the allocation path",
-                    block=block.block_id,
-                )
-            self._phases[block.block_id] = phase
-            if not block.resident_pages <= block.valid_pages:
-                stray = next(iter(block.resident_pages - block.valid_pages))
-                self._violate(
-                    "residency",
-                    f"block {block.block_id} has resident page {stray} "
-                    "outside its valid range",
-                    block=block.block_id,
-                )
-            if block.gpu_chunk is None and block.resident_pages:
-                self._violate(
-                    "vablock-state",
-                    f"block {block.block_id} has "
-                    f"{len(block.resident_pages)} resident pages but no "
-                    "physical chunk",
-                    block=block.block_id,
-                )
-            if block.gpu_chunk is not None:
-                allocated_blocks += 1
-                if block.gpu_chunk in seen_chunks:
-                    self._violate(
-                        "memory",
-                        f"blocks {seen_chunks[block.gpu_chunk]} and "
-                        f"{block.block_id} share physical chunk "
-                        f"{block.gpu_chunk}",
-                        block=block.block_id,
-                    )
-                seen_chunks[block.gpu_chunk] = block.block_id
-            double = block.resident_pages & block.remote_pages
-            if double:
-                self._violate(
-                    "residency",
-                    f"block {block.block_id} page {next(iter(double))} is "
-                    "both migrated and remote-mapped",
-                    block=block.block_id,
-                )
-            tracked_pages |= block.resident_pages
-            tracked_pages |= block.remote_pages
-        if allocated_blocks != device.chunks.used_chunks:
-            self._violate(
-                "memory",
-                f"{allocated_blocks} GPU-allocated blocks vs "
-                f"{device.chunks.used_chunks} chunks in use",
-            )
-        resident = device.page_table.resident
-        missing = tracked_pages - resident
-        if missing:
-            self._violate(
-                "residency",
-                f"page {next(iter(missing))} tracked as resident by its "
-                "VABlock but absent from the GPU page table "
-                f"({len(missing)} total)",
-            )
-        orphaned = resident - tracked_pages
-        if orphaned:
-            self._violate(
-                "residency",
-                f"page {next(iter(orphaned))} mapped in the GPU page table "
-                f"but tracked by no VABlock ({len(orphaned)} total)",
-            )
+        """Full scan: every block, with the ledger rebuilt from scratch."""
+        self.full_scans += 1
+        self._batches_since_scan = 0
+        self._touched.clear()
+        self._report(scan_blocks(driver, self._phases, self._ledger))
 
     # ------------------------------------------------------------ engine
 
@@ -652,6 +803,8 @@ class Sanitizer:
         self._max_stamp = driver.vablocks._stamp
         self._ce_h2d0 = sum(ce.bytes_h2d for ce in driver.device.copy_engines)
         self._ce_d2h0 = sum(ce.bytes_d2h for ce in driver.device.copy_engines)
+        # The restored blocks are new objects: rebuild the ledger over them.
+        self._scan_blocks(driver)
 
 
 def make_sanitizer(config, clock, obs=None):

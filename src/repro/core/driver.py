@@ -342,7 +342,20 @@ class UvmDriver:
             by_block.setdefault(vablock_of_page(page), []).append(page)
         for block_id, block_pages in by_block.items():
             if block_id in self.vablocks:
-                self.vablocks.get(block_id).remote_pages.update(block_pages)
+                block = self.vablocks.get(block_id)
+                block.remote_pages.update(block_pages)
+                self.san.on_block_touched(block)
+
+    def discard_resident(self, pages: List[int]) -> None:
+        """Drop sorted ``pages`` from their VABlocks' GPU residency after
+        the caller unmapped them from the page table (CPU-touch and peer
+        migrations)."""
+        block = None
+        for page in pages:
+            if block is None or page not in block.valid_pages:
+                block = self.vablocks.get_for_page(page)
+                self.san.on_block_touched(block)
+            block.resident_pages.discard(page)
 
     def is_remote_mapped(self, page: int) -> bool:
         """True when ``page`` is direct-mapped (accessed-by), not migrated."""
@@ -769,6 +782,7 @@ class UvmDriver:
         spend(self.cost.pagetable_cost(len(target)), "time_pagetable")
         self.device.page_table.map_pages(target)
         block.resident_pages.update(target)
+        self.san.on_block_touched(block)
         if not block.read_mostly:
             # GPU takes ownership: host copies go stale and eviction must
             # copy back.  Read-mostly blocks keep valid host duplicates.
@@ -907,6 +921,7 @@ class UvmDriver:
             spend(self.cost.pagetable_cost(len(target)), "time_pagetable")
             self.device.page_table.map_pages(target)
             nbr.resident_pages.update(target)
+            self.san.on_block_touched(nbr)
             self.host_vm.invalidate(target)
             record.pages_prefetched += len(target)
             outcome.serviced_pages.extend(target)

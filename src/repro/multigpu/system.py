@@ -215,9 +215,7 @@ class MultiGpuSystem:
             return
         self.clock.advance(engine._d2h_with_retry(contiguous_runs(resident)))
         engine.device.page_table.unmap_pages(resident)
-        for page in resident:
-            block = engine.driver.vablocks.get_for_page(page)
-            block.resident_pages.discard(page)
+        engine.driver.discard_resident(resident)
         self.host_vm.mark_valid(resident)
 
     def _migrate_between(self, src_id: int, dst_id: int, pages: List[int]) -> None:
@@ -241,9 +239,7 @@ class MultiGpuSystem:
 
         # Release the source side (page tables, block residency).
         src.device.page_table.unmap_pages(resident)
-        for page in resident:
-            block = src.driver.vablocks.get_for_page(page)
-            block.resident_pages.discard(page)
+        src.driver.discard_resident(resident)
         self.host_vm.mark_valid(resident)
 
         t_migrate = self.clock.now

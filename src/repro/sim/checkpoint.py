@@ -4,7 +4,7 @@
 :class:`~repro.sim.engine.Engine` — clock, RNG streams, fault buffer, µTLBs,
 SM/warp scheduling state, page table, chunk allocator, copy-engine counters,
 host VM/DMA state, the driver's VABlock manager and batch log, and the
-in-flight launch progress.  A checkpoint is two pickles:
+in-flight launch progress.  A checkpoint is two pickles and a list:
 
 * the **program pickle** — the current launch's warp programs
   (``Engine._programs``).  Programs are immutable, so it is made once per
@@ -13,7 +13,13 @@ in-flight launch progress.  A checkpoint is two pickles:
   names a launch program by its index in the program table (through the
   pickler's ``dispatch_table``), so a capture's cost tracks the live
   state, not the size of the kernel.  A program outside the table (one
-  enqueued by hand) is pickled by value.
+  enqueued by hand) is pickled by value;
+* the **batch log** — ``list(driver.log.records)``, held by reference.  A
+  :class:`~repro.core.batch_record.BatchRecord` is closed once
+  :meth:`~repro.core.instrumentation.BatchLog.append` takes it, and nothing
+  writes a closed record, so copying the list's pointers is a faithful
+  snapshot and a capture costs nothing per batch already logged.  A restore
+  installs a copy of the list as the driver's log.
 
 Only live state is captured: a warp leaves the engine's registry when it
 retires, so retired warps and their programs are not in the state pickle.
@@ -21,9 +27,9 @@ The pickle memo plays the role deepcopy's memo used to: shared references
 (the same :class:`WarpState` appearing in ``sm.active`` and the engine's
 waiter lists) survive the round trip with identity intact, while costing
 one serialize pass instead of a recursive Python-level copy.
-:meth:`~EngineCheckpoint.to_bytes` wraps both pickles into one
-self-contained blob, so crash bundles and campaign cell files restore in a
-fresh process.
+:meth:`~EngineCheckpoint.to_bytes` wraps both pickles and the pickled log
+into one self-contained blob, so crash bundles and campaign cell files
+restore in a fresh process.
 
 Attachments are deliberately excluded: observability handles, the sanitizer,
 the injector object, and config/cost-model references stay with the live
@@ -44,10 +50,12 @@ timelines (the checkpoint/restore determinism property tests rely on this).
 from __future__ import annotations
 
 import copyreg
+import functools
 import io
 import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.batch_record import BatchRecord
 from ..gpu.warp import WarpProgram
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -65,28 +73,31 @@ _SKIP_EXTRA: Dict[str, frozenset] = {
 }
 
 
+def _skipped(name: str, extra_skip: frozenset) -> bool:
+    return name in _SKIP_COMMON or name in extra_skip or name.startswith("_m_")
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_names(klass: type, extra_skip: frozenset) -> Tuple[str, ...]:
+    """``klass``'s capturable slot names in MRO order (walked once per
+    class)."""
+    names: List[str] = []
+    for base in klass.__mro__:
+        for name in getattr(base, "__slots__", ()):
+            if name not in names and not _skipped(name, extra_skip):
+                names.append(name)
+    return tuple(names)
+
+
 def _attr_names(obj, extra_skip: frozenset = frozenset()) -> List[str]:
     """Capturable attribute names of ``obj``: slots (MRO order) + instance
     dict, minus wiring attributes and cached metric handles (``_m_*``)."""
-    names: List[str] = []
-    seen = set()
-    for klass in type(obj).__mro__:
-        for name in getattr(klass, "__slots__", ()):
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    for name in getattr(obj, "__dict__", {}):
-        if name not in seen:
-            seen.add(name)
+    slots = _slot_names(type(obj), extra_skip)
+    names = [name for name in slots if hasattr(obj, name)]
+    for name in getattr(obj, "__dict__", ()):
+        if name not in slots and not _skipped(name, extra_skip):
             names.append(name)
-    return [
-        name
-        for name in names
-        if name not in _SKIP_COMMON
-        and name not in extra_skip
-        and not name.startswith("_m_")
-        and hasattr(obj, name)
-    ]
+    return names
 
 
 def _capture_obj(obj, extra_skip: frozenset = frozenset()) -> Dict[str, object]:
@@ -144,7 +155,6 @@ def _build_state(engine) -> dict:
         "dma": _capture_obj(engine.dma),
         "flight_appended": engine.flight.appended,
         "vablocks": driver.vablocks,
-        "log_records": list(driver.log.records),
         "driver": {name: getattr(driver, name) for name in _DRIVER_ATTRS},
         "eviction": _capture_obj(driver.eviction),
         "prefetcher": _capture_obj(driver.prefetcher),
@@ -222,12 +232,17 @@ class EngineCheckpoint:
     """One restorable snapshot of an engine's simulation state."""
 
     def __init__(
-        self, programs_blob: bytes, blob: bytes, clock_now: float, num_records: int
+        self,
+        programs_blob: bytes,
+        blob: bytes,
+        clock_now: float,
+        records: List[BatchRecord],
     ) -> None:
         self._programs_blob = programs_blob
         self._blob = blob
         self._clock_now = clock_now
-        self._num_records = num_records
+        #: The batch log at the capture (closed records, by reference).
+        self._records = records
 
     # ------------------------------------------------------------- capture
 
@@ -238,7 +253,8 @@ class EngineCheckpoint:
         table = _ProgramTable.of(engine)
         state = _build_state(engine)
         blob = table.dumps(state)
-        return cls(table.blob, blob, state["clock_now"], len(state["log_records"]))
+        records = list(engine.driver.log.records)
+        return cls(table.blob, blob, state["clock_now"], records)
 
     # ------------------------------------------------------------- restore
 
@@ -270,7 +286,7 @@ class EngineCheckpoint:
         _restore_obj(engine.dma, state["dma"])
         engine.flight.rewind(state["flight_appended"])
         driver.vablocks = state["vablocks"]
-        driver.log.records[:] = state["log_records"]
+        driver.log.records[:] = self._records
         for name in _DRIVER_ATTRS:
             setattr(driver, name, state["driver"][name])
         _restore_obj(driver.eviction, state["eviction"])
@@ -282,23 +298,25 @@ class EngineCheckpoint:
     # -------------------------------------------------------- serialization
 
     def to_bytes(self) -> bytes:
-        """One self-contained blob holding both pickles (pure data: plain
-        containers, numpy arrays, warp/fault/record dataclasses)."""
-        return pickle.dumps((self._programs_blob, self._blob), protocol=_PROTOCOL)
+        """One self-contained blob holding both pickles and the batch log
+        (pure data: plain containers, numpy arrays, warp/fault/record
+        dataclasses)."""
+        return pickle.dumps(
+            (self._programs_blob, self._blob, self._records), protocol=_PROTOCOL
+        )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EngineCheckpoint":
-        """Take back a :meth:`to_bytes` blob; raises if it does not decode."""
-        programs_blob, state_blob = pickle.loads(blob)
+        """Take back a :meth:`to_bytes` blob; raises if it does not decode
+        (a blob of the older two-pickle layout included)."""
+        programs_blob, state_blob, records = pickle.loads(blob)
         _, state = _load(programs_blob, state_blob)
-        return cls(
-            programs_blob, state_blob, state["clock_now"], len(state["log_records"])
-        )
+        return cls(programs_blob, state_blob, state["clock_now"], records)
 
     def summary(self) -> dict:
         """Identifying facts about the snapshot (same dict idiom as the
         injector's and sanitizer's ``summary()``)."""
         return {
             "clock_usec": self._clock_now,
-            "batches": self._num_records,
+            "batches": len(self._records),
         }

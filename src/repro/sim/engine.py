@@ -288,9 +288,7 @@ class Engine:
                     resident.sort()
                     self.clock.advance(self._d2h_with_retry(contiguous_runs(resident)))
                     self.device.page_table.unmap_pages(resident)
-                    for page in resident:
-                        block = self.driver.vablocks.get_for_page(page)
-                        block.resident_pages.discard(page)
+                    self.driver.discard_resident(resident)
                     self.host_vm.mark_valid(resident)
                 self.host_vm.cpu_touch(pages, thread_of)
                 self.clock.advance(self.host_cpu.touch_cost_usec(len(pages)))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from .api import UvmSystem
+from .check.sanitizer import scan_blocks
 from .core.batch_record import BatchRecord
 from .units import PAGE_SIZE
 
@@ -39,53 +40,24 @@ class Violation:
 # --------------------------------------------------------------- system state
 
 
+def _block_scan(system: UvmSystem, rule: str) -> List[Violation]:
+    """UVMSan's full VABlock scan, kept to the findings of one rule."""
+    return [
+        Violation(found, detail)
+        for found, detail, _ in scan_blocks(system.engine.driver)
+        if found == rule
+    ]
+
+
 def check_residency_consistency(system: UvmSystem) -> List[Violation]:
     """Driver block state and GPU page table must agree exactly."""
-    out: List[Violation] = []
-    pt = system.engine.device.page_table
-    driver = system.engine.driver
-    block_pages = set()
-    for block in driver.vablocks.blocks():
-        for page in block.resident_pages:
-            block_pages.add(page)
-            if not pt.is_resident(page):
-                out.append(
-                    Violation(
-                        "residency",
-                        f"page {page} in block {block.block_id} residency "
-                        "but absent from the GPU page table",
-                    )
-                )
-        block_pages.update(block.remote_pages)
-    for page in pt.resident:
-        if page not in block_pages:
-            out.append(
-                Violation(
-                    "residency",
-                    f"page {page} mapped on the GPU but tracked by no VABlock",
-                )
-            )
-    return out
+    return _block_scan(system, "residency")
 
 
 def check_memory_accounting(system: UvmSystem) -> List[Violation]:
     """Chunk usage must equal allocated blocks; capacity must hold."""
-    out: List[Violation] = []
-    driver = system.engine.driver
-    chunks = system.engine.device.chunks
-    allocated_blocks = [b for b in driver.vablocks.blocks() if b.is_gpu_allocated]
-    if len(allocated_blocks) != chunks.used_chunks:
-        out.append(
-            Violation(
-                "memory",
-                f"{len(allocated_blocks)} GPU-allocated blocks vs "
-                f"{chunks.used_chunks} used chunks",
-            )
-        )
-    chunk_ids = [b.gpu_chunk for b in allocated_blocks]
-    if len(chunk_ids) != len(set(chunk_ids)):
-        out.append(Violation("memory", "two blocks share a physical chunk"))
-    migrated = driver.vablocks.total_resident_pages()
+    out = _block_scan(system, "memory")
+    migrated = system.engine.driver.vablocks.total_resident_pages()
     capacity = system.config.gpu.memory_bytes // PAGE_SIZE
     if migrated > capacity:
         out.append(

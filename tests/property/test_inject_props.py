@@ -312,10 +312,30 @@ class TestCheckpointRestore:
     def test_serialized_roundtrip(self):
         system, ckpt, _ = run_with_checkpoint(5, gpu_mem_mb=8)
         final = timeline_fingerprint(system)
-        revived = EngineCheckpoint.from_bytes(ckpt.to_bytes())
+        blob = ckpt.to_bytes()
+        revived = EngineCheckpoint.from_bytes(blob)
         revived.restore_into(system.engine)
         system.engine.resume()
         assert timeline_fingerprint(system) == final
+
+        # A fresh system, as a new process would build it, resumes from
+        # the blob alone: the log travels with it.
+        fresh = UvmSystem(build_config(gpu_mem_mb=8))
+        RegularStream().steps(fresh)
+        EngineCheckpoint.from_bytes(blob).restore_into(fresh.engine)
+        prefix = system.records[:6]
+        assert [r.to_dict() for r in fresh.records] == [r.to_dict() for r in prefix]
+        assert all(a is not b for a, b in zip(fresh.records, prefix))
+        fresh.engine.resume()
+        assert timeline_fingerprint(fresh) == final
+
+    def test_state_pickle_holds_no_batch_record(self):
+        """The log is held by reference next to the state pickle, so a
+        capture never re-pickles the records already logged."""
+        system, ckpt, _ = run_with_checkpoint(5, gpu_mem_mb=8)
+        assert b"BatchRecord" not in ckpt._blob
+        assert ckpt.summary()["batches"] == 6
+        assert all(a is b for a, b in zip(ckpt._records, system.records))
 
     def test_resume_without_pending_launch_raises(self):
         from repro.errors import SimulationError
@@ -396,6 +416,41 @@ class TestRestoreAcrossTheConfigSpace:
         make().run(crashed)
         assert crashed.injector.summary()["recoveries"] == 1
         assert timeline_fingerprint(crashed) == clean
+
+
+class TestSanitizerCleanAcrossTheConfigSpace:
+    """UVMSan checks only the blocks each batch touched, with a full scan
+    every 64 batches, at launch end and after a restore.  On the restore
+    property's config axes, with and without a crash recovery, that path
+    must run and report nothing."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        workload=st.sampled_from(sorted(ROUND_TRIP_WORKLOADS)),
+        seed=st.integers(min_value=0, max_value=2**16),
+        gpu_mem_mb=st.integers(min_value=2, max_value=8).map(lambda n: 2 * n),
+        prefetch=st.booleans(),
+        eviction=st.sampled_from(sorted(EVICTION_POLICIES)),
+        profile=st.sampled_from(PROFILES),
+        crash_at=st.sampled_from((None, 1, 3)),
+    )
+    @example(workload="stream", seed=0, gpu_mem_mb=4, prefetch=True, eviction="lru",
+             profile="kitchen-sink", crash_at=3)
+    def test_runs_clean(
+        self, workload, seed, gpu_mem_mb, prefetch, eviction, profile, crash_at
+    ):
+        from repro.validate import validate_system
+
+        sites = {"engine.crash": {"at_batch": crash_at or PAST_THE_END}}
+        system = UvmSystem(build_config(
+            seed=seed, gpu_mem_mb=gpu_mem_mb, prefetch=prefetch, eviction=eviction,
+            inject=True, profile=profile, sites=sites, sanitize=True,
+        ))
+        ROUND_TRIP_WORKLOADS[workload]().run(system)
+        summary = system.sanitizer.summary()
+        assert summary["violations"] == 0, system.sanitizer.violations[:3]
+        assert summary["full_scans"] >= 1 and summary["blocks_checked"] > 0
+        assert validate_system(system) == []
 
 
 class TestCrashRecovery:

@@ -162,8 +162,14 @@ class TestCellCheckpointFile:
 
     @pytest.mark.parametrize(
         "engine_blob",
-        [b"not a checkpoint", pickle.dumps({"clock_now": 0.0})],
-        ids=["garbage", "single-pickle-layout"],
+        [
+            b"not a checkpoint",
+            pickle.dumps({"clock_now": 0.0}),
+            pickle.dumps(
+                (pickle.dumps(()), pickle.dumps({"clock_now": 0.0, "log_records": []}))
+            ),
+        ],
+        ids=["garbage", "single-pickle-layout", "two-pickle-layout"],
     )
     def test_undecodable_engine_blob_reruns_from_scratch(self, tmp_path, engine_blob):
         path = str(tmp_path / "cell-0.ckpt")

@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import UvmSystem
 from repro.check.sanitizer import NULL_SANITIZER, Sanitizer, make_sanitizer
 from repro.config import CheckConfig, default_config
 from repro.core.vablock import VABlockPhase, VABlockState, legal_transition
 from repro.errors import InvariantViolation
 from repro.gpu.fault_buffer import FaultBuffer
 from repro.gpu.utlb import UTlb
+from repro.gpu.warp import KernelLaunch, Phase, WarpProgram
 from repro.sim.clock import SimClock
-from repro.units import PAGE_SIZE
+from repro.units import MB, PAGE_SIZE, PAGES_PER_VABLOCK
 from repro.workloads import VecAddPageStride
 from tests.property.fault_oracle import write, write_window
 
@@ -274,6 +276,195 @@ class TestSystemScans:
         assert any(v.rule == "clock" for v in san.violations)
 
 
+# ------------------------------------------------ differential block checks
+#
+# Each corruption is (precondition on the block, the corruption, the rule
+# it breaks, whether the violation names the block).  The sweeps below
+# never touch the last page of a VABlock, so a corruption may map that page
+# without a warp waiting on it; a page far past every allocation stands in
+# for a page no VABlock owns.
+
+_NO_BLOCK_PAGE = 10_000_000
+
+
+def _lower_allocated(engine, block):
+    """An allocated block with a lower id than ``block``, or None."""
+    for other in engine.driver.vablocks.blocks():
+        if other.is_gpu_allocated and other.block_id < block.block_id:
+            return other
+    return None
+
+
+def _map_untracked_page(engine, block):
+    engine.device.page_table.map_pages([max(block.valid_pages)])
+
+
+def _unmap_tracked_page(engine, block):
+    engine.device.page_table.unmap_pages([min(block.resident_pages)])
+
+
+def _share_chunk(engine, block):
+    block.gpu_chunk = _lower_allocated(engine, block).gpu_chunk
+
+
+def _stray_resident_page(engine, block):
+    block.resident_pages.add(_NO_BLOCK_PAGE)
+    engine.device.page_table.map_pages([_NO_BLOCK_PAGE])
+
+
+def _drop_chunk(engine, block):
+    engine.device.chunks.free(block.gpu_chunk)
+    block.gpu_chunk = None
+
+
+def _remote_map_resident_page(engine, block):
+    block.remote_pages.add(min(block.resident_pages))
+
+
+def _jump_to_resident(engine, block):
+    page = max(block.valid_pages)
+    block.gpu_chunk = engine.device.chunks.allocate()
+    block.resident_pages.add(page)
+    engine.device.page_table.map_pages([page])
+
+
+def _is_resident(engine, block):
+    return block.phase is VABlockPhase.RESIDENT
+
+
+CORRUPTIONS = {
+    "orphan-page-table-entry": (
+        lambda engine, block: max(block.valid_pages) not in block.resident_pages,
+        _map_untracked_page, "residency", False,
+    ),
+    "tracked-page-missing": (_is_resident, _unmap_tracked_page, "residency", True),
+    "shared-chunk": (
+        lambda engine, block: block.is_gpu_allocated
+        and _lower_allocated(engine, block) is not None,
+        _share_chunk, "memory", True,
+    ),
+    "resident-outside-valid": (_is_resident, _stray_resident_page, "residency", True),
+    "resident-without-chunk": (_is_resident, _drop_chunk, "vablock-state", True),
+    "resident-and-remote": (
+        _is_resident, _remote_map_resident_page, "residency", True,
+    ),
+    "illegal-phase-jump": (
+        lambda engine, block: block.phase is VABlockPhase.REGISTERED,
+        _jump_to_resident, "vablock-state", True,
+    ),
+}
+
+
+def _sweep(alloc, num_pages, name, per_warp=16):
+    """A kernel touching each of ``alloc``'s first ``num_pages`` pages once,
+    ``per_warp`` pages per warp, except the last page of each VABlock."""
+    pages = [
+        alloc.page(p) for p in range(num_pages)
+        if (p + 1) % PAGES_PER_VABLOCK
+    ]
+    programs = [
+        WarpProgram([Phase.of(pages[i:i + per_warp])])
+        for i in range(0, len(pages), per_warp)
+    ]
+    return KernelLaunch(name, programs)
+
+
+def _run_two_kernels(batch_hook=None):
+    """``cold`` (3 VABlocks) is swept by the first kernel only, up to the
+    middle of its second block; ``hot`` (4 VABlocks) by the second kernel.
+    ``batch_hook`` runs after every batch of the second kernel."""
+    cfg = default_config(prefetch_enabled=False)
+    cfg.gpu.memory_bytes = 32 * MB
+    cfg.check = CheckConfig(enabled=True, mode="report")
+    system = UvmSystem(cfg)
+    cold = system.managed_alloc(6 * MB, "cold")
+    hot = system.managed_alloc(8 * MB, "hot")
+    system.launch(_sweep(cold, 768, "warm"))
+    warm_batches = len(system.records)
+    if batch_hook is not None:
+        system.engine._batch_hooks.append(batch_hook)
+    system.launch(_sweep(hot, hot.num_pages, "sweep"))
+    return system, warm_batches
+
+
+def _reported(system, rule, block_id):
+    return [
+        v for v in system.sanitizer.violations
+        if v.rule == rule and v.context.get("block") == block_id
+    ]
+
+
+class TestIncrementalBlockChecks:
+    """Differential UVMSan: a corruption of a block the next batch touches
+    is reported in that batch; a corruption of a block no later batch
+    touches is reported by the next full scan."""
+
+    @pytest.fixture(scope="class")
+    def clean_touches(self):
+        """Per batch id of a clean run, the blocks its batch end checked."""
+        touched = {}
+
+        def spy_once(engine, batch_id):
+            san = engine.sanitizer
+            if "on_batch_end" in vars(san):
+                return
+            check = san.on_batch_end
+
+            def spy(driver, record, outcome=None):
+                touched[record.batch_id] = list(san._touched)
+                check(driver, record, outcome)
+
+            san.on_batch_end = spy
+
+        system, warm_batches = _run_two_kernels(spy_once)
+        assert system.sanitizer.total_violations == 0
+        return touched, warm_batches
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_touched_block_reported_in_the_next_batch(self, clean_touches, kind):
+        touched, _ = clean_touches
+        applies, corrupt, rule, names_block = CORRUPTIONS[kind]
+        done = {}
+
+        def hook(engine, batch_id):
+            for block_id in [] if done else touched.get(batch_id + 1, ()):
+                block = engine.driver.vablocks.get(block_id)
+                if applies(engine, block):
+                    corrupt(engine, block)
+                    done.update(batch=batch_id + 1, block=block_id)
+                    return
+
+        system, _ = _run_two_kernels(hook)
+        assert done, f"no batch of the sweep touches a block {kind} applies to"
+        found = _reported(system, rule, done["block"] if names_block else None)
+        assert found, f"{kind} on block {done['block']} was never reported"
+        assert found[0].batch_id == done["batch"]
+        assert system.sanitizer.violations[0].batch_id == done["batch"]
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_untouched_block_reported_by_the_full_scan(self, clean_touches, kind):
+        touched, warm_batches = clean_touches
+        applies, corrupt, rule, names_block = CORRUPTIONS[kind]
+        swept = {b for batch, ids in touched.items() if batch >= warm_batches for b in ids}
+        done = {}
+
+        def hook(engine, batch_id):
+            blocks = [] if done else list(engine.driver.vablocks.blocks())
+            for block in blocks:
+                if block.block_id not in swept and applies(engine, block):
+                    corrupt(engine, block)
+                    done.update(block=block.block_id)
+                    return
+
+        system, _ = _run_two_kernels(hook)
+        assert done, f"no untouched block {kind} applies to"
+        found = _reported(system, rule, done["block"] if names_block else None)
+        # The launch-end full scan runs outside any batch.
+        assert any(v.batch_id is None for v in found), (
+            f"the full scan missed {kind} on untouched block {done['block']}"
+        )
+
+
 class TestRecordChecks:
     def _san_and_driver(self, sanitized_system):
         return sanitized_system.sanitizer, sanitized_system.engine.driver
@@ -353,12 +544,19 @@ class TestModesAndContext:
         n.on_batch_end(None, None)
         n.on_block_allocated(None)
         n.on_block_evicted(None)
+        n.on_block_touched(None)
         n.on_utlb(None)
         n.on_fault_buffer(None)
         n.on_ce_burst("h2d", [], 0, 0.0)
         n.on_round(None)
         n.check_system(None)
-        assert n.summary() == {"enabled": False, "violations": 0, "by_rule": {}}
+        assert n.summary() == {
+            "enabled": False,
+            "violations": 0,
+            "by_rule": {},
+            "full_scans": 0,
+            "blocks_checked": 0,
+        }
 
     def test_violation_metric_incremented(self, sanitized_system):
         san = sanitized_system.sanitizer
