@@ -753,11 +753,10 @@ class Sanitizer:
     # ------------------------------------------------------------ engine
 
     def on_round(self, engine) -> None:
-        """Cheap per-round checks after each GPU fault-generation window."""
+        """Per-round check after each serviced batch: the clock.  Every
+        µTLB mutation already runs :meth:`on_utlb`, and every buffer
+        append, fetch and flush runs :meth:`on_fault_buffer`."""
         self._check_clock()
-        for utlb in engine.device.utlbs:
-            self.on_utlb(utlb)
-        self.on_fault_buffer(engine.device.fault_buffer)
 
     def check_system(self, engine) -> None:
         """Full consistency sweep (end of launch / on demand)."""

@@ -54,7 +54,8 @@ class StreamingMultiprocessor:
     ) -> None:
         self.sm_id = sm_id
         self.utlb_id = utlb_id
-        #: Faults this SM may issue per steady-state replay window.
+        #: Faults this SM may issue per replay window.  The engine sets this
+        #: and :attr:`budget` when a window opens with the SM busy.
         self.rate_limit = rate_limit
         #: Maximum concurrently-resident warp programs.
         self.occupancy_limit = occupancy_limit
@@ -62,6 +63,7 @@ class StreamingMultiprocessor:
         self.queued: Deque[WarpProgram] = deque()
         #: Remaining fault budget for the current window.
         self.budget = rate_limit
+        #: Faults issued over the SM's lifetime.
         self.total_faults = 0
         #: GPU compute time accrued by completed phases (drained per round).
         self.compute_backlog_usec = 0.0
@@ -92,19 +94,6 @@ class StreamingMultiprocessor:
     @property
     def idle(self) -> bool:
         return not self.active and not self.queued
-
-    # ------------------------------------------------------------- throttle
-
-    def new_window(self, burst: bool, burst_limit: int) -> None:
-        """Start a replay window; ``burst`` when the driver was asleep."""
-        self.budget = burst_limit if burst else self.rate_limit
-
-    def consume_budget(self, count: int) -> int:
-        """Take up to ``count`` tokens; returns the number granted."""
-        granted = min(count, self.budget)
-        self.budget -= granted
-        self.total_faults += granted
-        return granted
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -63,17 +63,13 @@ class UTlb:
         """Check the outstanding-fault cap after every mutation."""
         self._san = sanitizer
 
-    @property
-    def available(self) -> int:
-        """Fault slots free right now."""
-        return max(0, self.limit - self.outstanding)
-
     def request(self, page: int) -> bool:
         """A warp misses on ``page``; True if a new fault entry must be
         written to the buffer, False if the request merged into an existing
         entry (occasionally emitting a spurious duplicate — still True).
 
-        The caller must check :attr:`available` first for new entries.
+        The caller must check for a free slot (``outstanding < limit``)
+        first for new entries.
         """
         if page in self.pending_pages:
             self._merge_counter += 1

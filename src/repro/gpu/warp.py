@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .fault import AccessType
 
@@ -145,10 +145,11 @@ class WarpState:
 
     * :meth:`advance` — run forward until blocked or finished; returns pages
       to wait on plus any prefetch demands.
-    * :meth:`take_issuable` — pop fault occurrences to issue this round,
-      bounded by the SM throttle budget and µTLB capacity.
-    * :meth:`on_pages_resident` — notification from the driver; when it
-      returns True the warp is unblocked and must be advanced again.
+    * :meth:`issue_next` — pop the next fault occurrence to issue, gated
+      by the µTLB's headroom (the engine holds the SM throttle budget).
+    * :func:`wake` — notification from the driver: serviced pages leave
+      the missing sets of the warps waiting on them, and the warps it
+      unblocks must be advanced again.
     * :meth:`requeue` — re-demand an occurrence whose fault was dropped by
       the replay flush (the µTLB reissues still-needed faults, §4.2).
     """
@@ -205,11 +206,6 @@ class WarpState:
     # ------------------------------------------------------------------ api
 
     @property
-    def blocked(self) -> bool:
-        """True while the current stage waits on non-resident pages."""
-        return bool(self.missing)
-
-    @property
     def has_issuable(self) -> bool:
         return self._unissued_head < len(self._unissued)
 
@@ -217,7 +213,8 @@ class WarpState:
         """Run the program forward until it blocks on a fault or finishes.
 
         ``resident`` is the set of GPU-resident page ids (the GPU page
-        table's view).  Must only be called when :attr:`blocked` is False.
+        table's view).  Must only be called while :attr:`missing` is empty
+        (the warp is not blocked).
         """
         result = AdvanceResult()
         if self.finished:
@@ -260,65 +257,48 @@ class WarpState:
         result.finished = True
         return result
 
-    def peek_page(self) -> Optional[int]:
-        """Page of the next issuable occurrence (skipping satisfied ones),
-        or None.
+    def issue_next(
+        self, pending: Set[int], utlb_full: bool
+    ) -> Optional[Tuple[int, AccessType]]:
+        """Consume and return the next occurrence whose page is still
+        missing, or None when nothing issues.
 
-        Pure: issue state is only consumed by :meth:`take_issuable`.  An
-        earlier version advanced ``_unissued_head`` past satisfied
-        occurrences and reset the queue when it ran off the end — so a peek
-        on a still-blocked warp could clear the queue out from under a
-        concurrent :meth:`requeue` (a re-demanded occurrence landed in a
-        freshly-reset list, or was skipped by the advanced head).  Peeking
-        must never change which occurrences a later take/requeue sees.
+        ``pending`` is the µTLB's outstanding pages.  When ``utlb_full``,
+        only an occurrence that merges into a pending entry may issue;
+        otherwise the µTLB blocks the warp.  Occurrences whose page became
+        resident before they issued are skipped — after a replay they would
+        simply hit in the µTLB.
+
+        None leaves :attr:`has_issuable` telling why: still True when the
+        µTLB blocked the warp, False when no occurrence was left to issue.
+
+        Finding is pure: a blocked step leaves the queue as it was, so it
+        never changes which occurrences a later step or :meth:`requeue`
+        sees.  (A look-ahead that dropped satisfied occurrences could clear
+        the queue under a concurrent requeue and lose the re-demand.)  Only
+        a µTLB with headroom drops a queue holding satisfied occurrences
+        alone.
         """
         unissued = self._unissued
-        missing = self.missing
-        for i in range(self._unissued_head, len(unissued)):
-            page = unissued[i][0]
-            if page in missing:
-                return page
-        return None
-
-    def take_issuable(self, max_n: int) -> List[Tuple[int, AccessType]]:
-        """Pop up to ``max_n`` occurrences whose pages are still missing.
-
-        Occurrences whose page became resident before they issued are
-        silently skipped — after a replay they would simply hit in the µTLB.
-        """
-        taken: List[Tuple[int, AccessType]] = []
-        unissued = self._unissued
-        head = self._unissued_head
         missing = self.missing
         n = len(unissued)
-        while head < n and len(taken) < max_n:
-            occ = unissued[head]
-            head += 1
+        for i in range(self._unissued_head, n):
+            occ = unissued[i]
             if occ[0] in missing:
-                taken.append(occ)
-        self._unissued_head = head
-        if head >= n:
-            # Compact the consumed prefix.
+                if utlb_full and occ[0] not in pending:
+                    return None
+                if i + 1 < n:
+                    self._unissued_head = i + 1
+                else:
+                    self._unissued = []
+                    self._unissued_head = 0
+                self.faults_issued += 1
+                return occ
+        if not utlb_full:
+            # Only satisfied occurrences were left: drop them.
             self._unissued = []
             self._unissued_head = 0
-        self.faults_issued += len(taken)
-        return taken
-
-    def on_pages_resident(self, pages: Iterable[int]) -> bool:
-        """Driver notification; True when the warp becomes unblocked.
-
-        Unblocking marks the stage *satisfied*: its accesses retired when
-        their pages were (momentarily) resident, so a later advance must not
-        re-demand them even if eviction has reclaimed the pages since.
-        """
-        missing = self.missing
-        had_missing = bool(missing)
-        for page in pages:
-            missing.discard(page)
-        if had_missing and not missing:
-            self._stage_satisfied = True
-            return True
-        return False
+        return None
 
     def requeue(self, page: int, access: AccessType) -> None:
         """Re-demand an occurrence whose fault was flushed before service."""
@@ -336,11 +316,9 @@ class WarpState:
         resident: Set[int],
     ) -> bool:
         """Compute the stage's missing set; True if the warp must block."""
-        if not pages:
+        if resident.issuperset(pages):
             return False
-        missing = {p for p in pages if p not in resident}
-        if not missing:
-            return False
+        missing = set(pages).difference(resident)
         self.missing = missing
         self._unissued = [(p, access) for p in pages if p in missing]
         self._unissued_head = 0
@@ -352,3 +330,31 @@ class WarpState:
             f"phase={self._phase_idx}/{len(self.program.phases)}, "
             f"missing={len(self.missing)}, finished={self.finished})"
         )
+
+
+def wake(
+    waiters: Dict[int, List[WarpState]], pages: Iterable[int]
+) -> List[WarpState]:
+    """Driver notification: ``pages`` are resident.
+
+    Pops each page's waiting warps from ``waiters`` and drops the page from
+    their missing sets.  Returns the warps this unblocked, in the order
+    their last missing page appears in ``pages``; the engine must advance
+    them again.  Unblocking marks the stage *satisfied*: its accesses
+    retired when their pages were (momentarily) resident, so a later
+    advance must not re-demand them even if eviction has reclaimed the
+    pages since.
+    """
+    unblocked: List[WarpState] = []
+    for page in pages:
+        blocked = waiters.pop(page, None)
+        if blocked is None:
+            continue
+        for warp in blocked:
+            missing = warp.missing
+            if page in missing:
+                missing.discard(page)
+                if not missing:
+                    warp._stage_satisfied = True
+                    unblocked.append(warp)
+    return unblocked

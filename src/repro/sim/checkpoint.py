@@ -148,6 +148,12 @@ def _build_state(engine) -> dict:
         "gmmu": _capture_obj(device.gmmu, _SKIP_EXTRA["gmmu"]),
         "utlbs": [_capture_obj(u) for u in device.utlbs],
         "sms": [_capture_obj(sm) for sm in device.sms],
+        # The engine's busy-SM list, by SM id (the SMs are captured above).
+        "busy_sm_ids": (
+            None
+            if engine._busy_sms is None
+            else [sm.sm_id for sm in engine._busy_sms]
+        ),
         "page_table": _capture_obj(device.page_table),
         "chunks": _capture_obj(device.chunks),
         "copy_engines": [_capture_obj(ce) for ce in device.copy_engines],
@@ -278,6 +284,8 @@ class EngineCheckpoint:
             _restore_obj(utlb, u_state)
         for sm, sm_state in zip(device.sms, state["sms"]):
             _restore_obj(sm, sm_state)
+        busy = state["busy_sm_ids"]
+        engine._busy_sms = None if busy is None else [device.sms[i] for i in busy]
         _restore_obj(device.page_table, state["page_table"])
         _restore_obj(device.chunks, state["chunks"])
         for ce, ce_state in zip(device.copy_engines, state["copy_engines"]):

@@ -25,7 +25,7 @@ Fig 9's diminishing returns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..check.sanitizer import make_sanitizer
 from ..config import SystemConfig
@@ -44,7 +44,8 @@ from ..gpu.copy_engine import contiguous_runs
 from ..inject import make_injector
 from ..gpu.device import GpuDevice
 from ..gpu.fault import AccessType, FaultArrays
-from ..gpu.warp import KernelLaunch, WarpProgram, WarpState
+from ..gpu.sm import StreamingMultiprocessor
+from ..gpu.warp import KernelLaunch, WarpProgram, WarpState, wake
 from ..hostos.cost_model import CostModel
 from ..hostos.cpu import HostCpu
 from ..hostos.dma import DmaMapper
@@ -237,6 +238,8 @@ class Engine:
         #: The checkpoint layer's cached pickle of ``_programs``.
         self._program_pickle = None
         self._prefetch_queue: List[Tuple[int, int]] = []  # (sm_id, page)
+        #: SMs a round visits (see :meth:`_busy`); None rebuilds the list.
+        self._busy_sms: Optional[List[StreamingMultiprocessor]] = None
         self._uid = 0
         self._last_retire_at = 0.0
         self._window_start = 0.0
@@ -386,6 +389,7 @@ class Engine:
         self._programs = tuple(kernel.programs)
         for i, program in enumerate(self._programs):
             device.sms[i % len(device.sms)].enqueue(program)
+        self._busy_sms = None
 
         self._progress = LaunchProgress(
             name=kernel.name,
@@ -603,14 +607,38 @@ class Engine:
 
     # ------------------------------------------------------------ GPU round
 
+    def _busy(self) -> List[StreamingMultiprocessor]:
+        """SMs with active or queued warps or undrained compute, in
+        ``sm_id`` order.
+
+        Within a launch an idle SM never gets work again, so a round only
+        prunes the list (an SM leaves once its last warp has retired and
+        its compute has drained).  A launch resets it, and the next round
+        rebuilds it from the SMs.
+        """
+        busy = self._busy_sms
+        if busy is None:
+            busy = self._busy_sms = [
+                sm
+                for sm in self.device.sms
+                if sm.active or sm.queued or sm.compute_backlog_usec
+            ]
+        return busy
+
     def _gpu_round(self, burst: bool) -> Tuple[bool, float, bool]:
         """One fault-generation window; returns ``(progressed, compute_usec,
         stalled)``, where ``stalled`` says an injected µTLB stall kept some
-        SM with issuable warps from issuing."""
+        SM with issuable warps from issuing.
+
+        Only busy SMs (see :meth:`_busy`) take part: an idle SM issues
+        nothing and accrues no compute, and its window fields are set when
+        a launch next makes it busy.
+        """
         device = self.device
         cfg = self.config.gpu
         resident = device.page_table.resident
         progressed = False
+        busy = self._busy()
 
         # Throttle windows: the per-SM quota is the fault *rate* times the
         # window length — the time since the previous window (≈ the last
@@ -625,24 +653,40 @@ class Engine:
         if burst:
             rate_quota = cfg.utlb_outstanding_limit
         quota = max(1, min(rate_quota, cfg.utlb_outstanding_limit))
-        for sm in device.sms:
-            sm.rate_limit = quota
-            sm.new_window(burst, cfg.utlb_outstanding_limit)
 
         # Activate queued programs and advance newly-activated warps.
         # Successive blocks start with a small launch skew (per-SM wave):
         # blocks do not begin in perfect lockstep on real hardware.
+        #
+        # Compute accounting: warps run their phases concurrently; their
+        # busy intervals are tracked per warp via ready_at, so the round's
+        # wall time only needs the fault-arrival span (below).  Each SM's
+        # compute backlog is final once its warps are activated, since
+        # issuing adds none.  A warp that retired while the last batch was
+        # applied may have left compute on an SM that is idle now: it drains
+        # here, and the SM leaves the busy list after.
         stagger = self.cost.launch_stagger_usec
         track_hits = self._hit_aware_eviction
-        for sm in device.sms:
-            activated = sm.activate_pending(self._next_uid)
-            for i, warp in enumerate(activated):
-                self._warps[warp.uid] = warp
-                warp.track_hits = track_hits
-                progressed = True
-                skew = (i * len(device.sms) + sm.sm_id) * stagger
-                warp.ready_at = self.clock.now + skew
-                self._advance_warp(warp)
+        num_sms = len(device.sms)
+        compute = 0.0
+        idle = 0
+        for sm in busy:
+            # A burst's quota is the µTLB cap, so the budget is the quota.
+            sm.rate_limit = sm.budget = quota
+            if sm.queued and len(sm.active) < sm.occupancy_limit:
+                for i, warp in enumerate(sm.activate_pending(self._next_uid)):
+                    self._warps[warp.uid] = warp
+                    warp.track_hits = track_hits
+                    progressed = True
+                    skew = (i * num_sms + sm.sm_id) * stagger
+                    warp.ready_at = self.clock.now + skew
+                    self._advance_warp(warp)
+            compute += sm.compute_backlog_usec
+            sm.compute_backlog_usec = 0.0
+            if not (sm.active or sm.queued):
+                idle += 1
+        if idle:
+            busy = self._busy_sms = [sm for sm in busy if sm.active or sm.queued]
 
         # Prefetch-instruction faults: bypass scoreboard, µTLB cap, throttle.
         # The buffer admits every GMMU write of the round as it issues and
@@ -664,45 +708,45 @@ class Engine:
         # Throttled round-robin issuance across SMs (fair buffer order).
         # Warps still computing a completed phase (ready_at in the future)
         # issue nothing this window — the desynchronization that keeps
-        # application batches below the synthetic ceiling (Table 2).
+        # application batches below the synthetic ceiling (Table 2).  Every
+        # SM starts with a positive budget and rejoins a pass only with
+        # budget left, so a pass never finds it spent.
         now = self.clock.now
         inj = self.injector if self._inject_on else None
         stalled = False
-        issuers: List[Tuple] = []
-        for sm in device.sms:
-            warps = [w for w in sm.active if w.has_issuable and w.ready_at <= now]
-            if warps and sm.budget > 0:
+        utlbs = device.utlbs
+        issuers: List[list] = []
+        for sm in busy:
+            warps = [w for w in sm.active if w.ready_at <= now and w.has_issuable]
+            if warps:
                 if inj is not None and inj.fire("utlb.stall"):
                     # Injected µTLB issue-port stall: this SM issues no
                     # translation faults for one replay window.
                     stalled = True
                     continue
-                issuers.append((sm, device.utlbs[sm.utlb_id], warps, [0]))
+                issuers.append([sm, utlbs[sm.utlb_id], warps, 0])
         while issuers:
             next_issuers = []
-            for sm, utlb, warps, cursor in issuers:
-                issued_here = False
+            for entry in issuers:
+                sm, utlb, warps, cursor = entry
+                pending = utlb.pending_pages
+                num_warps = len(warps)
                 # One fault per SM per pass → round-robin interleaving.
-                while cursor[0] < len(warps):
-                    warp = warps[cursor[0]]
-                    if not warp.has_issuable:
-                        cursor[0] += 1
+                while cursor < num_warps:
+                    warp = warps[cursor]
+                    occ = warp.issue_next(pending, utlb.outstanding >= utlb.limit)
+                    if occ is None:
+                        if warp.has_issuable:
+                            break  # the full µTLB blocks this SM's pass
+                        cursor += 1
                         continue
-                    if sm.budget <= 0:
-                        break
-                    merged_ahead = warp.peek_page() in utlb.pending_pages
-                    if not merged_ahead and utlb.available <= 0:
-                        break
-                    occs = warp.take_issuable(1)
-                    if not occs:
-                        cursor[0] += 1
-                        continue
-                    page, access = occs[0]
+                    page, access = occ
                     # A same-page miss merges into the existing µTLB entry
                     # (occasionally a spurious duplicate is emitted).
-                    merged = page in utlb.pending_pages
+                    merged = page in pending
                     if utlb.request(page):
-                        sm.consume_budget(1)
+                        sm.budget -= 1
+                        sm.total_faults += 1
                         if admit(
                             window, page, access, sm.sm_id, sm.utlb_id, warp.uid, t
                         ):
@@ -720,15 +764,17 @@ class Engine:
                             warp.requeue(page, access)
                             sm.budget = 0
                     progressed = True
-                    issued_here = True
+                    # Warps past the cursor still hold issuable occurrences
+                    # (the pass has not reached them since they were
+                    # picked); warps before it have none left.
+                    if (
+                        sm.budget > 0
+                        and utlb.outstanding < utlb.limit
+                        and (cursor + 1 < num_warps or warp.has_issuable)
+                    ):
+                        entry[3] = cursor
+                        next_issuers.append(entry)
                     break
-                if (
-                    issued_here
-                    and sm.budget > 0
-                    and utlb.available > 0
-                    and any(w.has_issuable for w in warps)
-                ):
-                    next_issuers.append((sm, utlb, warps, cursor))
             issuers = next_issuers
         device.gmmu.deliver(window)
 
@@ -736,19 +782,13 @@ class Engine:
         # fired µTLB.  The buffered fault stays serviceable; a later miss on
         # the page re-requests a fresh entry instead of merging.
         if inj is not None and inj.active("utlb.early_cancel"):
-            for utlb in device.utlbs:
+            for utlb in utlbs:
                 if utlb.pending_pages and inj.fire("utlb.early_cancel"):
                     utlb.early_cancel(min(utlb.pending_pages))
 
-        # Compute accounting: warps run their phases concurrently; their
-        # busy intervals are tracked per warp via ready_at, so the round's
-        # wall time only needs the fault-arrival span here.  Only advance
+        # The round's wall time is its fault-arrival span.  Only advance
         # when faults were actually delivered — otherwise the idle round
         # must not skip past warps' ready times.
-        compute = 0.0
-        for sm in device.sms:
-            compute += sm.compute_backlog_usec
-            sm.compute_backlog_usec = 0.0
         if len(device.fault_buffer) > 0:
             self.clock.advance_to(t)
         return progressed, compute, stalled
@@ -757,7 +797,7 @@ class Engine:
         """Earliest future phase-completion among active warps."""
         best: Optional[float] = None
         now = self.clock.now
-        for sm in self.device.sms:
+        for sm in self._busy():
             for warp in sm.active:
                 if warp.ready_at > now and (best is None or warp.ready_at < best):
                     best = warp.ready_at
@@ -803,22 +843,8 @@ class Engine:
 
     def _apply_outcome(self, outcome: ServiceOutcome) -> None:
         """Apply a batch's effects to blocked warps."""
-        unblocked: List[WarpState] = []
-        seen: Set[int] = set()
-        waiters = self._waiters
-        for page in outcome.serviced_pages:
-            blocked = waiters.pop(page, None)
-            if not blocked:
-                continue
-            for warp in blocked:
-                if warp.finished:
-                    continue
-                if warp.on_pages_resident((page,)) and warp.uid not in seen:
-                    seen.add(warp.uid)
-                    unblocked.append(warp)
-        for warp in unblocked:
-            if not warp.blocked and not warp.finished:
-                self._advance_warp(warp)
+        for warp in wake(self._waiters, outcome.serviced_pages):
+            self._advance_warp(warp)
         # Flushed/unserviced faults: the µTLB replays still-needed misses.
         for fault in outcome.dropped_faults:
             self._requeue_fault(fault)

@@ -1,9 +1,11 @@
 """Per-fault reference models of the fault pipeline, and buffer drivers.
 
 The simulator's fault buffer decides GMMU writes one at a time but lands
-them a window at a time, and its batch assembler is vectorized mask
-algebra.  The oracles here do the same work the plain way — a deque that
-takes one fault per push, and a dict-of-sets assembler — so property tests
+them a window at a time, its batch assembler is vectorized mask algebra,
+and its issuance round visits only busy SMs with a fused warp issue step.
+The oracles here do the same work the plain way — a deque that takes one
+fault per push, a dict-of-sets assembler, and an issuance round that walks
+every SM with a separate look-ahead and take per fault — so property tests
 can hold the production pipeline to them.  :func:`write_window` and
 :func:`write` drive the production buffer the way the engine's issuance
 round does.
@@ -12,7 +14,7 @@ round does.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -136,3 +138,145 @@ def assemble_batch_scalar(faults: Iterable[Fault], num_sms: int) -> AssembledBat
 
     batch.sm_fault_counts = sm_counts
     return batch
+
+
+# ------------------------------------------------------------ issuance
+
+
+def peek_page(warp) -> Optional[int]:
+    """Page of the warp's next still-missing occurrence, or None (pure)."""
+    missing = warp.missing
+    for i in range(warp._unissued_head, len(warp._unissued)):
+        page = warp._unissued[i][0]
+        if page in missing:
+            return page
+    return None
+
+
+def take_one(warp) -> List[Tuple[int, AccessType]]:
+    """Pop the next still-missing occurrence (skipping satisfied ones);
+    the queue is dropped once consumed to its end."""
+    taken = []
+    unissued = warp._unissued
+    head = warp._unissued_head
+    while head < len(unissued) and not taken:
+        occ = unissued[head]
+        head += 1
+        if occ[0] in warp.missing:
+            taken.append(occ)
+    warp._unissued_head = head
+    if head >= len(unissued):
+        warp._unissued = []
+        warp._unissued_head = 0
+    warp.faults_issued += len(taken)
+    return taken
+
+
+def reference_round(engine, burst: bool) -> Tuple[bool, float, bool]:
+    """One GPU round of ``engine``, the plain way: every SM opens the
+    window, activates, issues and drains, and each fault costs a look-ahead
+    then a take.  Same contract as ``Engine._gpu_round``."""
+    device = engine.device
+    cfg = engine.config.gpu
+    resident = device.page_table.resident
+    progressed = False
+
+    window_usec = max(0.0, engine.clock.now - engine._window_start)
+    engine._window_start = engine.clock.now
+    rate_quota = int(
+        cfg.sm_fault_rate_limit * max(1.0, window_usec / cfg.fault_window_unit_usec)
+    )
+    if burst:
+        rate_quota = cfg.utlb_outstanding_limit
+    quota = max(1, min(rate_quota, cfg.utlb_outstanding_limit))
+    for sm in device.sms:
+        sm.rate_limit = quota
+        sm.budget = cfg.utlb_outstanding_limit if burst else sm.rate_limit
+
+    stagger = engine.cost.launch_stagger_usec
+    for sm in device.sms:
+        for i, warp in enumerate(sm.activate_pending(engine._next_uid)):
+            engine._warps[warp.uid] = warp
+            warp.track_hits = engine._hit_aware_eviction
+            progressed = True
+            warp.ready_at = engine.clock.now + (i * len(device.sms) + sm.sm_id) * stagger
+            engine._advance_warp(warp)
+
+    t = engine.clock.now + engine.cost.refault_latency_usec
+    interval = engine.cost.fault_arrival_interval_usec
+    admit = device.fault_buffer.admit
+    window = FaultArrays()
+    for sm_id, page in engine._prefetch_queue:
+        if page in resident:
+            continue
+        if admit(window, page, AccessType.PREFETCH, sm_id, device.sms[sm_id].utlb_id, 0, t):
+            t += interval
+            progressed = True
+    engine._prefetch_queue.clear()
+
+    now = engine.clock.now
+    inj = engine.injector if engine._inject_on else None
+    stalled = False
+    issuers = []
+    for sm in device.sms:
+        warps = [w for w in sm.active if w.has_issuable and w.ready_at <= now]
+        if warps and sm.budget > 0:
+            if inj is not None and inj.fire("utlb.stall"):
+                stalled = True
+                continue
+            issuers.append((sm, device.utlbs[sm.utlb_id], warps, [0]))
+    while issuers:
+        next_issuers = []
+        for sm, utlb, warps, cursor in issuers:
+            issued_here = False
+            while cursor[0] < len(warps):
+                warp = warps[cursor[0]]
+                if not warp.has_issuable:
+                    cursor[0] += 1
+                    continue
+                if sm.budget <= 0:
+                    break
+                merged_ahead = peek_page(warp) in utlb.pending_pages
+                if not merged_ahead and utlb.outstanding >= utlb.limit:
+                    break
+                occs = take_one(warp)
+                if not occs:
+                    cursor[0] += 1
+                    continue
+                page, access = occs[0]
+                merged = page in utlb.pending_pages
+                if utlb.request(page):
+                    granted = min(1, sm.budget)
+                    sm.budget -= granted
+                    sm.total_faults += granted
+                    if admit(window, page, access, sm.sm_id, sm.utlb_id, warp.uid, t):
+                        t += interval
+                    elif not merged:
+                        utlb.cancel(page)
+                        warp.requeue(page, access)
+                        sm.budget = 0
+                progressed = True
+                issued_here = True
+                break
+            if (
+                issued_here
+                and sm.budget > 0
+                and utlb.outstanding < utlb.limit
+                and any(w.has_issuable for w in warps)
+            ):
+                next_issuers.append((sm, utlb, warps, cursor))
+        issuers = next_issuers
+    device.gmmu.deliver(window)
+
+    if inj is not None and inj.active("utlb.early_cancel"):
+        for utlb in device.utlbs:
+            if utlb.pending_pages and inj.fire("utlb.early_cancel"):
+                utlb.early_cancel(min(utlb.pending_pages))
+
+    compute = 0.0
+    for sm in device.sms:
+        compute += sm.compute_backlog_usec
+        sm.compute_backlog_usec = 0.0
+    if len(device.fault_buffer) > 0:
+        engine.clock.advance_to(t)
+    return progressed, compute, stalled

@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 from repro.api import UvmSystem
 from repro.config import default_config
 from repro.gpu.fault import AccessType
-from repro.gpu.warp import KernelLaunch, Phase, WarpProgram, WarpState
+from repro.gpu.warp import KernelLaunch, Phase, WarpProgram, WarpState, wake
 from repro.units import MB, PAGE_SIZE
 
 page_st = st.integers(min_value=0, max_value=63)
+
+
+def issue_all(warp):
+    """Issue a warp's whole queue through a µTLB with headroom."""
+    occs = []
+    while (occ := warp.issue_next(frozenset(), False)) is not None:
+        occs.append(occ)
+    return occs
 
 
 def phases_strategy(max_phases=4, max_pages=6):
@@ -47,11 +55,11 @@ class TestWarpStateProps:
         while not result.finished:
             rounds += 1
             assert rounds < 100
-            occs = warp.take_issuable(1000)
+            occs = issue_all(warp)
             issued.extend(occs)
             pages = {p for p, _ in occs} | set(warp.missing)
             resident |= pages
-            assert warp.on_pages_resident(pages)
+            assert wake({p: [warp] for p in pages}, pages) == [warp]
             result = warp.advance(resident)
         # Everything the program touches ends resident.
         assert warp.program.touched_pages <= resident or not warp.program.touched_pages
@@ -60,9 +68,9 @@ class TestWarpStateProps:
     def test_issued_pages_were_missing(self, phases):
         warp = WarpState(WarpProgram(phases), uid=1, sm_id=0)
         warp.advance(set())
-        if warp.blocked:
+        if warp.missing:
             missing_before = set(warp.missing)
-            occs = warp.take_issuable(1000)
+            occs = issue_all(warp)
             assert {p for p, _ in occs} <= missing_before
 
 

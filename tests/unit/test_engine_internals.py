@@ -209,3 +209,75 @@ class TestMultiKernelSequences:
             )
             assert res.num_batches >= 1
         assert len(system.records) >= 16
+
+
+class TestWakeAndBusySms:
+    """Wake order and the per-SM window and compute accounting of rounds."""
+
+    def test_warps_unblock_in_last_missing_page_order(self, monkeypatch):
+        from repro.core.driver import ServiceOutcome
+        from repro.gpu.warp import WarpState
+
+        system = make_system()
+        engine = system.engine
+
+        def blocked_warp(uid, reads):
+            warp = WarpState(WarpProgram([Phase.of(reads)]), uid=uid, sm_id=0)
+            warp.advance(resident=set())
+            return warp
+
+        a = blocked_warp(1, [1, 2])
+        b = blocked_warp(2, [3])
+        c = blocked_warp(3, [2, 4])
+        d = blocked_warp(4, [5, 9])
+        engine._waiters.update(
+            {1: [a], 2: [a, c], 3: [b], 4: [c], 5: [d], 9: [d]}
+        )
+        woken = []
+        monkeypatch.setattr(engine, "_advance_warp", woken.append)
+        engine._apply_outcome(
+            ServiceOutcome(record=None, serviced_pages=[4, 2, 3, 1, 5])
+        )
+        # c's last missing page (2) comes first, then b's (3), then a's (1).
+        assert woken == [c, b, a]
+        assert d.missing == {9} and engine._waiters == {9: [d]}
+        # Unblocking retires the stage: the next advance finishes the warp
+        # even though its pages are not resident any more.
+        for warp in woken:
+            assert warp.advance(resident=set()).finished
+
+    def test_warp_retiring_on_an_idle_sm_counts_its_compute(self):
+        system = make_system(num_sms=2)
+        alloc = system.managed_alloc(2 * MB)
+        # SM 0's only warp retires while the batch that serviced its page is
+        # applied; SM 1's warp keeps the launch going for many more batches.
+        short = WarpProgram([Phase.of([alloc.page(0)], compute_usec=7.0)])
+        long = WarpProgram(
+            [Phase.of([alloc.page(i)], compute_usec=1.0) for i in range(1, 21)]
+        )
+        res = system.launch(KernelLaunch("idle-sm", [short, long]))
+        assert res.num_batches > 2
+        assert res.compute_time_usec == pytest.approx(7.0 + 20.0)
+
+    def test_sm_first_used_by_a_later_launch_gets_the_window_quota(self):
+        cfg = default_config(prefetch_enabled=False)
+        cfg.gpu.num_sms = 4
+        cfg.gpu.memory_bytes = 16 * MB
+        # No launch skew, so every warp is ready in the launch's first round.
+        cfg.cost_overrides = {"jitter_frac": 0.0, "launch_stagger_usec": 0.0}
+        system = UvmSystem(cfg)
+        limit = cfg.gpu.utlb_outstanding_limit
+        alloc = system.managed_alloc(4 * MB)
+        first = WarpProgram([Phase.of([alloc.page(0)])])
+        system.launch(KernelLaunch("sm0-only", [first]))
+        # Programs land round-robin: SMs 0 and 1 share µTLB 0, and SM 2 is
+        # the only SM of µTLB 1, busy for the first time in this launch.
+        programs = [
+            WarpProgram([Phase.of([alloc.page(1 + k * 128 + i) for i in range(100)])])
+            for k in range(3)
+        ]
+        res = system.launch(KernelLaunch("three-sms", programs))
+        # The launch opens with a burst window: each µTLB fills to its cap,
+        # SMs 0 and 1 taking turns on theirs.
+        half = limit // 2
+        assert res.records[0].sm_fault_counts.tolist() == [half, half, limit, 0]

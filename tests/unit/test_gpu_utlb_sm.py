@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.api import UvmSystem
+from repro.config import default_config
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.utlb import UTlb
 from repro.gpu.warp import Phase, WarpProgram
+from repro.units import MB
 
 
 class TestUTlbCapacity:
@@ -12,13 +15,12 @@ class TestUTlbCapacity:
         tlb = UTlb(0, limit=3)
         for page in (1, 2, 3):
             assert tlb.request(page)
-        assert tlb.outstanding == 3
-        assert tlb.available == 0
+        assert tlb.outstanding == 3 == tlb.limit
 
     def test_available_decrements(self):
         tlb = UTlb(0, limit=56)
         tlb.request(1)
-        assert tlb.available == 55
+        assert tlb.limit - tlb.outstanding == 55
 
     def test_replay_clears_everything(self):
         tlb = UTlb(0, limit=4)
@@ -34,7 +36,7 @@ class TestUTlbCapacity:
         tlb = UTlb(0, limit=56)
         for page in range(56):
             tlb.request(page)
-        assert tlb.available == 0
+        assert tlb.outstanding == tlb.limit
 
 
 class TestUTlbMerging:
@@ -57,8 +59,8 @@ class TestUTlbMerging:
         tlb = UTlb(0, limit=2)
         tlb.request(1)
         tlb.request(2)
-        assert tlb.available == 0
-        # Merge still possible at zero availability.
+        assert tlb.outstanding == tlb.limit
+        # Merge still possible with no slot free.
         assert tlb.request(1) in (True, False)
         assert tlb.outstanding == 2
 
@@ -110,32 +112,45 @@ class TestSmScheduling:
 
 
 class TestSmThrottle:
+    """Each engine round opens a window: a busy SM's budget becomes the
+    window's quota, and every fault it issues spends one token."""
+
+    RATE = 4
+
+    def run_rounds(self, num_pages, burst=False, rounds=1):
+        cfg = default_config(prefetch_enabled=False)
+        cfg.gpu.num_sms = 2
+        cfg.gpu.sm_fault_rate_limit = self.RATE
+        system = UvmSystem(cfg)
+        alloc = system.managed_alloc(2 * MB)
+        sm = system.engine.device.sms[0]
+        sm.enqueue(WarpProgram([Phase.of([alloc.page(i) for i in range(num_pages)])]))
+        for _ in range(rounds):
+            # A zero-length window: the steady quota is the bare rate.
+            system.engine._window_start = system.clock.now
+            system.engine._gpu_round(burst)
+        return sm
+
     def test_steady_window_budget(self):
-        sm = StreamingMultiprocessor(0, 0, rate_limit=4, occupancy_limit=8)
-        sm.new_window(burst=False, burst_limit=56)
-        assert sm.budget == 4
+        sm = self.run_rounds(num_pages=2)
+        assert sm.rate_limit == self.RATE
+        assert sm.budget == self.RATE - 2
 
     def test_burst_window_budget(self):
-        sm = StreamingMultiprocessor(0, 0, rate_limit=4, occupancy_limit=8)
-        sm.new_window(burst=True, burst_limit=56)
-        assert sm.budget == 56
+        sm = self.run_rounds(num_pages=100, burst=True)
+        assert sm.rate_limit == 56
+        assert sm.total_faults == 56  # the µTLB cap, not the rate
 
     def test_consume_budget_granted(self):
-        sm = StreamingMultiprocessor(0, 0, rate_limit=4, occupancy_limit=8)
-        sm.new_window(burst=False, burst_limit=56)
-        assert sm.consume_budget(3) == 3
+        sm = self.run_rounds(num_pages=3)
+        assert sm.total_faults == 3
         assert sm.budget == 1
 
     def test_consume_budget_clamped(self):
-        sm = StreamingMultiprocessor(0, 0, rate_limit=4, occupancy_limit=8)
-        sm.new_window(burst=False, burst_limit=56)
-        assert sm.consume_budget(10) == 4
+        sm = self.run_rounds(num_pages=10)
+        assert sm.total_faults == self.RATE
         assert sm.budget == 0
 
     def test_total_faults_counted(self):
-        sm = StreamingMultiprocessor(0, 0, rate_limit=4, occupancy_limit=8)
-        sm.new_window(burst=False, burst_limit=56)
-        sm.consume_budget(2)
-        sm.new_window(burst=False, burst_limit=56)
-        sm.consume_budget(1)
-        assert sm.total_faults == 3
+        sm = self.run_rounds(num_pages=10, rounds=2)
+        assert sm.total_faults == 2 * self.RATE

@@ -9,11 +9,31 @@ from repro.gpu.warp import (
     Phase,
     WarpProgram,
     WarpState,
+    wake,
 )
 
 
 def make_warp(phases, uid=1, sm=0):
     return WarpState(WarpProgram(tuple(phases)), uid=uid, sm_id=sm)
+
+
+def notify(warp, pages):
+    """Driver notification that ``pages`` are resident; True when it
+    unblocks ``warp``."""
+    return wake({page: [warp] for page in pages}, pages) == [warp]
+
+
+def issue(warp, pending=frozenset(), utlb_full=False):
+    """One fused issue step against a µTLB holding ``pending``."""
+    return warp.issue_next(pending, utlb_full)
+
+
+def issue_all(warp):
+    """Issue until the warp's queue is drained (a µTLB with headroom)."""
+    taken = []
+    while (occ := issue(warp)) is not None:
+        taken.append(occ)
+    return taken
 
 
 class TestPhase:
@@ -61,14 +81,14 @@ class TestScoreboard:
         warp = make_warp([Phase.of([1, 2], [3])])
         result = warp.advance(resident=set())
         assert result.new_waits == {1, 2}
-        assert warp.blocked
+        assert warp.missing
         # Writes are NOT demanded yet.
         assert all(a == AccessType.READ for _, a in warp._unissued)
 
     def test_writes_demand_after_reads_resident(self):
         warp = make_warp([Phase.of([1], [2])])
         warp.advance(resident=set())
-        assert warp.on_pages_resident([1])
+        assert notify(warp, [1])
         result = warp.advance(resident={1})
         assert result.new_waits == {2}
         assert all(a == AccessType.WRITE for _, a in warp._unissued)
@@ -103,7 +123,7 @@ class TestPrefetchSemantics:
         warp = make_warp([Phase.of([9], prefetches=[1])])
         r1 = warp.advance(resident=set())
         assert r1.prefetches == [1]
-        warp.on_pages_resident([9])
+        notify(warp, [9])
         r2 = warp.advance(resident={9})
         assert r2.prefetches == []
 
@@ -116,46 +136,80 @@ class TestPrefetchSemantics:
 
 
 class TestIssuance:
+    """The fused issue step: find the next still-missing occurrence, then
+    consume it."""
+
     def test_take_issuable_respects_limit(self):
+        # One step consumes exactly one occurrence.
         warp = make_warp([Phase.of([1, 2, 3, 4])])
         warp.advance(resident=set())
-        occs = warp.take_issuable(2)
-        assert len(occs) == 2
+        occs = [issue(warp), issue(warp)]
+        assert occs == [(1, AccessType.READ), (2, AccessType.READ)]
+        assert warp.has_issuable
+        assert warp.faults_issued == 2
 
     def test_take_issuable_skips_satisfied(self):
         warp = make_warp([Phase.of([1, 2])])
         warp.advance(resident=set())
-        warp.on_pages_resident([1])  # page 1 resolved before issue
-        occs = warp.take_issuable(10)
-        assert occs == [(2, AccessType.READ)]
+        notify(warp, [1])  # page 1 resolved before issue
+        assert issue_all(warp) == [(2, AccessType.READ)]
 
     def test_duplicate_occurrences_issue_separately(self):
         warp = make_warp([Phase.of([7, 7])])
         warp.advance(resident=set())
-        occs = warp.take_issuable(10)
-        assert occs == [(7, AccessType.READ), (7, AccessType.READ)]
+        assert issue_all(warp) == [(7, AccessType.READ), (7, AccessType.READ)]
 
     def test_peek_page(self):
+        # The step finds the queue's first missing occurrence.
         warp = make_warp([Phase.of([3, 4])])
         warp.advance(resident=set())
-        assert warp.peek_page() == 3
+        assert issue(warp) == (3, AccessType.READ)
 
     def test_peek_skips_satisfied(self):
         warp = make_warp([Phase.of([3, 4])])
         warp.advance(resident=set())
-        warp.on_pages_resident([3])
-        assert warp.peek_page() == 4
+        notify(warp, [3])
+        assert issue(warp) == (4, AccessType.READ)
 
     def test_peek_none_when_drained(self):
         warp = make_warp([Phase.of([3])])
         warp.advance(resident=set())
-        warp.take_issuable(1)
-        assert warp.peek_page() is None
+        issue(warp)
+        assert not warp.has_issuable
+        assert issue(warp) is None
+
+    def test_full_utlb_blocks_without_consuming(self):
+        warp = make_warp([Phase.of([3, 4])])
+        warp.advance(resident=set())
+        before = (list(warp._unissued), warp._unissued_head)
+        assert issue(warp, utlb_full=True) is None
+        assert warp.has_issuable  # blocked, not drained
+        assert (list(warp._unissued), warp._unissued_head) == before
+        assert warp.faults_issued == 0
+
+    def test_full_utlb_still_takes_a_merging_occurrence(self):
+        warp = make_warp([Phase.of([3, 4])])
+        warp.advance(resident=set())
+        assert issue(warp, pending={3}, utlb_full=True) == (3, AccessType.READ)
+        assert issue(warp, pending={3}, utlb_full=True) is None
+
+    def test_satisfied_queue_compacts_only_with_utlb_headroom(self):
+        # A queue holding only satisfied occurrences: a full µTLB leaves it
+        # (the engine ends the SM's pass), headroom drops it (the engine
+        # skips the warp).
+        warp = make_warp([Phase.of([1, 2])])
+        warp.advance(resident=set())
+        issue(warp)  # page 1 issued; page 2 still queued
+        notify(warp, [2])
+        assert issue(warp, utlb_full=True) is None
+        assert warp.has_issuable
+        assert issue(warp) is None
+        assert not warp.has_issuable
 
     def test_requeue_re_demands(self):
         warp = make_warp([Phase.of([5])])
         warp.advance(resident=set())
-        warp.take_issuable(1)
+        issue(warp)
         assert not warp.has_issuable
         warp.requeue(5, AccessType.READ)
         assert warp.has_issuable
@@ -163,47 +217,52 @@ class TestIssuance:
     def test_requeue_ignored_when_satisfied(self):
         warp = make_warp([Phase.of([5])])
         warp.advance(resident=set())
-        warp.take_issuable(1)
-        warp.on_pages_resident([5])
+        issue(warp)
+        notify(warp, [5])
         warp.requeue(5, AccessType.READ)
         assert not warp.has_issuable
 
     def test_faults_issued_counter(self):
         warp = make_warp([Phase.of([1, 2, 3])])
         warp.advance(resident=set())
-        warp.take_issuable(2)
+        issue(warp)
+        issue(warp)
         assert warp.faults_issued == 2
 
 
 class TestPeekRequeueRegression:
-    """``peek_page`` must be pure (ISSUE 9 bugfix).
+    """Finding the next occurrence must be pure (a past bug).
 
     An earlier version advanced ``_unissued_head`` past satisfied
-    occurrences while peeking and reset the queue when it ran off the end —
-    so a peek on a still-blocked warp could clear the issue queue out from
-    under a concurrent post-replay-flush ``requeue``: the re-demanded
+    occurrences while looking ahead and reset the queue when it ran off the
+    end — so a look at a still-blocked warp could clear the issue queue out
+    from under a concurrent post-replay-flush ``requeue``: the re-demanded
     occurrence landed in a freshly-reset list or was skipped by the
-    advanced head, and the access was lost until livelock.
+    advanced head, and the access was lost until livelock.  The fused step
+    looks ahead whenever a full µTLB blocks it, so that look must change
+    nothing.
     """
 
     def test_peek_is_pure(self):
         warp = make_warp([Phase.of([1, 2, 3])])
         warp.advance(resident=set())
-        warp.on_pages_resident([1])  # satisfied prefix the old code compacted
+        notify(warp, [1])  # satisfied prefix the old code compacted
         before = (list(warp._unissued), warp._unissued_head)
         for _ in range(3):
-            assert warp.peek_page() == 2
+            assert issue(warp, utlb_full=True) is None
         assert (list(warp._unissued), warp._unissued_head) == before
+        assert issue(warp) == (2, AccessType.READ)
 
     def test_peek_pure_when_all_unissued_satisfied(self):
         # The exact trigger of the old bug: every unissued occurrence is
-        # satisfied, so the old peek ran off the end and reset the queue.
+        # satisfied, so the old look-ahead ran off the end and reset the
+        # queue.
         warp = make_warp([Phase.of([1, 2])])
         warp.advance(resident=set())
-        warp.take_issuable(1)  # issue page 1; page 2 still queued
-        warp.on_pages_resident([2])  # resolves before issuing
+        issue(warp)  # issue page 1; page 2 still queued
+        notify(warp, [2])  # resolves before issuing
         before = (list(warp._unissued), warp._unissued_head)
-        assert warp.peek_page() is None
+        assert issue(warp, utlb_full=True) is None
         assert (list(warp._unissued), warp._unissued_head) == before
 
     def test_peek_requeue_take_after_replay_flush(self):
@@ -211,27 +270,29 @@ class TestPeekRequeueRegression:
         # for page 2 is dropped by the pre-replay flush and re-demands.
         warp = make_warp([Phase.of([1, 2])])
         warp.advance(resident=set())
-        assert warp.take_issuable(10) == [
+        assert issue_all(warp) == [
             (1, AccessType.READ),
             (2, AccessType.READ),
         ]
-        warp.on_pages_resident([1])
-        assert warp.peek_page() is None  # nothing unissued yet
+        notify(warp, [1])
+        assert issue(warp, utlb_full=True) is None  # nothing unissued yet
         warp.requeue(2, AccessType.READ)
-        assert warp.peek_page() == 2  # peek sees the re-demand...
-        assert warp.peek_page() == 2  # ...without consuming it
-        assert warp.take_issuable(10) == [(2, AccessType.READ)]
+        # A blocked step sees the re-demand without consuming it...
+        assert issue(warp, utlb_full=True) is None
+        assert warp.has_issuable
+        # ...and the next step with headroom takes it.
+        assert issue_all(warp) == [(2, AccessType.READ)]
 
     def test_peek_between_requeues_never_drops_occurrences(self):
-        # Peeking over a satisfied head must not clear the queue a
+        # A blocked step over a satisfied head must not clear the queue a
         # following requeue appends to: both the original unissued
         # occurrence and the re-demand must issue.
         warp = make_warp([Phase.of([1, 2])])
         warp.advance(resident=set())
-        warp.on_pages_resident([1])
-        assert warp.peek_page() == 2
+        notify(warp, [1])
+        assert issue(warp, utlb_full=True) is None
         warp.requeue(2, AccessType.READ)
-        assert warp.take_issuable(10) == [
+        assert issue_all(warp) == [
             (2, AccessType.READ),
             (2, AccessType.READ),
         ]
@@ -241,16 +302,16 @@ class TestNotification:
     def test_partial_notification_stays_blocked(self):
         warp = make_warp([Phase.of([1, 2])])
         warp.advance(resident=set())
-        assert not warp.on_pages_resident([1])
-        assert warp.blocked
+        assert not notify(warp, [1])
+        assert warp.missing
 
     def test_full_notification_unblocks(self):
         warp = make_warp([Phase.of([1, 2])])
         warp.advance(resident=set())
-        assert warp.on_pages_resident([1, 2])
-        assert not warp.blocked
+        assert notify(warp, [1, 2])
+        assert not warp.missing
 
     def test_unknown_page_notification_harmless(self):
         warp = make_warp([Phase.of([1])])
         warp.advance(resident=set())
-        assert not warp.on_pages_resident([999])
+        assert not notify(warp, [999])
