@@ -8,14 +8,10 @@ Three complementary layers guard the reproduction's fidelity guarantee:
   per-rule allowlists and ``# repro: lint-ok[rule]`` suppressions.
 * :mod:`repro.check.program` — the whole-program engine: a project IR
   (module index, symbol tables, intra-package call graph) feeding the
-  interprocedural passes — ``sim-taint`` (wall-clock/unseeded-RNG values
-  flowing into the simulated timeline), ``mp-shared-state``
-  (module-global mutation reachable from campaign pool workers),
-  ``lifecycle`` (resource open/close linearity over the protocol
-  catalog), and ``suppression-hygiene`` — plus the committed baseline and
-  SARIF export.
-  The per-file rules run as one more pass on the same engine; everything
-  is reachable through ``uvm-repro lint``.
+  ``lifecycle`` pass (resource open/close linearity over the protocol
+  catalog), plus SARIF export.  The per-file rules run as the
+  ``determinism`` pass on the same engine; everything is reachable
+  through ``uvm-repro lint``.
 * :mod:`repro.check.sanitizer` — UVMSan, a config-gated runtime invariant
   layer (``CheckConfig``; null object when off) hooked into the driver, the
   GPU models, and the engine, asserting the paper's reverse-engineered
@@ -27,12 +23,8 @@ from .lint import (
     AllowEntry,
     LintFinding,
     RULES,
-    findings_to_json,
-    lint_file,
-    lint_paths,
     lint_source,
     load_allowlist,
-    render_findings,
 )
 from .sanitizer import NULL_SANITIZER, NullSanitizer, Sanitizer, make_sanitizer
 
@@ -41,12 +33,8 @@ __all__ = [
     "DEFAULT_ALLOWLIST_PATH",
     "LintFinding",
     "RULES",
-    "findings_to_json",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "load_allowlist",
-    "render_findings",
     "NULL_SANITIZER",
     "NullSanitizer",
     "Sanitizer",

@@ -39,11 +39,10 @@ the default allowlist ships next to this module as ``lint_allow.txt``.
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 #: rule id → one-line description (also the catalog `repro lint --list-rules`
 #: prints and docs/static-analysis.md documents).
@@ -105,15 +104,6 @@ class LintFinding:
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
 
 @dataclass(frozen=True)
 class AllowEntry:
@@ -123,7 +113,9 @@ class AllowEntry:
     rule: str
     reason: str
 
-    def matches(self, finding: LintFinding) -> bool:
+    def matches(self, finding) -> bool:
+        """True for a finding (per-file or engine) of this entry's rule in a
+        file whose path ends with ``path_suffix``."""
         if self.rule != "*" and self.rule != finding.rule:
             return False
         normalized = finding.path.replace("\\", "/")
@@ -386,21 +378,34 @@ class _HazardVisitor(ast.NodeVisitor):
 # ------------------------------------------------------------------ front end
 
 
-def _apply_suppressions(
-    findings: List[LintFinding], source_lines: Sequence[str]
-) -> List[LintFinding]:
-    """Drop findings whose source line carries ``# repro: lint-ok[...]``."""
+def suppressed_rules(line: str) -> Optional[FrozenSet[str]]:
+    """Rules a ``# repro: lint-ok[...]`` comment on ``line`` names.
+
+    ``None`` when the line carries no suppression; ``{"*"}`` for a bare
+    ``lint-ok``, which suppresses every rule.
+    """
+    match = _SUPPRESS_RE.search(line)
+    if match is None:
+        return None
+    if match.group(1) is None:
+        return frozenset({"*"})
+    return frozenset(r.strip() for r in match.group(1).split(","))
+
+
+def drop_suppressed(findings: Sequence, sources: Dict[str, Sequence[str]]) -> list:
+    """Drop findings whose source line suppresses their rule.
+
+    ``sources`` maps a finding's path to its source lines.  The one
+    suppression filter: :func:`lint_source` and the analysis engine both
+    call it.
+    """
     out = []
     for finding in findings:
-        if 1 <= finding.line <= len(source_lines):
-            match = _SUPPRESS_RE.search(source_lines[finding.line - 1])
-            if match is not None:
-                rules = match.group(1)
-                if rules is None:
-                    continue  # bare lint-ok: suppress every rule
-                allowed = {r.strip() for r in rules.split(",")}
-                if finding.rule in allowed:
-                    continue
+        lines = sources.get(finding.path, ())
+        if 1 <= finding.line <= len(lines):
+            named = suppressed_rules(lines[finding.line - 1])
+            if named is not None and ("*" in named or finding.rule in named):
+                continue
         out.append(finding)
     return out
 
@@ -410,26 +415,9 @@ def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:
     tree = ast.parse(source, filename=path)
     visitor = _HazardVisitor(path)
     visitor.visit(tree)
-    findings = _apply_suppressions(visitor.findings, source.splitlines())
+    findings = drop_suppressed(visitor.findings, {path: source.splitlines()})
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def lint_file(path) -> List[LintFinding]:
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"), str(path))
-
-
-def iter_python_files(paths: Iterable) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    out: List[Path] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            out.extend(sorted(entry.rglob("*.py")))
-        else:
-            out.append(entry)
-    return out
 
 
 def load_allowlist(path) -> List[AllowEntry]:
@@ -452,45 +440,3 @@ def load_allowlist(path) -> List[AllowEntry]:
             AllowEntry(path_suffix=path_suffix, rule=rule, reason=reason.strip())
         )
     return entries
-
-
-def lint_paths(
-    paths: Iterable,
-    allowlist: Optional[Sequence[AllowEntry]] = None,
-) -> List[LintFinding]:
-    """Lint every ``.py`` file under ``paths``, filtering allowlisted hits."""
-    allowlist = list(allowlist) if allowlist else []
-    findings: List[LintFinding] = []
-    for file_path in iter_python_files(paths):
-        for finding in lint_file(file_path):
-            if any(entry.matches(finding) for entry in allowlist):
-                continue
-            findings.append(finding)
-    return findings
-
-
-def render_findings(findings: Sequence[LintFinding]) -> str:
-    """Human-readable report (one line per finding + a summary)."""
-    lines = [str(f) for f in findings]
-    by_rule: Dict[str, int] = {}
-    for f in findings:
-        by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
-    if findings:
-        summary = ", ".join(f"{rule}: {n}" for rule, n in sorted(by_rule.items()))
-        lines.append(f"{len(findings)} finding(s) ({summary})")
-    else:
-        lines.append("clean: no determinism hazards found")
-    return "\n".join(lines)
-
-
-def findings_to_json(findings: Sequence[LintFinding]) -> str:
-    """Machine-readable report (the CI gate's format)."""
-    return json.dumps(
-        {
-            "findings": [f.to_dict() for f in findings],
-            "count": len(findings),
-            "rules": RULES,
-        },
-        indent=2,
-        sort_keys=True,
-    )

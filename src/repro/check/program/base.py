@@ -1,19 +1,16 @@
 """Shared vocabulary of the whole-program analysis: findings, passes, rules.
 
-Every pass — the ported per-file determinism rules and the four
-interprocedural ones — emits :class:`Finding` objects through the same
-funnel, so suppression comments, the allowlist, the baseline, and every
+Every pass — the ported per-file determinism rules and the
+interprocedural lifecycle pass — emits :class:`Finding` objects through
+the same funnel, so suppression comments, the allowlist, and every
 output format (human / JSON / SARIF) treat them uniformly.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-#: Severity ladder; ordering matters for sorting and the SARIF level map.
-SEVERITIES = ("error", "warning", "note")
 
 
 @dataclass(frozen=True)
@@ -37,9 +34,9 @@ class Finding:
     message: str
     pass_name: str = ""
     severity: str = "error"
-    #: Stable identity for baselining: hash of rule + path + the source
-    #: line's stripped text + occurrence index (line *numbers* drift with
-    #: unrelated edits; line *text* mostly doesn't).
+    #: Stable identity for code-scanning backends: hash of rule + path +
+    #: the source line's stripped text + occurrence index (line *numbers*
+    #: drift with unrelated edits; line *text* mostly doesn't).
     fingerprint: str = ""
 
     def __str__(self) -> str:
@@ -71,7 +68,7 @@ def fingerprint_findings(
     are disambiguated by occurrence index in path order.
 
     ``stable_paths`` maps on-disk paths to checkout-independent forms
-    (``repro/gpu/copy_engine.py``) so a committed baseline matches in any
+    (``repro/gpu/copy_engine.py``) so a fingerprint is the same in any
     clone, whatever the absolute working-tree location.
     """
     stable_paths = stable_paths or {}
@@ -102,7 +99,7 @@ class AnalysisPass:
 
     Subclasses set ``name`` and ``rules`` (a list of :class:`Rule`) and
     implement :meth:`run`, returning raw findings — the engine owns
-    suppression, allowlist, baseline filtering, and fingerprinting.
+    suppression and allowlist filtering, and fingerprinting.
     """
 
     name: str = ""

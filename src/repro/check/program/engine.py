@@ -7,16 +7,11 @@ Pipeline (the order matters and is part of the contract):
    the IR is always whole-program so interprocedural passes keep their
    cross-file view);
 2. run the analysis passes → raw findings;
-3. run :class:`~repro.check.program.hygiene.SuppressionHygienePass`
-   against the raw findings (staleness is judged before anything is
-   filtered away);
-4. apply ``# repro: lint-ok[...]`` line suppressions, then the allowlist,
-   then fingerprint what remains;
-5. subtract the committed baseline, keeping counts and stale entries for
-   the report.
+3. apply ``# repro: lint-ok[...]`` line suppressions, then the allowlist,
+   then fingerprint what remains.
 
 ``uvm-repro lint`` keeps its exit-code contract on top of the result:
-0 = no new findings, 1 = new findings, 2 = usage/configuration error.
+0 = no findings, 1 = findings, 2 = usage/configuration error.
 """
 
 from __future__ import annotations
@@ -28,35 +23,25 @@ from typing import Dict, List, Optional, Sequence
 
 import time
 
-from ..lint import AllowEntry, LintFinding, _SUPPRESS_RE
+from ..lint import AllowEntry, drop_suppressed
 from .base import AnalysisPass, Finding, Rule, fingerprint_findings, normalize_path
-from .baseline import BaselineEntry, apply_baseline
-from .hygiene import SuppressionHygienePass
 from .ir import ProjectIR, build_project_ir
 from .lifecycle import LifecyclePass
 from .local_rules import LocalRulesPass
-from .shared_state import SharedStatePass
-from .taint import SimTaintPass
 
 
 def default_passes() -> List[AnalysisPass]:
-    """The standard pass roster, hygiene excluded (the engine appends it)."""
-    return [
-        LocalRulesPass(),
-        SimTaintPass(),
-        SharedStatePass(),
-        LifecyclePass(),
-    ]
+    """The standard pass roster."""
+    return [LocalRulesPass(), LifecyclePass()]
 
 
 #: Analysis-seed files: editing one changes what the passes report in
-#: *other* files (the protocol catalog, the allowlist, the baseline), so a
+#: *other* files (the protocol catalog, the allowlist), so a
 #: ``--changed-only`` run restricted to the diff would report a silently
 #: stale clean result.
 SEED_SUFFIXES = (
     "repro/check/program/protocols.py",
     "repro/check/lint_allow.txt",
-    "repro/check/lint_baseline.json",
 )
 
 
@@ -71,9 +56,8 @@ def seeds_in_changed(changed: Sequence[str]) -> List[str]:
 
 
 def all_rules(passes: Sequence[AnalysisPass] = None) -> List[Rule]:
-    """Every rule the engine can report, hygiene included, id-sorted."""
-    roster = list(passes) if passes is not None else default_passes()
-    roster.append(SuppressionHygienePass(known_rules=()))
+    """Every rule the engine can report, id-sorted."""
+    roster = passes if passes is not None else default_passes()
     rules: Dict[str, Rule] = {}
     for p in roster:
         for rule in p.rules:
@@ -85,21 +69,17 @@ def all_rules(passes: Sequence[AnalysisPass] = None) -> List[Rule]:
 class AnalysisReport:
     """Everything one engine run produced."""
 
-    findings: List[Finding]            # new findings (post-everything)
-    baselined: List[Finding]           # matched by the committed baseline
-    stale_baseline: List[BaselineEntry]
+    findings: List[Finding]            # what survived suppressions/allowlist
     rules: List[Rule]
     stats: Dict[str, int] = field(default_factory=dict)
     changed_only: bool = False
     #: pass name → findings it contributed to ``findings``.
     by_pass: Dict[str, int] = field(default_factory=dict)
-    #: on-disk path → checkout-independent path used in fingerprints.
-    stable_paths: Dict[str, str] = field(default_factory=dict)
     #: pass name → wall seconds spent in its ``run`` (plus ``"ir"`` for the
     #: IR build and ``"total"``); CI holds the total under a 30 s
     #: ceiling so the analysis cannot quietly outgrow it.
     timings: Dict[str, float] = field(default_factory=dict)
-    #: pass name → raw finding count before suppression/allowlist/baseline
+    #: pass name → raw finding count before suppression/allowlist
     #: filtering (``by_pass`` only counts what survived).
     raw_by_pass: Dict[str, int] = field(default_factory=dict)
 
@@ -108,38 +88,11 @@ class AnalysisReport:
         return not self.findings
 
 
-def _apply_line_suppressions(
-    findings: List[Finding], sources: Dict[str, List[str]]
-) -> List[Finding]:
-    out: List[Finding] = []
-    for f in findings:
-        lines = sources.get(f.path)
-        if lines and 1 <= f.line <= len(lines):
-            match = _SUPPRESS_RE.search(lines[f.line - 1])
-            if match is not None:
-                named = match.group(1)
-                if named is None:
-                    continue
-                allowed = {r.strip() for r in named.split(",")}
-                if f.rule in allowed:
-                    continue
-        out.append(f)
-    return out
-
-
 def _apply_allowlist(
     findings: List[Finding], allowlist: Sequence[AllowEntry]
 ) -> List[Finding]:
-    if not allowlist:
-        return list(findings)
-    out = []
-    for f in findings:
-        shim = LintFinding(rule=f.rule, path=f.path, line=f.line, col=f.col,
-                           message=f.message)
-        if any(entry.matches(shim) for entry in allowlist):
-            continue
-        out.append(f)
-    return out
+    return [f for f in findings
+            if not any(entry.matches(f) for entry in allowlist)]
 
 
 def changed_files(base_ref: str = "HEAD",
@@ -169,8 +122,8 @@ def changed_files(base_ref: str = "HEAD",
 
 def stable_path_map(ir: ProjectIR) -> Dict[str, str]:
     """On-disk module path → checkout-independent form (``repro/obs/spans.py``)
-    so fingerprints — and therefore committed baselines — survive cloning the
-    repo to a different absolute location."""
+    so fingerprints survive cloning the repo to a different absolute
+    location."""
     out: Dict[str, str] = {}
     root = Path(ir.root).resolve()
     prefix = f"{ir.package}/" if ir.package else ""
@@ -198,8 +151,6 @@ def _restrict_to_changed(findings: List[Finding],
 def run_analysis(
     paths: Sequence,
     allowlist: Sequence[AllowEntry] = (),
-    allowlist_path: str = "",
-    baseline: Sequence[BaselineEntry] = (),
     passes: Optional[Sequence[AnalysisPass]] = None,
     changed: Optional[List[str]] = None,
     ir: Optional[ProjectIR] = None,
@@ -225,57 +176,28 @@ def run_analysis(
         raw_by_pass[p.name] = len(produced)
         raw.extend(produced)
 
-    hygiene = SuppressionHygienePass(
-        known_rules=[r.id for p in roster for r in p.rules],
-        allowlist=allowlist,
-        allowlist_path=allowlist_path,
-    )
-    hygiene.raw_findings = list(raw)
-    t_pass = time.perf_counter()  # repro: lint-ok[wall-clock]
-    hygiene_findings = hygiene.run(ir)
-    timings[hygiene.name] = time.perf_counter() - t_pass  # repro: lint-ok[wall-clock]
-    raw_by_pass[hygiene.name] = len(hygiene_findings)
-    raw.extend(hygiene_findings)
-
     sources: Dict[str, List[str]] = {
         str(mod.path): mod.lines for mod in ir.modules.values()
     }
-    stable = stable_path_map(ir)
-    filtered = _apply_line_suppressions(raw, sources)
+    filtered = drop_suppressed(raw, sources)
     filtered = _apply_allowlist(filtered, allowlist)
-    filtered = fingerprint_findings(filtered, sources, stable)
+    filtered = fingerprint_findings(filtered, sources, stable_path_map(ir))
 
-    report_changed = False
-    if changed is not None:
-        filtered = _restrict_to_changed(filtered, changed)
-        report_changed = True
-
-    new, baselined, stale = apply_baseline(filtered, baseline)
+    report_changed = changed is not None
     if report_changed:
-        # A partial view can't judge staleness: an entry whose finding
-        # lives outside the diff is absent, not paid off.
-        stale = []
-    new.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        filtered = _restrict_to_changed(filtered, changed)
 
     by_pass: Dict[str, int] = {}
-    for f in new:
+    for f in filtered:
         by_pass[f.pass_name] = by_pass.get(f.pass_name, 0) + 1
-
-    rule_catalog: Dict[str, Rule] = {}
-    for p in list(roster) + [hygiene]:
-        for rule in p.rules:
-            rule_catalog[rule.id] = rule
 
     timings["total"] = time.perf_counter() - t0  # repro: lint-ok[wall-clock]
     return AnalysisReport(
-        findings=new,
-        baselined=baselined,
-        stale_baseline=stale,
-        rules=[rule_catalog[k] for k in sorted(rule_catalog)],
+        findings=filtered,
+        rules=all_rules(roster),
         stats=ir.stats(),
         changed_only=report_changed,
         by_pass=by_pass,
-        stable_paths=stable,
         timings=timings,
         raw_by_pass=raw_by_pass,
     )
@@ -294,16 +216,6 @@ def render_report(report: AnalysisReport) -> str:
         lines.append(f"{len(report.findings)} finding(s) ({per_pass})")
     else:
         lines.append("clean: no determinism hazards found")
-    if report.baselined:
-        lines.append(
-            f"baseline: absorbing {len(report.baselined)} known finding(s)"
-        )
-    if report.stale_baseline:
-        lines.append(
-            f"baseline: {len(report.stale_baseline)} stale entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} — the "
-            "debt was paid; prune with --write-baseline"
-        )
     if report.changed_only:
         lines.append("(scope: changed files only; IR was whole-program)")
     return "\n".join(lines)
@@ -317,10 +229,6 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
         "count": len(report.findings),
         "rules": {rule.id: rule.description for rule in report.rules},
         "passes": sorted({rule.pass_name for rule in report.rules}),
-        "baseline": {
-            "matched": len(report.baselined),
-            "stale": [entry.to_dict() for entry in report.stale_baseline],
-        },
         "stats": report.stats,
         "changed_only": report.changed_only,
         "ok": report.ok,

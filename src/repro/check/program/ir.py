@@ -1,15 +1,14 @@
 """Project IR: module index, symbol tables, and the intra-package call graph.
 
 The whole-program passes (:mod:`repro.check.program`) need to see across
-module boundaries — a wall-clock read laundered through a helper in another
-file, a metric name used three packages away from its declaration, a global
-mutated five calls below a multiprocessing worker entry point.  This module
-builds the shared substrate they all walk:
+module boundaries — a resource acquired in one function and released by a
+helper in another file.  This module builds the shared substrate they
+walk:
 
 * :class:`ModuleInfo` — one parsed module: source, AST, an import table
-  mapping every local alias to its fully qualified target, the module-level
-  globals (with a mutability classification), and every function/method as
-  a :class:`FunctionInfo`;
+  mapping every local alias to its fully qualified target, the names of
+  its module-level bindings, and every function/method as a
+  :class:`FunctionInfo`;
 * :class:`ProjectIR` — the package as a whole: the module index keyed by
   dotted name, a flat function table keyed by qualified name, and the
   direct call graph (``qname → set of callee qnames``) produced by
@@ -20,8 +19,8 @@ names (including one level of re-export chasing through ``__init__``
 modules), dotted module attributes, ``self.``/``cls.`` methods of the
 enclosing class, and class instantiation (edged to ``__init__``).  Dynamic
 dispatch (``registry[name]()``, instance attributes holding callables) is
-left unresolved — the passes that ride on the graph treat unresolved calls
-conservatively instead of guessing.
+left unresolved — the passes treat unresolved calls conservatively instead
+of guessing.
 """
 
 from __future__ import annotations
@@ -30,14 +29,6 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-#: Module-level value expressions classified as mutable containers for the
-#: shared-state pass.  Classes are deliberately absent: a module-level
-#: instance *may* be mutable, but flagging every one drowns the signal.
-_MUTABLE_CONSTRUCTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
-     "OrderedDict"}
-)
 
 
 @dataclass
@@ -78,17 +69,6 @@ class FunctionInfo:
 
 
 @dataclass
-class GlobalVar:
-    """One module-level binding."""
-
-    qname: str
-    module: str
-    name: str
-    line: int
-    mutable: bool
-
-
-@dataclass
 class ModuleInfo:
     """One parsed module of the analyzed project."""
 
@@ -103,7 +83,8 @@ class ModuleInfo:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: class local name → {method name → FunctionInfo}
     classes: Dict[str, Dict[str, FunctionInfo]] = field(default_factory=dict)
-    globals: Dict[str, GlobalVar] = field(default_factory=dict)
+    #: Names bound by module-level assignments.
+    globals: Set[str] = field(default_factory=set)
 
     @property
     def lines(self) -> List[str]:
@@ -133,18 +114,6 @@ class ProjectIR:
                 return mod
         return None
 
-    def reachable_from(self, roots: Iterable[str]) -> Set[str]:
-        """Transitive closure of the call graph from ``roots``."""
-        seen: Set[str] = set()
-        frontier = [r for r in roots if r in self.functions]
-        while frontier:
-            fn = frontier.pop()
-            if fn in seen:
-                continue
-            seen.add(fn)
-            frontier.extend(self.call_graph.get(fn, ()))
-        return seen
-
     def stats(self) -> Dict[str, int]:
         edges = sum(len(v) for v in self.call_graph.values())
         resolved = sum(
@@ -173,19 +142,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _is_mutable_value(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        fn = node.func
-        name = fn.id if isinstance(fn, ast.Name) else (
-            fn.attr if isinstance(fn, ast.Attribute) else None
-        )
-        return name in _MUTABLE_CONSTRUCTORS
-    return False
 
 
 def _collect_imports(module_name: str, tree: ast.Module) -> Dict[str, str]:
@@ -251,16 +207,9 @@ def _index_module(name: str, path: Path, source: str) -> ModuleInfo:
                     add_function(sub, f"{node.name}.{sub.name}", owner=node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            value = node.value
             for target in targets:
                 if isinstance(target, ast.Name):
-                    info.globals[target.id] = GlobalVar(
-                        qname=f"{name}.{target.id}",
-                        module=name,
-                        name=target.id,
-                        line=node.lineno,
-                        mutable=value is not None and _is_mutable_value(value),
-                    )
+                    info.globals.add(target.id)
     return info
 
 
@@ -314,7 +263,7 @@ def resolve_symbol(ir: ProjectIR, module: ModuleInfo, dotted: str) -> Optional[s
     if remainder in holder.functions or remainder in holder.classes:
         return f"{holder.name}.{remainder}"
     if remainder in holder.globals:
-        return holder.globals[remainder].qname
+        return f"{holder.name}.{remainder}"
     first, _, second = remainder.partition(".")
     if first in holder.classes and second and second in holder.classes[first]:
         return holder.classes[first][second].qname

@@ -1,10 +1,10 @@
-"""``determinism``: the PR-2 per-file lint rules as a pass on the shared IR.
+"""``determinism``: the per-file lint rules as a pass on the shared IR.
 
 The original :mod:`repro.check.lint` visitor stays the single source of
 truth for the per-file hazard rules (and its module API keeps working for
 callers and tests); this adapter re-runs it over the already-parsed
 modules of the project IR so one engine invocation produces every finding
-through the same suppression/allowlist/baseline/SARIF funnel.
+through the same suppression/allowlist/SARIF funnel.
 """
 
 from __future__ import annotations

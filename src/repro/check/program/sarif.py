@@ -5,7 +5,7 @@ code-scanning UIs ingest; ``uvm-repro lint --format sarif`` emits one run
 with the full rule catalog (ids, descriptions, default severity levels)
 and one ``result`` per finding, carrying the engine's stable fingerprint
 in ``partialFingerprints`` so scanning backends track findings across
-commits the same way the committed baseline does.
+commits.
 
 Paths are emitted repo-relative against ``SRCROOT`` when the analyzed
 files live under the current working directory, absolute otherwise.

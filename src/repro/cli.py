@@ -15,9 +15,8 @@ Subcommands:
 * ``metrics <workload>`` — run a workload and print its metrics registry
   (Prometheus text, or ``--json`` for the snapshot dict);
 * ``lint [paths...]`` — whole-program static analysis over the simulator
-  sources: per-file determinism rules plus the interprocedural sim-taint,
-  mp-shared-state, lifecycle, and suppression-hygiene passes, filtered
-  through the allowlist and the committed baseline (exit 0 clean / 1
+  sources: the per-file determinism rules plus the interprocedural
+  lifecycle pass, filtered through the allowlist (exit 0 clean / 1
   findings / 2 usage error; ``--format json|sarif`` for machine output,
   ``--changed-only`` to scope reporting to a git diff);
 * ``validate <workload>`` — run a workload with UVMSan in report mode and
@@ -143,20 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--no-allowlist", action="store_true",
         help="ignore the allowlist entirely",
-    )
-    lint_p.add_argument(
-        "--baseline", default=None,
-        help="finding baseline file (default: repro/check/lint_baseline.json "
-             "when linting the default target)",
-    )
-    lint_p.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline; report every finding",
-    )
-    lint_p.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline file to match current findings "
-             "(existing per-entry reasons are preserved) and exit 0",
     )
     lint_p.add_argument(
         "--changed-only", action="store_true",
@@ -465,18 +450,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from .check.lint import DEFAULT_ALLOWLIST_PATH, load_allowlist
         from .check.program import (
-            DEFAULT_BASELINE_PATH,
             changed_files,
-            load_baseline,
             render_report,
             report_to_json_dict,
             run_analysis,
             sarif_to_json,
-            save_baseline,
             seeds_in_changed,
             to_sarif,
         )
-        from .errors import ConfigError
 
         if args.paths:
             paths = [Path(p) for p in args.paths]
@@ -484,25 +465,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             paths = [Path(__file__).resolve().parent]
 
         try:
-            if args.no_allowlist:
-                allowlist, allow_path = [], ""
-            else:
-                allow_path = (
-                    Path(args.allowlist) if args.allowlist
-                    else DEFAULT_ALLOWLIST_PATH
-                )
-                allowlist = load_allowlist(allow_path)
-
-            # The committed baseline applies to the default target; explicit
-            # path lists get one only when --baseline names it.
-            baseline_path = None
-            if not args.no_baseline and not args.write_baseline:
-                if args.baseline:
-                    baseline_path = Path(args.baseline)
-                elif not args.paths and DEFAULT_BASELINE_PATH.exists():
-                    baseline_path = DEFAULT_BASELINE_PATH
-            baseline = load_baseline(baseline_path) if baseline_path else []
-        except (ConfigError, ValueError, OSError) as exc:
+            allowlist = [] if args.no_allowlist else load_allowlist(
+                args.allowlist or DEFAULT_ALLOWLIST_PATH
+            )
+        except (ValueError, OSError) as exc:
             print(f"lint: {exc}", file=sys.stderr)
             return 2
 
@@ -516,7 +482,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
             else:
-                # Analysis seeds (protocol catalog, allow/baseline files)
+                # Analysis seeds (protocol catalog, allowlist)
                 # parameterize findings in *other* files — a diff touching
                 # one invalidates every file's results, so restricting the
                 # report to the diff would silently hide regressions.
@@ -530,31 +496,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     )
                     changed = None
 
-        report = run_analysis(
-            paths,
-            allowlist=allowlist,
-            allowlist_path=str(allow_path),
-            baseline=baseline,
-            changed=changed,
-        )
-
-        if args.write_baseline:
-            target = Path(args.baseline) if args.baseline else DEFAULT_BASELINE_PATH
-            reasons = {}
-            if target.exists():
-                try:
-                    reasons = {
-                        e.fingerprint: e.reason for e in load_baseline(target)
-                    }
-                except ConfigError:
-                    pass
-            save_baseline(target, report.findings, reasons=reasons,
-                          stable_paths=report.stable_paths)
-            print(
-                f"lint: wrote {len(report.findings)} entr"
-                f"{'y' if len(report.findings) == 1 else 'ies'} to {target}"
-            )
-            return 0
+        report = run_analysis(paths, allowlist=allowlist, changed=changed)
 
         if args.format == "json":
             print(_json.dumps(report_to_json_dict(report), indent=2,

@@ -9,6 +9,11 @@ evict-under-fault at 4 MiB, reuse and write faults, irregular access, PTX
 prefetch storms, every builtin chaos profile and every bundled
 ``examples/chaos/*.json`` profile.
 
+The same digests pin that no host wall time reaches the simulated
+timeline: a kitchen-sink chaos case run with metrics, spans, the Chrome
+trace and the full event log on, under a skewed and jumping host clock,
+must still match its table entry.
+
 Regenerate the table only for a deliberate behaviour change::
 
     PYTHONPATH=src python tests/property/test_golden_timelines.py --record
@@ -19,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -75,13 +81,18 @@ def golden_cases() -> Dict[str, dict]:
 
 
 def run_case(workload: str, seed: int, gpu_mem_mb: int, profile, sites,
-             sanitize: bool = False) -> UvmSystem:
-    """Run one case; ``sanitize`` attaches UVMSan in report mode."""
+             sanitize: bool = False, observed: bool = False) -> UvmSystem:
+    """Run one case; ``sanitize`` attaches UVMSan in report mode, and
+    ``observed`` keeps metrics and spans on and adds the Chrome trace and
+    the full event log (``UvmSystem(trace=True)``)."""
     cfg = default_config()
     cfg.seed = seed
     cfg.gpu.memory_bytes = gpu_mem_mb * MB
     cfg.gpu.num_sms = 8
-    cfg.obs = cfg.obs.disabled()
+    if observed:
+        cfg.obs.chrome_trace = True
+    else:
+        cfg.obs = cfg.obs.disabled()
     if sanitize:
         cfg.check.enabled = True
         cfg.check.mode = "report"
@@ -90,7 +101,7 @@ def run_case(workload: str, seed: int, gpu_mem_mb: int, profile, sites,
         cfg.inject.profile = profile
         cfg.inject.sites = dict(sites or {})
     cfg.validate()
-    system = UvmSystem(cfg)
+    system = UvmSystem(cfg, trace=observed)
     WORKLOAD_REGISTRY[workload]().run(system)
     return system
 
@@ -117,6 +128,36 @@ def test_table_covers_every_case():
 @pytest.mark.parametrize("case_id", list(CASES))
 def test_golden_timeline(case_id):
     system = run_case(**CASES[case_id])
+    assert timeline_digest(system) == load_table()[case_id]
+
+
+class SkewedHostClock:
+    """A host clock days off the real one that jumps: every read moves it
+    by an irregular sub-millisecond step, every 101st by an hour more."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+        self._t = 3.0e5
+
+    def __call__(self) -> float:
+        self.reads += 1
+        self._t += 1e-4 * (1 + (self.reads * 7919) % 97)
+        if self.reads % 101 == 0:
+            self._t += 3600.0
+        return self._t
+
+    def ns(self) -> int:
+        return int(self() * 1e9)
+
+
+def test_host_clock_never_reaches_the_timeline(monkeypatch):
+    host = SkewedHostClock()
+    for name in ("time", "perf_counter", "monotonic"):
+        monkeypatch.setattr(time, name, host)
+        monkeypatch.setattr(time, f"{name}_ns", host.ns)
+    case_id = "stream/4MiB/kitchen-sink/s0"
+    system = run_case(**CASES[case_id], observed=True)
+    assert host.reads > 1000, "the observed run no longer reads the host clock"
     assert timeline_digest(system) == load_table()[case_id]
 
 

@@ -1,4 +1,4 @@
-"""Simulated clock: the sink surface for the sim-taint fixture."""
+"""Simulated clock: call-graph targets and one mutable-default hazard."""
 
 
 class SimClock:
@@ -10,3 +10,8 @@ class SimClock:
 
     def advance_to(self, t_usec):
         self.now_usec = max(self.now_usec, t_usec)
+
+    def advance_all(self, deltas=[]):
+        # TRUE POSITIVE for the per-file mutable-default rule.
+        for dt_usec in deltas:
+            self.advance(dt_usec)

@@ -1,8 +1,7 @@
-"""sim-taint fixture: one laundered flow (true positive), two clean uses.
+"""Host-clock fixture: one suppressed wall-clock read, one flagged.
 
-The helper indirection is the point — the per-file ``wall-clock`` rule sees
-only a ``time.time()`` call here; the interprocedural pass must follow the
-value through ``_host_elapsed`` into ``clock.advance``.
+``drive_clean`` feeds the simulated clock a model value; ``graph.py``
+calls it, so it also anchors a call-graph edge.
 """
 
 import time
@@ -12,18 +11,11 @@ def _host_elapsed(t0):
     return time.time() - t0  # repro: lint-ok[wall-clock]
 
 
-def drive_tainted(clock, t0):
-    # TRUE POSITIVE: host wall-clock reaches the simulated timeline.
-    clock.advance(_host_elapsed(t0))
-
-
 def drive_clean(clock, cost_model):
-    # FP-avoidance: a deterministic model value entering the sink is fine.
     clock.advance(cost_model(4096))
 
 
 def log_wall_seconds(sink):
-    # FP-avoidance: the wall-clock read never reaches a sim-time sink —
-    # only the per-file rule should complain (here: suppressed on purpose).
-    t = time.time()  # repro: lint-ok[wall-clock]
+    # TRUE POSITIVE for the per-file wall-clock rule (unsuppressed).
+    t = time.time()
     sink.write(str(t))

@@ -1,5 +1,5 @@
-"""Output-contract tests: JSON schema, SARIF 2.1.0, the committed
-baseline, and the `uvm-repro lint` CLI exit codes."""
+"""Output-contract tests: JSON schema, SARIF 2.1.0, and the
+`uvm-repro lint` CLI exit codes."""
 
 from __future__ import annotations
 
@@ -10,18 +10,12 @@ import jsonschema
 import pytest
 
 from repro.check.program import (
-    DEFAULT_BASELINE_PATH,
-    BaselineEntry,
     all_rules,
-    apply_baseline,
-    load_baseline,
     report_to_json_dict,
     run_analysis,
-    save_baseline,
     to_sarif,
 )
 from repro.cli import main as cli_main
-from repro.errors import ConfigError
 
 HERE = Path(__file__).resolve()
 FIXTURES = HERE.parent / "fixtures" / "miniproj"
@@ -93,135 +87,28 @@ class TestSarif:
         levels = {
             r["ruleId"]: r["level"] for r in doc["runs"][0]["results"]
         }
-        assert levels["sim-taint"] == "error"
-        assert levels["stale-suppression"] == "warning"
-
-
-class TestBaseline:
-    def test_roundtrip_absorbs_all_findings(self, tmp_path):
-        report = run_analysis([FIXTURES])
-        assert report.findings
-        path = tmp_path / "baseline.json"
-        save_baseline(path, report.findings,
-                      reasons={f.fingerprint: "fixture debt"
-                               for f in report.findings},
-                      stable_paths=report.stable_paths)
-        entries = load_baseline(path)
-        again = run_analysis([FIXTURES], baseline=entries)
-        assert again.ok
-        assert len(again.baselined) == len(report.findings)
-        assert again.stale_baseline == []
-
-    def test_saved_paths_are_checkout_independent(self, tmp_path):
-        report = run_analysis([FIXTURES])
-        path = tmp_path / "baseline.json"
-        save_baseline(path, report.findings,
-                      stable_paths=report.stable_paths)
-        doc = json.loads(path.read_text())
-        for entry in doc["entries"]:
-            assert not entry["path"].startswith("/")
-            assert entry["path"].startswith("miniproj/")
-
-    def test_stale_entry_surfaces(self):
-        fake = BaselineEntry(fingerprint="0" * 16, rule="sim-taint",
-                             path="miniproj/gone.py", reason="paid off")
-        report = run_analysis([FIXTURES], baseline=[fake])
-        assert report.stale_baseline == [fake]
-
-    def test_entry_without_reason_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{"fingerprint": "a" * 16, "rule": "sim-taint",
-                         "path": "x.py", "reason": "  "}],
-        }))
-        with pytest.raises(ConfigError, match="reason"):
-            load_baseline(path)
-
-    def test_bad_json_and_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{nope")
-        with pytest.raises(ConfigError, match="JSON"):
-            load_baseline(path)
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ConfigError, match="version"):
-            load_baseline(path)
-
-    def test_apply_baseline_splits_three_ways(self):
-        report = run_analysis([FIXTURES])
-        keep = report.findings[0]
-        entries = [
-            BaselineEntry(keep.fingerprint, keep.rule, keep.path, "known"),
-            BaselineEntry("f" * 16, "sim-taint", "gone.py", "stale"),
-        ]
-        new, baselined, stale = apply_baseline(report.findings, entries)
-        assert keep in baselined and keep not in new
-        assert len(new) == len(report.findings) - 1
-        assert [e.fingerprint for e in stale] == ["f" * 16]
-
-    def test_committed_baseline_is_valid_and_live(self):
-        """The repo's own baseline: loadable, justified, and not stale."""
-        entries = load_baseline(DEFAULT_BASELINE_PATH)
-        assert all(e.reason for e in entries)
-        report = run_analysis([REPO / "src" / "repro"], baseline=entries)
-        assert report.stale_baseline == []
+        assert levels == {"mutable-default": "error", "wall-clock": "error"}
 
 
 class TestCliContract:
     def test_exit_1_on_findings(self, capsys):
         assert cli_main(["lint", str(FIXTURES)]) == 1
-        assert "sim-taint" in capsys.readouterr().out
+        assert "wall-clock" in capsys.readouterr().out
 
-    def test_exit_0_with_covering_baseline(self, tmp_path, capsys):
-        report = run_analysis([FIXTURES])
-        path = tmp_path / "baseline.json"
-        save_baseline(path, report.findings,
-                      reasons={f.fingerprint: "fixture debt"
-                               for f in report.findings},
-                      stable_paths=report.stable_paths)
-        rc = cli_main(["lint", str(FIXTURES), "--baseline", str(path)])
-        out = capsys.readouterr().out
+    def test_exit_0_with_covering_allowlist(self, tmp_path, capsys):
+        allow = tmp_path / "allow.txt"
+        allow.write_text("miniproj/timing.py: wall-clock  # fixture\n"
+                         "miniproj/clock.py: *  # fixture\n")
+        rc = cli_main(["lint", str(FIXTURES), "--allowlist", str(allow)])
         assert rc == 0
-        assert "absorbing" in out
+        assert "clean" in capsys.readouterr().out
 
-    def test_exit_2_on_corrupt_baseline(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        rc = cli_main(["lint", str(FIXTURES), "--baseline", str(bad)])
+    def test_exit_2_on_malformed_allowlist(self, tmp_path, capsys):
+        bad = tmp_path / "allow.txt"
+        bad.write_text("no rule on this line\n")
+        rc = cli_main(["lint", str(FIXTURES), "--allowlist", str(bad)])
         assert rc == 2
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        path = tmp_path / "baseline.json"
-        rc = cli_main(["lint", str(FIXTURES), "--write-baseline",
-                       "--baseline", str(path)])
-        assert rc == 0
-        assert path.exists()
-        capsys.readouterr()
-        rc = cli_main(["lint", str(FIXTURES), "--baseline", str(path)])
-        assert rc == 0
-
-    def test_write_baseline_preserves_reasons(self, tmp_path, capsys):
-        report = run_analysis([FIXTURES])
-        path = tmp_path / "baseline.json"
-        save_baseline(path, report.findings,
-                      reasons={report.findings[0].fingerprint: "keep me"},
-                      stable_paths=report.stable_paths)
-        cli_main(["lint", str(FIXTURES), "--write-baseline",
-                  "--baseline", str(path)])
-        doc = json.loads(path.read_text())
-        by_fp = {e["fingerprint"]: e["reason"] for e in doc["entries"]}
-        assert by_fp[report.findings[0].fingerprint] == "keep me"
-
-    def test_no_baseline_flag_reports_everything(self, tmp_path, capsys):
-        report = run_analysis([FIXTURES])
-        path = tmp_path / "baseline.json"
-        save_baseline(path, report.findings,
-                      reasons={f.fingerprint: "debt"
-                               for f in report.findings},
-                      stable_paths=report.stable_paths)
-        rc = cli_main(["lint", str(FIXTURES), "--baseline", str(path),
-                       "--no-baseline"])
-        assert rc == 1
+        assert "missing ':'" in capsys.readouterr().err
 
 
 class TestChangedOnly:
@@ -232,13 +119,10 @@ class TestChangedOnly:
         assert report.findings
         assert all(f.path.endswith("timing.py") for f in report.findings)
 
-    def test_no_stale_baseline_judgement_under_restriction(self):
-        fake = BaselineEntry(fingerprint="0" * 16, rule="sim-taint",
-                             path="miniproj/gone.py", reason="elsewhere")
-        report = run_analysis([FIXTURES], baseline=[fake],
-                              changed=["miniproj/timing.py"])
-        # A partial view cannot prove the entry stale.
-        assert report.stale_baseline == []
+    def test_unchanged_file_findings_are_dropped(self):
+        report = run_analysis([FIXTURES], changed=["miniproj/graph.py"])
+        assert report.changed_only
+        assert report.findings == []
 
     def test_changed_files_none_outside_git(self, tmp_path):
         from repro.check.program import changed_files

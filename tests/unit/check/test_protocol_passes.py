@@ -8,8 +8,7 @@ Three layers of tests:
   dropping an ``_abort_record`` call from a copy of the real tree
   produces a finding;
 * the dogfood pin — the real ``src/repro`` tree is clean under the pass,
-  so any future lifecycle regression fails here rather than landing in
-  the baseline.
+  so any future lifecycle regression fails here.
 
 Checkpoint coverage is checked at runtime instead, by the restore
 round-trip property in ``tests/property/test_inject_props.py``.
@@ -128,12 +127,8 @@ class TestAcceptanceOnRealTree:
 
 class TestDogfoodPin:
     def test_real_tree_is_clean_under_the_family(self):
-        # Suppression hygiene runs on every analysis and flags the real
-        # tree's `lint-ok[...]` comments as unknown against this reduced
-        # roster — only the family's own rules are pinned clean here.
         report = run_analysis([REPO_SRC], passes=family_passes())
-        family = [f for f in report.findings if f.rule in FAMILY_RULES]
-        assert family == []
+        assert report.findings == []
 
 
 class TestSeedInvalidation:

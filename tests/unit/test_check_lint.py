@@ -1,5 +1,6 @@
 """Determinism-lint tests: every hazard class, suppressions, allowlists,
-the CLI front end, and the regression fixture for the historic driver bug."""
+the report formats, the CLI front end, and the regression fixture for the
+historic driver bug."""
 
 from __future__ import annotations
 
@@ -7,15 +8,8 @@ import json
 
 import pytest
 
-from repro.check.lint import (
-    RULES,
-    AllowEntry,
-    findings_to_json,
-    lint_paths,
-    lint_source,
-    load_allowlist,
-    render_findings,
-)
+from repro.check.lint import RULES, AllowEntry, lint_source, load_allowlist
+from repro.check.program import render_report, report_to_json_dict, run_analysis
 from repro.cli import main as cli_main
 
 # One minimal trigger per hazard class; keys must stay in sync with RULES.
@@ -39,6 +33,11 @@ HAZARD_SNIPPETS = {
 
 def rules_of(findings):
     return {f.rule for f in findings}
+
+
+def engine_findings(paths, allowlist=()):
+    """Engine findings for ``paths`` after suppressions and ``allowlist``."""
+    return run_analysis(paths, allowlist=allowlist).findings
 
 
 class TestHazardClasses:
@@ -189,20 +188,20 @@ class TestAllowlist:
         target = tmp_path / "pkg" / "clocky.py"
         target.parent.mkdir()
         target.write_text("import time\nt = time.time()\n")
-        assert lint_paths([target], allowlist=entries) == []
-        assert len(lint_paths([target])) == 1
+        assert engine_findings([target], allowlist=entries) == []
+        assert len(engine_findings([target])) == 1
 
     def test_allowlist_is_rule_scoped(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text("import time\nt = time.time()\nxs = sorted([], key=id)\n")
         entries = [AllowEntry("mod.py", "wall-clock", "")]
-        remaining = lint_paths([target], allowlist=entries)
+        remaining = engine_findings([target], allowlist=entries)
         assert rules_of(remaining) == {"id-sort"}
 
     def test_star_rule_matches_everything(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text("import time\nt = time.time()\nxs = sorted([], key=id)\n")
-        assert lint_paths([target], allowlist=[AllowEntry("mod.py", "*", "")]) == []
+        assert engine_findings([target], allowlist=[AllowEntry("mod.py", "*", "")]) == []
 
     def test_unknown_rule_rejected(self, tmp_path):
         allow = tmp_path / "allow.txt"
@@ -218,17 +217,21 @@ class TestAllowlist:
 
 
 class TestOutputFormats:
-    def test_render_and_json(self):
-        findings = lint_source("import time\nt = time.time()\n", path="m.py")
-        text = render_findings(findings)
+    def test_render_and_json(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("import time\nt = time.time()\n")
+        report = run_analysis([target])
+        text = render_report(report)
         assert "m.py:2" in text and "wall-clock" in text and "1 finding(s)" in text
-        payload = json.loads(findings_to_json(findings))
+        payload = json.loads(json.dumps(report_to_json_dict(report)))
         assert payload["count"] == 1
         assert payload["findings"][0]["rule"] == "wall-clock"
-        assert set(payload["rules"]) == set(RULES)
+        assert set(RULES) <= set(payload["rules"])
 
-    def test_render_clean(self):
-        assert "clean" in render_findings([])
+    def test_render_clean(self, tmp_path):
+        target = tmp_path / "clean.py"
+        target.write_text("X = 1\n")
+        assert "clean" in render_report(run_analysis([target]))
 
 
 class TestCli:
