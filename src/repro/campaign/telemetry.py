@@ -14,9 +14,9 @@ The channel is strictly *observational*: telemetry rides next to the result
 path, never through it, so the merged campaign NDJSON stays byte-identical
 with telemetry on or off, for any worker count.  Workers receive the queue
 proxy inside their payload dict (no module globals, no pool initializer
-state — the ``mp-global-write`` whole-program pass would flag either), and
-every event is a plain picklable dict, so the channel works under both the
-``fork`` and ``spawn`` start methods.
+state, neither of which a ``spawn`` child inherits), and every event is a
+plain picklable dict, so the channel works under both the ``fork`` and
+``spawn`` start methods.
 
 Two host clocks are deliberately kept apart.  NDJSON arrival stamps (the
 ``t`` field) are *wall-clock* seconds since campaign start — they are a

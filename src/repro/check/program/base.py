@@ -15,11 +15,11 @@ from typing import Dict, List, Optional, Sequence
 
 @dataclass(frozen=True)
 class Rule:
-    """One reportable rule: id, owning pass, severity, description."""
+    """One reportable rule: id, owning pass, description.  Every rule is an
+    error: a finding fails the lint."""
 
     id: str
     pass_name: str
-    severity: str
     description: str
 
 
@@ -33,7 +33,6 @@ class Finding:
     col: int
     message: str
     pass_name: str = ""
-    severity: str = "error"
     #: Stable identity for code-scanning backends: hash of rule + path +
     #: the source line's stripped text + occurrence index (line *numbers*
     #: drift with unrelated edits; line *text* mostly doesn't).
@@ -46,7 +45,6 @@ class Finding:
         return {
             "rule": self.rule,
             "pass": self.pass_name,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -88,7 +86,7 @@ def fingerprint_findings(
             Finding(
                 rule=f.rule, path=f.path, line=f.line, col=f.col,
                 message=f.message, pass_name=f.pass_name,
-                severity=f.severity, fingerprint=digest,
+                fingerprint=digest,
             )
         )
     return out
@@ -123,5 +121,4 @@ class AnalysisPass:
             col=col,
             message=message,
             pass_name=self.name,
-            severity=rule.severity,
         )

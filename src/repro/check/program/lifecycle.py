@@ -50,7 +50,6 @@ _RULES = {
     "leak": Rule(
         id="lifecycle-leak",
         pass_name="lifecycle",
-        severity="error",
         description=(
             "A protocol resource can reach a normal function exit (or be "
             "rebound/discarded) without its release being called."
@@ -59,7 +58,6 @@ _RULES = {
     "exception": Rule(
         id="lifecycle-exception-leak",
         pass_name="lifecycle",
-        severity="error",
         description=(
             "An exception can escape the enclosing function while a "
             "protocol resource is still open: no handler/finally path "

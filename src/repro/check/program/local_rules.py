@@ -20,8 +20,7 @@ class LocalRulesPass(AnalysisPass):
 
     name = "determinism"
     rules = tuple(
-        Rule(id=rule_id, pass_name="determinism", severity="error",
-             description=description)
+        Rule(id=rule_id, pass_name="determinism", description=description)
         for rule_id, description in sorted(_lint.RULES.items())
     )
 
@@ -35,7 +34,7 @@ class LocalRulesPass(AnalysisPass):
                     Finding(
                         rule=raw.rule, path=raw.path, line=raw.line,
                         col=raw.col, message=raw.message,
-                        pass_name=self.name, severity="error",
+                        pass_name=self.name,
                     )
                 )
         return findings

@@ -2,10 +2,10 @@
 
 SARIF (Static Analysis Results Interchange Format, OASIS 2.1.0) is what CI
 code-scanning UIs ingest; ``uvm-repro lint --format sarif`` emits one run
-with the full rule catalog (ids, descriptions, default severity levels)
-and one ``result`` per finding, carrying the engine's stable fingerprint
-in ``partialFingerprints`` so scanning backends track findings across
-commits.
+with the full rule catalog (ids and descriptions) and one ``result`` per
+finding, every one at level ``error``, carrying the engine's stable
+fingerprint in ``partialFingerprints`` so scanning backends track findings
+across commits.
 
 Paths are emitted repo-relative against ``SRCROOT`` when the analyzed
 files live under the current working directory, absolute otherwise.
@@ -24,9 +24,6 @@ SARIF_SCHEMA_URI = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
-
-_LEVELS = {"error": "error", "warning": "warning", "note": "note"}
-
 
 def _artifact_uri(path: str, root: Path) -> Dict[str, str]:
     p = Path(path)
@@ -50,7 +47,7 @@ def to_sarif(
     for f in findings:
         result = {
             "ruleId": f.rule,
-            "level": _LEVELS.get(f.severity, "warning"),
+            "level": "error",
             "message": {"text": f.message},
             "locations": [
                 {
@@ -87,10 +84,7 @@ def to_sarif(
                             {
                                 "id": rule.id,
                                 "shortDescription": {"text": rule.description},
-                                "defaultConfiguration": {
-                                    "level": _LEVELS.get(rule.severity,
-                                                         "warning")
-                                },
+                                "defaultConfiguration": {"level": "error"},
                                 "properties": {"pass": rule.pass_name},
                             }
                             for rule in rules

@@ -200,20 +200,20 @@ class ObsConfig:
     """Observability settings (the :mod:`repro.obs` layer).
 
     Metrics and spans are cheap enough to default on; the Chrome trace
-    retains one event per phase/fault/transfer and defaults off for sweeps.
+    keeps every event of the run's log (one per phase/fault/transfer) and
+    defaults off for sweeps.
     """
 
     #: Aggregate counters/gauges/histograms (``MetricsRegistry``).
     metrics: bool = True
     #: Sim-vs-wall phase spans (``SpanProfiler``).
     spans: bool = True
-    #: Chrome trace-event timeline capture (``ChromeTraceBuilder``).
+    #: Chrome trace-event timeline (``ChromeTrace``), rendered from a
+    #: tracing flight recorder, which keeps every event.
     chrome_trace: bool = False
     #: NDJSON structured-log path for batch records, plus every
     #: flight-recorder event while tracing (None = no sink).
     ndjson_path: Optional[str] = None
-    #: Retention cap for chrome-trace events (drops, never grows unbounded).
-    chrome_max_events: int = 1_000_000
     #: Retention cap for completed spans (None = unbounded).
     max_spans: Optional[int] = None
     #: Always-on flight recorder: a bounded ring of recent structured events
@@ -246,8 +246,6 @@ class ObsConfig:
         )
 
     def validate(self) -> None:
-        if self.chrome_max_events <= 0:
-            raise ConfigError("chrome_max_events must be positive")
         if self.max_spans is not None and self.max_spans <= 0:
             raise ConfigError("max_spans must be positive or None")
         if self.flight_cap <= 0:

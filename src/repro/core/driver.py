@@ -56,14 +56,6 @@ from ..hostos.cost_model import CostModel
 from ..hostos.dma import DmaMapper
 from ..hostos.host_vm import HostVm
 from ..obs import Observability
-from ..obs.chrome_trace import (
-    PID_DRIVER,
-    PID_EVICTION,
-    PID_SM,
-    TID_BATCH,
-    TID_PHASE,
-    TID_VABLOCK,
-)
 from ..check.sanitizer import NULL_SANITIZER
 from ..obs.spans import NULL_SPAN
 from ..sim.clock import SimClock
@@ -190,24 +182,20 @@ class UvmDriver:
         self._m_degrade_transfer_defer = self._m_degrade.labels("transfer-defer")
         self._m_degrade_prefetch_fallback = self._m_degrade.labels("prefetch-fallback")
         self._m_degrade_scope_skip = self._m_degrade.labels("scope-skip")
+        #: Flight recorder (bounded ring of recent events; null object when
+        #: off, so the per-batch paths call it unconditionally).
+        self.flight = self.obs.flight
+        #: Tracing recorder: also log every fetched fault, migration and
+        #: serviced VABlock.
+        self._tracing = self.flight.tracing
         #: Cached observability flags (fixed per run): the per-batch paths
         #: skip span-context and phase-mark construction entirely when
         #: nothing consumes them.
         self._spans_on = self.obs.spans.enabled
-        self._obs_block_on = self._spans_on or self.obs.chrome.enabled
-        #: Flight recorder (bounded ring of recent events; null object when
-        #: off, so the per-batch paths call it unconditionally).
-        self.flight = self.obs.flight
-        #: Tracing recorder: also log every fetched fault and migration.
-        self._tracing = self.flight.tracing
+        self._obs_block_on = self._spans_on or self._tracing
         self.eviction.attach_obs(self.obs)
-        #: Simulated timestamp where the current VABlock's service started on
-        #: the trace timeline (per-block costs apply to the clock only after
-        #: the block loop, so the timeline is laid out from this cursor).
-        self._block_cursor = 0.0
-        #: Elapsed cost within the current block (kept current by ``spend``).
-        self._block_elapsed = 0.0
-        #: Per-block (attr, µs) phase marks for trace slices; None = off.
+        #: The (attr, µs) phase marks of the VABlock being serviced, for
+        #: its ``vablock`` event; None when not tracing.
         self._phase_marks: Optional[List[Tuple[str, float]]] = None
 
     # ----------------------------------------------------------- allocation
@@ -240,18 +228,15 @@ class UvmDriver:
             outcome = ServiceOutcome(record=record)
             block_costs: List[float] = []
             pinned: Set[int] = set()
-            chrome_on = self.obs.chrome.enabled
             emit_obs = self._obs_block_on
-            self._block_cursor = self.clock.now
+            t_block = self.clock.now
             for block_id, block_pages in by_block.items():
                 pinned.add(block_id)
                 work = BlockWork(block_id=block_id, pages=block_pages, hinted=True)
-                t_block = self._block_cursor
-                self._phase_marks = [] if chrome_on else None
                 cost, deferred = self._service_block(work, record, outcome, pinned)
                 if emit_obs:
                     self._emit_block_obs(work, t_block, cost, record)
-                self._block_cursor = t_block + cost
+                t_block += cost
                 block_costs.append(cost)
                 if deferred:
                     pinned.discard(block_id)
@@ -409,8 +394,6 @@ class UvmDriver:
     def _service_batch_body(self, record: BatchRecord, slept: bool) -> ServiceOutcome:
         spans = self.obs.spans
         spans_on = self._spans_on
-        chrome = self.obs.chrome
-        chrome_on = chrome.enabled
 
         # 1. Wake + interrupt acknowledge.
         if slept:
@@ -430,19 +413,6 @@ class UvmDriver:
             for f in faults:
                 self.flight.record("fault", record.batch_id, f.page, int(f.access),
                                    f.sm_id, f.warp_uid, f.timestamp)
-        if chrome_on:
-            # Fault instants on the issuing SM's trace row, at buffer-arrival
-            # time (the paper's per-fault arrival instrumentation, Fig 4).
-            pid_sm = self.obs.pid(PID_SM)
-            for f in faults:
-                chrome.instant(
-                    "fault",
-                    "fault",
-                    ts=f.timestamp,
-                    pid=pid_sm,
-                    tid=f.sm_id,
-                    args={"page": f.page, "batch": record.batch_id},
-                )
 
         # 3. Preprocess / dedup.
         with spans.span("driver.preprocess", batch=record.batch_id) if spans_on else NULL_SPAN:
@@ -472,15 +442,13 @@ class UvmDriver:
         block_costs: List[float] = []
         pinned: set = set()
         emit_obs = self._obs_block_on
-        self._block_cursor = self.clock.now
+        t_block = self.clock.now
         for work in batch.blocks:
             pinned.add(work.block_id)
-            t_block = self._block_cursor
-            self._phase_marks = [] if chrome_on else None
             cost, deferred = self._service_block(work, record, outcome, pinned)
             if emit_obs:
                 self._emit_block_obs(work, t_block, cost, record)
-            self._block_cursor = t_block + cost
+            t_block += cost
             block_costs.append(cost)
             if deferred:
                 pinned.discard(work.block_id)
@@ -493,15 +461,6 @@ class UvmDriver:
             record.dropped_at_flush = len(outcome.dropped_faults)
             record.time_replay = self._spend(self.cost.replay_usec)
             self.device.replay_all()
-        if chrome_on:
-            chrome.instant(
-                "replay",
-                "replay",
-                ts=self.clock.now,
-                pid=self.obs.pid(PID_DRIVER),
-                tid=TID_BATCH,
-                args={"batch": record.batch_id, "dropped": record.dropped_at_flush},
-            )
 
         # Pages evicted by later blocks of this batch are not serviced.
         resident = self.device.page_table.resident
@@ -571,7 +530,6 @@ class UvmDriver:
         attempt = 1
         while True:
             try:
-                ce.ts_hint = self._block_cursor + self._block_elapsed
                 if direction == "h2d":
                     cost = ce.host_to_device(runs)
                 else:
@@ -621,15 +579,13 @@ class UvmDriver:
                 f"faults target VABlock {work.block_id} outside any managed allocation"
             )
         total = 0.0
-        marks = self._phase_marks
-        self._block_elapsed = 0.0
+        marks = self._phase_marks = [] if self._tracing else None
 
         def spend(usec: float, attr: str) -> float:
             nonlocal total
             jittered = self.cost.jitter(self.rng, usec)
             setattr(record, attr, getattr(record, attr) + jittered)
             total += jittered
-            self._block_elapsed = total
             if marks is not None:
                 marks.append((attr, jittered))
             return jittered
@@ -751,9 +707,6 @@ class UvmDriver:
                 len(transfer_pages) * self.cost.migration_prep_per_page_usec,
                 "time_migrate_prep",
             )
-            # The CE trace slice is placed where this block's work actually
-            # sits on the timeline (the retry wrapper sets ts_hint per
-            # attempt; the clock itself advances after the loop).
             ok = self._transfer_with_retry(
                 "h2d", contiguous_runs(transfer_pages), record, spend
             )
@@ -803,18 +756,17 @@ class UvmDriver:
         victim_id = self.eviction.require_victim(exclude)
         victim = self.vablocks.get(victim_id)
         pages = sorted(victim.resident_pages)
-        evict_t0 = self._block_cursor + self._block_elapsed
-        evict_usec = spend(self.cost.evict_restart_usec, "time_eviction")
-        evict_usec += spend(self.cost.pagetable_cost(len(pages)), "time_eviction")
+        # The Chrome trace places the eviction by these two marks and the
+        # write-back's time_transfer_d2h mark.
+        spend(self.cost.evict_restart_usec, "time_eviction")
+        spend(self.cost.pagetable_cost(len(pages)), "time_eviction")
         if pages:
-            elapsed_before = self._block_elapsed
             # Write-back must complete — losing the only copy of the data is
             # not a degradation option — so retry exhaustion raises even in
             # degrade mode (allow_degrade=False).
             self._transfer_with_retry(
                 "d2h", contiguous_runs(pages), record, spend, allow_degrade=False
             )
-            evict_usec += self._block_elapsed - elapsed_before
             record.bytes_d2h += len(pages) * 4096
             self.host_vm.mark_valid(pages)
             self.device.page_table.unmap_pages(pages)
@@ -834,16 +786,6 @@ class UvmDriver:
         first = pages[0] if pages else victim.first_page
         last = pages[-1] if pages else victim.first_page
         self.flight.record("evict", record.batch_id, victim_id, first, last, len(pages))
-        if self.obs.chrome.enabled:
-            self.obs.chrome.duration(
-                f"evict block {victim_id}",
-                "evict",
-                ts=evict_t0,
-                dur=evict_usec,
-                pid=self.obs.pid(PID_EVICTION),
-                tid=0,
-                args={"pages": len(pages), "batch": record.batch_id},
-            )
 
     def _scope_expansion(
         self,
@@ -929,7 +871,8 @@ class UvmDriver:
     # -------------------------------------------------------- observability
 
     def _emit_block_obs(self, work: BlockWork, t_block: float, cost: float, record: BatchRecord) -> None:
-        """Log one serviced VABlock as a span plus trace slices.
+        """Log one serviced VABlock as a span and, when tracing, a
+        ``vablock`` event with its phase marks.
 
         Blocks are laid out serially from the clock time at the start of the
         block loop (exactly the serial driver's timeline; under the
@@ -948,31 +891,13 @@ class UvmDriver:
                 batch=record.batch_id,
             )
         marks = self._phase_marks
-        if marks is None:
-            return
-        self._phase_marks = None
-        if not marks:
-            return
-        chrome = obs.chrome
-        pid = obs.pid(PID_DRIVER)
-        chrome.duration(
-            f"vablock {work.block_id}",
-            "driver",
-            ts=t_block,
-            dur=cost,
-            pid=pid,
-            tid=TID_VABLOCK,
-            args={"batch": record.batch_id, "faults": len(work.pages)},
-        )
-        offset = t_block
-        for attr, usec in marks:
-            name = attr[5:] if attr.startswith("time_") else attr
-            chrome.duration(name, "driver", ts=offset, dur=usec, pid=pid, tid=TID_PHASE)
-            offset += usec
+        if marks:
+            self.flight.record("vablock", record.batch_id, work.block_id, t_block,
+                               cost, len(work.pages), marks)
 
     def _finish_record_obs(self, record: BatchRecord) -> None:
-        """Report one finished batch to the flight recorder, spans, the
-        Chrome trace, and the sink (its metrics are folded from the log)."""
+        """Report one finished batch to the flight recorder, spans and the
+        sink (its metrics and Chrome-trace slices are read from the log)."""
         obs = self.obs
         self.flight.record(
             "batch.abort" if record.aborted else "batch.close",
@@ -991,35 +916,6 @@ class UvmDriver:
                 batch=record.batch_id,
                 hinted=record.hinted,
             )
-        if obs.chrome.enabled:
-            kind = "hinted migration" if record.hinted else "batch"
-            obs.chrome.duration(
-                f"{kind} {record.batch_id}",
-                "driver",
-                ts=record.t_start,
-                dur=record.duration,
-                pid=obs.pid(PID_DRIVER),
-                tid=TID_BATCH,
-                args={
-                    "faults_raw": record.num_faults_raw,
-                    "faults_unique": record.num_faults_unique,
-                    "vablocks": record.num_vablocks,
-                    "pages_h2d": record.pages_migrated_h2d,
-                    "evictions": record.evictions,
-                },
-            )
-            if not record.hinted:
-                # The GPU is stalled while the driver services (§6): one
-                # aggregate stall slice on the SM process' summary row.
-                obs.chrome.duration(
-                    "stall (driver servicing)",
-                    "stall",
-                    ts=record.t_start,
-                    dur=record.duration,
-                    pid=obs.pid(PID_SM),
-                    tid=self.device.config.num_sms,
-                    args={"batch": record.batch_id},
-                )
         if obs.sink is not None:
             obs.sink.write_batch_record(record)
 

@@ -62,14 +62,11 @@ class CopyEngine:
         "stuck_events",
         "brownout_bursts",
         "_obs",
-        "_clock",
-        "_pid",
         "_m_bytes",
         "_m_bursts",
         "_san",
         "_inj",
         "_flight",
-        "ts_hint",
     )
 
     def __init__(
@@ -92,8 +89,6 @@ class CopyEngine:
         self.stuck_events = 0
         self.brownout_bursts = 0
         self._obs = None
-        self._clock = None
-        self._pid = 0
         self._m_bytes = None
         self._m_bursts = None
         #: Attached UVMSan checker, or None (the common, zero-cost case).
@@ -102,22 +97,13 @@ class CopyEngine:
         self._inj = None
         #: Attached flight recorder, or None (the common, zero-cost case).
         self._flight = None
-        #: Timestamp to place the next burst at on the trace timeline; the
-        #: driver sets it before copies made while the clock is deferred
-        #: (per-VABlock costs apply to the clock only after the block loop).
-        self.ts_hint = None
 
     # -------------------------------------------------------- observability
 
-    def attach_obs(self, obs, clock) -> None:
+    def attach_obs(self, obs) -> None:
         """Hook the copy engine into the observability layer: every burst
-        becomes a duration slice on the CE trace track and bumps the
-        ``uvm_ce_*`` metric families."""
-        from ..obs.chrome_trace import PID_COPY_ENGINE
-
+        bumps the ``uvm_ce_*`` metric families."""
         self._obs = obs
-        self._clock = clock
-        self._pid = obs.pid(PID_COPY_ENGINE)
         self._m_bytes = obs.metrics.counter(
             "uvm_ce_bytes_total", "Bytes moved by the copy engines", labels=("dir",)
         )
@@ -134,7 +120,8 @@ class CopyEngine:
         self._inj = injector
 
     def attach_flight(self, flight) -> None:
-        """Record injected burst failures in the flight-recorder ring."""
+        """Record injected burst failures in the flight-recorder ring, and
+        every burst when it is a tracing one."""
         self._flight = flight
 
     def _maybe_inject(self, cost: float) -> float:
@@ -162,23 +149,13 @@ class CopyEngine:
         return cost
 
     def _observe_burst(self, direction: str, nbytes: int, num_runs: int, cost: float) -> None:
-        obs = self._obs
-        if obs is None or nbytes == 0:
+        flight = self._flight
+        if flight is not None and flight.tracing:
+            flight.record("ce", direction, nbytes, num_runs, cost)
+        if self._obs is None or nbytes == 0:
             return
         self._m_bytes.labels(direction).inc(nbytes)
         self._m_bursts.labels(direction).inc()
-        if obs.chrome.enabled:
-            ts = self.ts_hint if self.ts_hint is not None else self._clock.now
-            self.ts_hint = None
-            obs.chrome.duration(
-                f"copy {direction}",
-                "ce",
-                ts=ts,
-                dur=cost,
-                pid=self._pid,
-                tid=0 if direction == "h2d" else 1,
-                args={"bytes": nbytes, "runs": num_runs},
-            )
 
     def cost_for_bytes(self, nbytes: int) -> float:
         """Time (µs) for one standalone transfer of ``nbytes``."""

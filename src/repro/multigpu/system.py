@@ -36,7 +36,6 @@ from ..gpu.warp import KernelLaunch
 from ..hostos.dma import DmaMapper
 from ..hostos.host_vm import HostVm
 from ..obs import Observability
-from ..obs.chrome_trace import PID_PEER
 from ..sim.clock import SimClock
 from ..sim.engine import Engine, LaunchResult
 from ..units import PAGE_SIZE, VABLOCK_SIZE, align_up
@@ -87,8 +86,10 @@ class MultiGpuSystem:
         self.clock = SimClock()
         self.host_vm = HostVm()
         #: One observability layer on the shared clock; each device gets a
-        #: scoped view so its trace tracks land on distinct pids.
+        #: scoped view so its trace tracks land on distinct pids.  This
+        #: layer's own log carries the peer migrations.
         self.obs = Observability(self.config.obs, self.clock)
+        self.obs.chrome.add_source(0, "", self.obs.flight)
         self._m_peer_pages = self.obs.metrics.counter(
             "uvm_peer_pages_total",
             "Pages moved between devices",
@@ -276,16 +277,9 @@ class MultiGpuSystem:
             self.peer_stats.bounce_usec += usec + (self.clock.now - t0)
         self._m_peer_pages.labels(mode).inc(len(resident))
         self._m_peer_usec.labels(mode).inc(self.clock.now - t_migrate)
-        if self.obs.chrome.enabled:
-            self.obs.chrome.duration(
-                f"migrate GPU{src_id}→GPU{dst_id} ({mode})",
-                "peer",
-                ts=t_migrate,
-                dur=self.clock.now - t_migrate,
-                pid=PID_PEER,
-                tid=0,
-                args={"pages": len(resident), "bytes": nbytes, "mode": mode},
-            )
+        if self.obs.flight.tracing:
+            self.obs.flight.record("peer", src_id, dst_id, mode, t_migrate,
+                                   len(resident), nbytes)
         for page in resident:
             self._owner[page] = dst_id
 

@@ -23,7 +23,6 @@ class NdjsonSink:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: Optional[IO[str]] = self.path.open("w", encoding="utf-8")
-        self.lines_written = 0
 
     # ------------------------------------------------------------- writing
 
@@ -32,7 +31,6 @@ class NdjsonSink:
         if self._fh is None:
             raise ValueError(f"sink {self.path} is closed")
         self._fh.write(json.dumps(obj) + "\n")
-        self.lines_written += 1
 
     def write_batch_record(self, record) -> None:
         """Log one :class:`~repro.core.batch_record.BatchRecord`."""
@@ -43,6 +41,19 @@ class NdjsonSink:
     def write_event(self, event) -> None:
         """Log one flight-recorder ``(t, kind, args)`` event."""
         self.write({"type": "event", **event_dict(event)})
+
+    # ----------------------------------------------------------- rewinding
+
+    def tell(self) -> Optional[int]:
+        """The file offset the next line goes to (None once closed)."""
+        return None if self._fh is None else self._fh.tell()
+
+    def truncate(self, offset: Optional[int]) -> None:
+        """Drop the lines written after :meth:`tell` returned ``offset`` (a
+        checkpoint restore calls this, as :meth:`FlightRecorder.rewind`)."""
+        if self._fh is not None and offset < self._fh.tell():
+            self._fh.seek(offset)
+            self._fh.truncate()
 
     # ----------------------------------------------------------- lifecycle
 

@@ -212,6 +212,12 @@ class SpanProfiler:
         """Total simulated time across all spans named ``name``."""
         return sum(r.sim_dur for r in self.records if r.name == name)
 
+    def truncate(self, count: int) -> None:
+        """Drop the spans recorded after the first ``count`` (a checkpoint
+        restore calls this, as :meth:`FlightRecorder.rewind`)."""
+        with self._lock:
+            del self._records[count:]
+
     def clear(self) -> None:
         with self._lock:
             self._records.clear()

@@ -35,8 +35,10 @@ Attachments are deliberately excluded: observability handles, the sanitizer,
 the injector object, and config/cost-model references stay with the live
 engine, so a restore rewinds the *simulated* world without disturbing the
 instrumentation around it; engine-side resilience counters never rewind.
-The metric families folded from the batch log rewind with it, and the
-flight recorder drops the events recorded since the capture.  The injector
+The metric families folded from the batch log and the Chrome trace rendered
+from the logs rewind with it, and the flight recorder, the span profiler
+and the NDJSON sink drop what they logged since the capture
+(:meth:`~repro.obs.Observability.mark`).  The injector
 contributes its own
 :meth:`~repro.inject.FaultInjector.snapshot` (RNG stream states + counters),
 and the sanitizer is :meth:`~repro.check.sanitizer.Sanitizer.resync`'d after
@@ -62,11 +64,9 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Attribute names that are wiring, not simulation state, on any component.
 #: ``_flight`` is the flight recorder: the checkpoint stores its append
-#: count instead (``flight_appended``), and a restore rewinds the ring to
-#: it, so a recovered run's events equal a clean run's plus the crash seam.
-_SKIP_COMMON = frozenset(
-    {"_san", "_inj", "_obs", "_clock", "_pid", "config", "cost_model", "_flight"}
-)
+#: count instead (in ``obs_mark``), and a restore rewinds the ring to it,
+#: so a recovered run's events equal a clean run's plus the crash seam.
+_SKIP_COMMON = frozenset({"_san", "_inj", "_obs", "config", "cost_model", "_flight"})
 #: Per-kind extra exclusions (references into other captured components).
 _SKIP_EXTRA: Dict[str, frozenset] = {
     "gmmu": frozenset({"buffer"}),
@@ -115,9 +115,6 @@ _DRIVER_ATTRS = (
     "_current_batch_size",
     "async_unmap_backlog_usec",
     "_active_ce_id",
-    "_block_cursor",
-    "_block_elapsed",
-    "_phase_marks",
 )
 
 #: Engine attributes captured verbatim.
@@ -159,7 +156,7 @@ def _build_state(engine) -> dict:
         "copy_engines": [_capture_obj(ce) for ce in device.copy_engines],
         "host_vm": _capture_obj(engine.host_vm),
         "dma": _capture_obj(engine.dma),
-        "flight_appended": engine.flight.appended,
+        "obs_mark": engine.obs.mark(),
         "vablocks": driver.vablocks,
         "driver": {name: getattr(driver, name) for name in _DRIVER_ATTRS},
         "eviction": _capture_obj(driver.eviction),
@@ -292,7 +289,7 @@ class EngineCheckpoint:
             _restore_obj(ce, ce_state)
         _restore_obj(engine.host_vm, state["host_vm"])
         _restore_obj(engine.dma, state["dma"])
-        engine.flight.rewind(state["flight_appended"])
+        engine.obs.rewind(state["obs_mark"])
         driver.vablocks = state["vablocks"]
         driver.log.records[:] = self._records
         for name in _DRIVER_ATTRS:

@@ -51,7 +51,6 @@ from ..hostos.cpu import HostCpu
 from ..hostos.dma import DmaMapper
 from ..hostos.host_vm import HostVm
 from ..obs import Observability
-from ..obs.chrome_trace import PID_SM
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS
 from ..units import vablock_of_page
 from .checkpoint import EngineCheckpoint
@@ -165,16 +164,7 @@ class Engine:
         self.rng = spawn_rng(config.seed, "engine")
         if self.obs.any_enabled:
             for ce in self.device.copy_engines:
-                ce.attach_obs(self.obs, self.clock)
-        #: Cached flag so the per-warp hot path never touches the builder.
-        self._chrome_on = self.obs.chrome.enabled
-        self._pid_sm = self.obs.pid(PID_SM)
-        if self._chrome_on:
-            for sm_id in range(config.gpu.num_sms):
-                self.obs.chrome.set_thread_name(self._pid_sm, sm_id, f"SM {sm_id}")
-            self.obs.chrome.set_thread_name(
-                self._pid_sm, config.gpu.num_sms, "all SMs (stall)"
-            )
+                ce.attach_obs(self.obs)
         #: UVMSan runtime invariant checker (null object when disabled, so
         #: the hot paths below pay a single attribute read at most).
         self.sanitizer = make_sanitizer(config.check, self.clock, self.obs)
@@ -200,6 +190,8 @@ class Engine:
         if self.flight.enabled:
             for ce in self.device.copy_engines:
                 ce.attach_flight(self.flight)
+        #: Tracing recorder: also log every warp's compute slice.
+        self._tracing = self.flight.tracing
         #: Where the latest crash bundle landed (None until a crash writes
         #: one; see :meth:`_capture_bundle`).
         self.last_bundle = None
@@ -228,6 +220,10 @@ class Engine:
             obs=self.obs,
             sanitizer=self.sanitizer,
             injector=self.injector,
+        )
+        self.obs.chrome.add_source(
+            self.obs.pid_base, self.obs.label, self.flight, self.driver.log,
+            config.gpu.num_sms,
         )
         #: page → warps blocked on it.
         self._waiters: Dict[int, List[WarpState]] = {}
@@ -349,7 +345,6 @@ class Engine:
         ``config.obs.bundle_dir`` is set; the exception then propagates
         unchanged.
         """
-        t0 = self.clock.now
         self.flight.record("launch", kernel.name, len(kernel.programs))
         try:
             with self.obs.span("engine.launch", "engine", kernel=kernel.name):
@@ -360,21 +355,6 @@ class Engine:
         self.flight.record("launch.done", kernel.name, result.num_batches)
         self._m_kernels.inc()
         self._m_kernel_usec.observe(result.kernel_time_usec)
-        if self._chrome_on:
-            from ..obs.chrome_trace import PID_KERNEL
-
-            self.obs.chrome.duration(
-                kernel.name or "kernel",
-                "kernel",
-                ts=t0,
-                dur=self.clock.now - t0,
-                pid=self.obs.pid(PID_KERNEL),
-                tid=0,
-                args={
-                    "faults": result.total_faults,
-                    "batches": result.num_batches,
-                },
-            )
         return result
 
     def _launch(self, kernel: KernelLaunch) -> LaunchResult:
@@ -818,16 +798,9 @@ class Engine:
             # next faults only issue once the compute retires.
             run_start = max(warp.ready_at, self.clock.now)
             warp.ready_at = run_start + result.compute_usec
-            if self._chrome_on:
-                self.obs.chrome.duration(
-                    "run",
-                    "sm",
-                    ts=run_start,
-                    dur=result.compute_usec,
-                    pid=self._pid_sm,
-                    tid=warp.sm_id,
-                    args={"warp": warp.uid},
-                )
+            if self._tracing:
+                self.flight.record("run", warp.sm_id, warp.uid, run_start,
+                                   result.compute_usec)
         for page in result.prefetches:
             self._prefetch_queue.append((warp.sm_id, page))
         if result.finished:

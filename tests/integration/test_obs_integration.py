@@ -1,8 +1,11 @@
 """End-to-end observability: spans/metrics/trace reconcile with the run.
 
 The span profiler, metrics registry, and Chrome trace are three views of the
-same simulated fault path; these tests run real workloads and check the
-views agree with the ground truth (:class:`~repro.core.batch_record.BatchRecord`).
+same simulated fault path (the trace is rendered from the run's event log
+and batch log); these tests run real workloads and check the views agree
+with the ground truth (:class:`~repro.core.batch_record.BatchRecord`).  A
+crash-recovered run must log each batch once: its spans and its NDJSON
+sink rewind with the checkpoint, as the event log does.
 """
 
 from __future__ import annotations
@@ -184,6 +187,45 @@ class TestSinkAndDisabled:
         r_off = StreamTriad(nbytes=4 * MB).run(off)
         assert r_on.total_time_usec == pytest.approx(r_off.total_time_usec)
         assert r_on.num_batches == r_off.num_batches
+
+
+def crashy_run(ndjson_path=None) -> UvmSystem:
+    """A traced run that crashes at batch 12 and recovers from the batch-8
+    checkpoint, replaying batches 9-12."""
+    cfg = default_config()
+    cfg.gpu.memory_bytes = 4 * MB
+    cfg.inject.enabled = True
+    cfg.inject.profile = "crashy"
+    cfg.inject.checkpoint_every = 8
+    if ndjson_path is not None:
+        cfg.obs.ndjson_path = str(ndjson_path)
+    system = UvmSystem(cfg, trace=True)
+    StreamTriad(nbytes=2 * MB).run(system)
+    assert system.engine.injector.summary()["recoveries"] == 1
+    return system
+
+
+class TestCrashRecoveredRun:
+    def test_batch_spans_match_records_one_for_one(self):
+        system = crashy_run()
+        spans = system.spans.select("driver.batch")
+        assert sorted(s.args_dict()["batch"] for s in spans) == [
+            r.batch_id for r in system.records
+        ]
+
+    def test_ndjson_sink_logs_the_recovered_run_once(self, tmp_path):
+        path = tmp_path / "run.ndjson"
+        system = crashy_run(path)
+        system.obs.close()
+        rows = read_ndjson(path)
+        batch_ids = [r["batch_id"] for r in rows if r["type"] == "batch_record"]
+        assert batch_ids == [r.batch_id for r in system.records]
+        events = [
+            {k: v for k, v in r.items() if k != "type"}
+            for r in rows
+            if r["type"] == "event"
+        ]
+        assert events == json.loads(json.dumps(system.obs.flight.to_dicts()))
 
 
 class TestCli:

@@ -81,13 +81,15 @@ class TestSarif:
         assert rc == 1
         assert doc["version"] == "2.1.0"
 
-    def test_severity_maps_to_sarif_levels(self):
+    def test_every_result_is_an_error(self):
         report = run_analysis([FIXTURES])
         doc = to_sarif(report.findings, report.rules, root=FIXTURES)
         levels = {
             r["ruleId"]: r["level"] for r in doc["runs"][0]["results"]
         }
         assert levels == {"mutable-default": "error", "wall-clock": "error"}
+        rules = doc["runs"][0]["tool"]["driver"]["rules"]
+        assert {r["defaultConfiguration"]["level"] for r in rules} == {"error"}
 
 
 class TestCliContract:

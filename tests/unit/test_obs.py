@@ -10,7 +10,7 @@ import pytest
 from repro.config import ObsConfig
 from repro.errors import ConfigError
 from repro.obs import (
-    ChromeTraceBuilder,
+    ChromeTrace,
     MetricsRegistry,
     NULL_INSTRUMENT,
     NULL_SPAN,
@@ -216,26 +216,37 @@ class TestSpanProfiler:
 # ----------------------------------------------------------- chrome trace
 
 
+def render(*events, pid_base=0, label="", num_sms=0, enabled=True):
+    """A trace rendered from a hand-written log of ``(t, kind, *args)``."""
+    clock = SimClock()
+    flight = FlightRecorder(clock, None)
+    for t, kind, *args in events:
+        clock.advance_to(t)
+        flight.record(kind, *args)
+    trace = ChromeTrace(enabled=enabled)
+    trace.add_source(pid_base, label, flight, num_sms=num_sms)
+    return trace
+
+
 class TestChromeTrace:
     def test_events_have_required_keys_and_sort(self):
-        b = ChromeTraceBuilder()
-        b.duration("late", "cat", ts=10.0, dur=1.0, pid=2)
-        b.duration("early", "cat", ts=5.0, dur=1.0, pid=1, args={"k": 1})
-        b.instant("mark", "cat", ts=7.0, pid=3, tid=4)
-        doc = json.loads(b.to_json())
+        trace = render(
+            (5.0, "ce", "h2d", 4096, 1, 1.0),
+            (6.0, "fault", 0, 42, 0, 3, 1, 7.0),
+            (6.0, "run", 2, 1, 10.0, 1.0),
+        )
+        doc = json.loads(json.dumps(trace.to_dict()))
         events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
-        assert [e["name"] for e in events] == ["early", "mark", "late"]
+        assert [e["name"] for e in events] == ["copy h2d", "fault", "run"]
         for e in events:
             assert {"name", "ph", "ts", "pid", "tid"} <= set(e)
         assert events[0]["ph"] == "X" and events[0]["dur"] == 1.0
         assert events[1]["ph"] == "i" and events[1]["s"] == "t"
+        assert events[1]["args"] == {"page": 42, "batch": 0}
         assert doc["displayTimeUnit"] == "ms"
 
     def test_metadata_events_come_first(self):
-        b = ChromeTraceBuilder()
-        b.duration("x", "cat", ts=0.0, dur=1.0, pid=1)
-        b.register_tracks()
-        doc = b.to_dict()
+        doc = render((0.0, "ce", "d2h", 4096, 1, 1.0)).to_dict()
         phs = [e["ph"] for e in doc["traceEvents"]]
         first_non_meta = phs.index("X")
         assert all(ph == "M" for ph in phs[:first_non_meta])
@@ -247,38 +258,59 @@ class TestChromeTrace:
         assert "UVM driver" in names
 
     def test_scoped_track_labels(self):
-        b = ChromeTraceBuilder()
-        b.register_tracks(10, "GPU1")
-        meta = b.to_dict()["traceEvents"]
+        meta = render(pid_base=10, label="GPU1", num_sms=2).to_dict()["traceEvents"]
         by_pid = {e["pid"]: e["args"]["name"] for e in meta if e["name"] == "process_name"}
         assert by_pid[10 + PID_DRIVER] == "GPU1 UVM driver"
+        threads = {(e["pid"], e["tid"]): e["args"]["name"]
+                   for e in meta if e["name"] == "thread_name"}
+        assert threads[(13, 1)] == "SM 1"
+        assert threads[(13, 2)] == "all SMs (stall)"
 
     def test_num_tracks_counts_distinct_pids(self):
-        b = ChromeTraceBuilder()
-        b.duration("a", "c", ts=0.0, dur=1.0, pid=1)
-        b.duration("b", "c", ts=0.0, dur=1.0, pid=1, tid=5)
-        b.instant("c", "c", ts=0.0, pid=2)
-        assert b.num_tracks == 2
+        trace = render(
+            (0.0, "run", 0, 1, 0.0, 1.0),
+            (0.0, "run", 5, 2, 0.0, 1.0),
+            (0.0, "ce", "h2d", 4096, 1, 1.0),
+        )
+        assert len(trace) == 3
+        assert trace.num_tracks == 2
 
-    def test_max_events_drops(self):
-        b = ChromeTraceBuilder(max_events=1)
-        b.duration("a", "c", ts=0.0, dur=1.0, pid=1)
-        b.duration("b", "c", ts=0.0, dur=1.0, pid=1)
-        assert len(b) == 1
-        assert b.dropped == 1
-        assert b.to_dict()["otherData"]["dropped_events"] == 1
+    def test_block_places_bursts_and_evictions_by_marks(self):
+        """The driver applies a block's costs after the block loop, so its
+        bursts and evictions are placed by the block's phase marks."""
+        marks = [
+            ("time_block_base", 1.0),
+            ("time_eviction", 2.0),
+            ("time_eviction", 0.5),
+            ("time_retry_backoff", 4.0),
+            ("time_transfer_d2h", 3.0),
+            ("time_transfer_h2d", 6.0),
+        ]
+        trace = render(
+            (100.0, "batch.open", 0, "fault"),
+            (100.0, "ce", "d2h", 8192, 1, 3.0),
+            (100.0, "evict", 0, 7, 0, 1, 2),
+            (100.0, "ce", "h2d", 4096, 1, 5.0),
+            (100.0, "vablock", 0, 9, 100.0, 16.5, 1, marks),
+            (116.5, "batch.close", 0, 1, 16.5),
+        )
+        by_name = {e["name"]: e for e in trace.events}
+        assert by_name["copy d2h"]["ts"] == 107.5
+        assert by_name["copy h2d"]["ts"] == 110.5
+        evict = by_name["evict block 7"]
+        assert (evict["ts"], evict["dur"]) == (101.0, 9.5)
+        phases = [e for e in trace.events if e["tid"] == 2 and e["pid"] == PID_DRIVER]
+        assert [e["ts"] for e in phases] == [100.0, 101.0, 103.0, 103.5, 107.5, 110.5]
 
     def test_disabled_builder_records_nothing(self):
-        b = ChromeTraceBuilder(enabled=False)
-        b.duration("a", "c", ts=0.0, dur=1.0, pid=1)
-        b.instant("b", "c", ts=0.0, pid=1)
-        b.counter("c", ts=0.0, values={"v": 1}, pid=1)
-        assert len(b) == 0
+        trace = render((0.0, "ce", "h2d", 4096, 1, 1.0), enabled=False)
+        assert len(trace) == 0
+        assert trace.to_dict()["traceEvents"] == []
 
     def test_write_creates_parent_dirs(self, tmp_path):
-        b = ChromeTraceBuilder()
-        b.duration("a", "c", ts=0.0, dur=1.0, pid=1)
-        path = b.write(tmp_path / "deep" / "trace.json")
+        path = render((0.0, "ce", "h2d", 4096, 1, 1.0)).write(
+            tmp_path / "deep" / "trace.json"
+        )
         assert json.loads(path.read_text())["traceEvents"]
 
 
@@ -318,8 +350,6 @@ class TestObservabilityFacade:
         cfg = ObsConfig().disabled()
         assert not (cfg.metrics or cfg.spans or cfg.chrome_trace)
         assert cfg.ndjson_path is None
-        with pytest.raises(ConfigError):
-            ObsConfig(chrome_max_events=0).validate()
         with pytest.raises(ConfigError):
             ObsConfig(max_spans=-1).validate()
 
