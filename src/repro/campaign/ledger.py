@@ -109,8 +109,17 @@ class RunLedger:
     def __init__(self, path) -> None:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        try:
+            self._conn.executescript(_SCHEMA)
+            self._conn.commit()
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise ConfigError(
+                f"ledger {self.path}: not a run ledger ({exc})"
+            ) from exc
+        except BaseException:
+            self._conn.close()
+            raise
         #: Committed mutations (the fleet's ledger-writes metric source).
         self.writes = 0
 

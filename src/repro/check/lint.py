@@ -34,18 +34,25 @@ Suppression: append ``# repro: lint-ok[rule]`` (comma-separated rules, or
 bare ``lint-ok`` for all) to the flagged line.  Repository-intentional
 exceptions live in the allowlist file (one ``path: rule  # why`` per line);
 the default allowlist ships next to this module as ``lint_allow.txt``.
+
+Front end: :func:`lint_paths` over files and directories, rendered as
+text, JSON (``docs/schemas/lint.schema.json``) or SARIF
+(:mod:`repro.check.sarif`) by ``uvm-repro lint``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-#: rule id → one-line description (also the catalog `repro lint --list-rules`
-#: prints and docs/static-analysis.md documents).
+from .sarif import fingerprints
+
+#: rule id → one-line description (also the rule catalog of the JSON and
+#: SARIF reports, documented in docs/static-analysis.md).
 RULES: Dict[str, str] = {
     "wall-clock": "real-time source (time.time/perf_counter/datetime.now) in sim code",
     "unseeded-random": "stdlib random, legacy numpy.random globals, or unseeded default_rng()",
@@ -58,36 +65,17 @@ RULES: Dict[str, str] = {
 
 DEFAULT_ALLOWLIST_PATH = Path(__file__).with_name("lint_allow.txt")
 
-_WALLCLOCK_TIME_FNS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "monotonic",
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-    }
-)
+_WALLCLOCK_TIME_FNS = frozenset({
+    "time", "time_ns", "perf_counter", "perf_counter_ns",
+    "monotonic", "monotonic_ns", "process_time", "process_time_ns",
+})
 _WALLCLOCK_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
-_NUMPY_LEGACY_RANDOM = frozenset(
-    {
-        "rand",
-        "randn",
-        "randint",
-        "random",
-        "random_sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "seed",
-        "uniform",
-        "normal",
-        "poisson",
-        "exponential",
-    }
-)
+_NUMPY_LEGACY_RANDOM = frozenset({
+    "rand", "randn", "randint", "random", "random_sample", "choice",
+    "shuffle", "permutation", "seed", "uniform", "normal", "poisson",
+    "exponential",
+})
+_SORT_KEY = attrgetter("path", "line", "col", "rule")
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*lint-ok(?:\[([A-Za-z0-9_,\s-]+)\])?")
 
 
@@ -114,8 +102,8 @@ class AllowEntry:
     reason: str
 
     def matches(self, finding) -> bool:
-        """True for a finding (per-file or engine) of this entry's rule in a
-        file whose path ends with ``path_suffix``."""
+        """True for a finding of this entry's rule in a file whose path
+        ends with ``path_suffix``."""
         if self.rule != "*" and self.rule != finding.rule:
             return False
         normalized = finding.path.replace("\\", "/")
@@ -138,15 +126,10 @@ class _HazardVisitor(ast.NodeVisitor):
     # ------------------------------------------------------------- helpers
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        self.findings.append(
-            LintFinding(
-                rule=rule,
-                path=self.path,
-                line=getattr(node, "lineno", 0),
-                col=getattr(node, "col_offset", 0),
-                message=message,
-            )
-        )
+        self.findings.append(LintFinding(
+            rule=rule, path=self.path, line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0), message=message,
+        ))
 
     @staticmethod
     def _root_name(node: ast.AST) -> Optional[str]:
@@ -179,31 +162,22 @@ class _HazardVisitor(ast.NodeVisitor):
                 and base.id == "time"
                 and func.attr in _WALLCLOCK_TIME_FNS
             ):
-                self._flag(
-                    node,
-                    "wall-clock",
-                    f"time.{func.attr}() reads the host clock; sim code must "
-                    "use SimClock",
-                )
+                self._flag(node, "wall-clock",
+                           f"time.{func.attr}() reads the host clock; sim code must "
+                           "use SimClock")
             # wall-clock: datetime.now() / datetime.datetime.now() etc.
             if func.attr in _WALLCLOCK_DATETIME_FNS and not node.args:
                 base_names = {"datetime", "date"}
                 if (isinstance(base, ast.Name) and base.id in base_names) or (
                     isinstance(base, ast.Attribute) and base.attr in base_names
                 ):
-                    self._flag(
-                        node,
-                        "wall-clock",
-                        f"argless datetime {func.attr}() reads the host clock",
-                    )
+                    self._flag(node, "wall-clock",
+                               f"argless datetime {func.attr}() reads the host clock")
             # unseeded-random: stdlib random module calls.
             if isinstance(base, ast.Name) and base.id == "random":
-                self._flag(
-                    node,
-                    "unseeded-random",
-                    f"stdlib random.{func.attr}() uses global process state; "
-                    "draw from repro.sim.rng.spawn_rng streams",
-                )
+                self._flag(node, "unseeded-random",
+                           f"stdlib random.{func.attr}() uses global process state; "
+                           "draw from repro.sim.rng.spawn_rng streams")
             # unseeded-random: numpy legacy globals np.random.<fn>(...).
             if (
                 isinstance(base, ast.Attribute)
@@ -211,20 +185,14 @@ class _HazardVisitor(ast.NodeVisitor):
                 and self._root_name(base) in ("np", "numpy")
                 and func.attr in _NUMPY_LEGACY_RANDOM
             ):
-                self._flag(
-                    node,
-                    "unseeded-random",
-                    f"numpy.random.{func.attr}() mutates the legacy global "
-                    "generator; use a seeded Generator",
-                )
+                self._flag(node, "unseeded-random",
+                           f"numpy.random.{func.attr}() mutates the legacy global "
+                           "generator; use a seeded Generator")
             # unseeded-random: default_rng() without a seed argument.
             if func.attr == "default_rng" and not node.args and not node.keywords:
-                self._flag(
-                    node,
-                    "unseeded-random",
-                    "default_rng() with no seed draws OS entropy; pass a "
-                    "seed or use repro.sim.rng.spawn_rng",
-                )
+                self._flag(node, "unseeded-random",
+                           "default_rng() with no seed draws OS entropy; pass a "
+                           "seed or use repro.sim.rng.spawn_rng")
             # id-sort: somelist.sort(key=id / key=lambda: id(...)).
             if func.attr == "sort":
                 self._check_sort_key(node)
@@ -248,11 +216,8 @@ class _HazardVisitor(ast.NodeVisitor):
                     for sub in ast.walk(value.body)
                 )
             if is_id:
-                self._flag(
-                    node,
-                    "id-sort",
-                    "sort key uses id(): object addresses differ run to run",
-                )
+                self._flag(node, "id-sort",
+                           "sort key uses id(): object addresses differ run to run")
 
     # ---------------------------------------------------------- comparisons
 
@@ -262,24 +227,18 @@ class _HazardVisitor(ast.NodeVisitor):
                 if isinstance(op, (ast.In, ast.NotIn)) and self._is_set_expr(
                     comparator
                 ):
-                    self._flag(
-                        node,
-                        "set-in-loop",
-                        "membership test rebuilds its set on every "
-                        "iteration; hoist the set out of the loop",
-                    )
+                    self._flag(node, "set-in-loop",
+                               "membership test rebuilds its set on every "
+                               "iteration; hoist the set out of the loop")
         self.generic_visit(node)
 
     # --------------------------------------------------------------- loops
 
     def _check_iter_expr(self, iter_node: ast.AST, statement: bool) -> None:
         if self._is_set_expr(iter_node):
-            self._flag(
-                iter_node,
-                "set-iter",
-                "iterating a set expression: order is insertion-history "
-                "dependent; wrap in sorted(...)",
-            )
+            self._flag(iter_node, "set-iter",
+                       "iterating a set expression: order is insertion-history "
+                       "dependent; wrap in sorted(...)")
         elif (
             statement
             and isinstance(iter_node, ast.Call)
@@ -288,12 +247,9 @@ class _HazardVisitor(ast.NodeVisitor):
             and not iter_node.args
             and not iter_node.keywords
         ):
-            self._flag(
-                iter_node,
-                "dict-values",
-                "for-statement over .values(): make the ordering explicit "
-                "(sorted(...) or .items()) if the body has side effects",
-            )
+            self._flag(iter_node, "dict-values",
+                       "for-statement over .values(): make the ordering explicit "
+                       "(sorted(...) or .items()) if the body has side effects")
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iter_expr(node.iter, statement=True)
@@ -355,12 +311,9 @@ class _HazardVisitor(ast.NodeVisitor):
                 and default.func.id in ("list", "dict", "set", "bytearray")
             )
             if mutable:
-                self._flag(
-                    default,
-                    "mutable-default",
-                    "mutable default argument is shared across calls; "
-                    "default to None and build inside",
-                )
+                self._flag(default, "mutable-default",
+                           "mutable default argument is shared across calls; "
+                           "default to None and build inside")
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
@@ -396,7 +349,7 @@ def drop_suppressed(findings: Sequence, sources: Dict[str, Sequence[str]]) -> li
     """Drop findings whose source line suppresses their rule.
 
     ``sources`` maps a finding's path to its source lines.  The one
-    suppression filter: :func:`lint_source` and the analysis engine both
+    suppression filter: :func:`lint_source` and :func:`lint_paths` both
     call it.
     """
     out = []
@@ -410,14 +363,97 @@ def drop_suppressed(findings: Sequence, sources: Dict[str, Sequence[str]]) -> li
     return out
 
 
+def raw_findings(source: str, path: str = "<string>") -> List[LintFinding]:
+    """Every hazard in one module's source, before suppressions and the
+    allowlist (raises :class:`SyntaxError` on unparsable source)."""
+    visitor = _HazardVisitor(path)
+    visitor.visit(ast.parse(source, filename=path))
+    return visitor.findings
+
+
 def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:
     """Lint one module's source text; returns findings (suppressions applied)."""
-    tree = ast.parse(source, filename=path)
-    visitor = _HazardVisitor(path)
-    visitor.visit(tree)
-    findings = drop_suppressed(visitor.findings, {path: source.splitlines()})
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    findings = drop_suppressed(raw_findings(source, path), {path: source.splitlines()})
+    return sorted(findings, key=_SORT_KEY)
+
+
+class LintInputError(ValueError):
+    """A lint target that cannot be read: missing, undecodable, or not
+    valid Python.  The CLI reports it and exits 2 rather than calling the
+    unread input clean."""
+
+
+def python_files(paths: Sequence) -> List[Path]:
+    """The ``.py`` files under ``paths`` (directories recursively), each
+    once, as absolute paths."""
+    out: List[Path] = []
+    for entry in (Path(p) for p in paths):
+        if entry.is_dir():
+            out.extend(sorted(entry.resolve().rglob("*.py")))
+        elif entry.is_file():
+            out.append(entry.resolve())
+        else:
+            raise LintInputError(f"{entry}: no such file or directory")
+    return list(dict.fromkeys(out))
+
+
+@dataclass
+class LintReport:
+    """The findings one lint run kept, plus the source lines they point
+    at (fingerprints hash the flagged line's text)."""
+
+    findings: List[LintFinding]
+    sources: Dict[str, List[str]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
+
+
+def lint_paths(paths: Sequence, allowlist: Sequence[AllowEntry] = ()) -> LintReport:
+    """Lint every ``.py`` file under ``paths``: raw findings, then line
+    suppressions, then the allowlist."""
+    findings: List[LintFinding] = []
+    sources: Dict[str, List[str]] = {}
+    for file_path in python_files(paths):
+        path = str(file_path)
+        try:
+            source = file_path.read_text(encoding="utf-8")
+            findings.extend(raw_findings(source, path))
+        except SyntaxError as exc:
+            where = f"{path}:{exc.lineno}"
+            raise LintInputError(f"{where}: cannot parse: {exc.msg}") from exc
+        except (OSError, UnicodeDecodeError, ValueError) as exc:
+            raise LintInputError(f"{path}: cannot read: {exc}") from exc
+        sources[path] = source.splitlines()
+    findings = [
+        f for f in drop_suppressed(findings, sources)
+        if not any(entry.matches(f) for entry in allowlist)
+    ]
+    return LintReport(sorted(findings, key=_SORT_KEY), sources)
+
+
+def render_report(report: LintReport) -> str:
+    """Human-readable report: one line per finding, then a summary."""
+    lines = [str(f) for f in report.findings]
+    lines.append(f"{len(report.findings)} finding(s)" if report.findings
+                 else "clean: no determinism hazards found")
+    return "\n".join(lines)
+
+
+def report_to_json_dict(report: LintReport) -> dict:
+    """The machine-readable report (``docs/schemas/lint.schema.json``)."""
+    prints = fingerprints(report.findings, report.sources)
+    return {
+        "version": 2,
+        "findings": [
+            dict(asdict(f), fingerprint=fp)
+            for f, fp in zip(report.findings, prints)
+        ],
+        "count": len(report.findings),
+        "rules": dict(RULES),
+        "ok": report.ok,
+    }
 
 
 def load_allowlist(path) -> List[AllowEntry]:

@@ -14,11 +14,10 @@ Subcommands:
   recorder on and write a Perfetto-loadable timeline;
 * ``metrics <workload>`` — run a workload and print its metrics registry
   (Prometheus text, or ``--json`` for the snapshot dict);
-* ``lint [paths...]`` — whole-program static analysis over the simulator
-  sources: the per-file determinism rules plus the interprocedural
-  lifecycle pass, filtered through the allowlist (exit 0 clean / 1
-  findings / 2 usage error; ``--format json|sarif`` for machine output,
-  ``--changed-only`` to scope reporting to a git diff);
+* ``lint [paths...]`` — the determinism lint over the simulator sources,
+  filtered through line suppressions and the allowlist (exit 0 clean /
+  1 findings / 2 usage error, including a missing or unparsable path;
+  ``--format json|sarif`` for machine output);
 * ``validate <workload>`` — run a workload with UVMSan in report mode and
   print the validation verdict (non-zero exit on violations or a crashed
   run; ``--json`` for a machine-readable verdict with an ``ok`` field);
@@ -125,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="whole-program static analysis over the simulator sources",
+        help="determinism lint over the simulator sources",
     )
     lint_p.add_argument(
         "paths", nargs="*",
@@ -142,16 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--no-allowlist", action="store_true",
         help="ignore the allowlist entirely",
-    )
-    lint_p.add_argument(
-        "--changed-only", action="store_true",
-        help="report findings only in files changed vs --base-ref (the "
-             "analysis itself stays whole-program; falls back to the full "
-             "report outside a git checkout)",
-    )
-    lint_p.add_argument(
-        "--base-ref", default="HEAD",
-        help="git ref --changed-only diffs against (default HEAD)",
     )
 
     val_p = sub.add_parser(
@@ -448,16 +437,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         import json as _json
         from pathlib import Path
 
-        from .check.lint import DEFAULT_ALLOWLIST_PATH, load_allowlist
-        from .check.program import (
-            changed_files,
+        from .check.lint import (
+            DEFAULT_ALLOWLIST_PATH,
+            RULES,
+            lint_paths,
+            load_allowlist,
             render_report,
             report_to_json_dict,
-            run_analysis,
-            sarif_to_json,
-            seeds_in_changed,
-            to_sarif,
         )
+        from .check.sarif import sarif_to_json, to_sarif
 
         if args.paths:
             paths = [Path(p) for p in args.paths]
@@ -468,35 +456,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             allowlist = [] if args.no_allowlist else load_allowlist(
                 args.allowlist or DEFAULT_ALLOWLIST_PATH
             )
+            report = lint_paths(paths, allowlist=allowlist)
         except (ValueError, OSError) as exc:
+            # LintInputError (a missing or unparsable target) is a
+            # ValueError: unread input is a usage error, never "clean".
             print(f"lint: {exc}", file=sys.stderr)
             return 2
-
-        changed = None
-        if args.changed_only:
-            changed = changed_files(args.base_ref)
-            if changed is None:
-                print(
-                    "lint: --changed-only needs a git checkout; "
-                    "falling back to the full report",
-                    file=sys.stderr,
-                )
-            else:
-                # Analysis seeds (protocol catalog, allowlist)
-                # parameterize findings in *other* files — a diff touching
-                # one invalidates every file's results, so restricting the
-                # report to the diff would silently hide regressions.
-                seeds = seeds_in_changed(changed)
-                if seeds:
-                    print(
-                        "lint: analysis seed(s) changed "
-                        f"({', '.join(sorted(seeds))}); "
-                        "widening --changed-only to the full report",
-                        file=sys.stderr,
-                    )
-                    changed = None
-
-        report = run_analysis(paths, allowlist=allowlist, changed=changed)
 
         if args.format == "json":
             print(_json.dumps(report_to_json_dict(report), indent=2,
@@ -507,7 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             root = paths[0] if len(paths) == 1 and paths[0].is_dir() \
                 else Path.cwd()
             print(sarif_to_json(
-                to_sarif(report.findings, report.rules,
+                to_sarif(report.findings, report.sources, RULES,
                          tool_version=_version, root=root)
             ))
         else:

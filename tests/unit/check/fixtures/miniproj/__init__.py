@@ -1,7 +1,6 @@
-"""Fixture mini-package for the whole-program analysis tests.
+"""Fixture mini-package for the lint output and suppression tests.
 
-``graph.py`` exercises every direct call form the IR resolves;
-``timing.py`` and ``clock.py`` each carry one deliberate per-file
-finding, so the report and output-format tests see a dirty project.  The
-tests assert exact finding sets, so keep line movements deliberate.
+``timing.py`` and ``clock.py`` each carry one deliberate finding, so the
+report and output-format tests see a dirty project.  The tests assert
+exact finding sets, so keep line movements deliberate.
 """

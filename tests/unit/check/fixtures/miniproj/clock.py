@@ -1,4 +1,4 @@
-"""Simulated clock: call-graph targets and one mutable-default hazard."""
+"""Simulated clock: one mutable-default hazard."""
 
 
 class SimClock:

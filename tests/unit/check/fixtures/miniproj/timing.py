@@ -1,7 +1,7 @@
 """Host-clock fixture: one suppressed wall-clock read, one flagged.
 
-``drive_clean`` feeds the simulated clock a model value; ``graph.py``
-calls it, so it also anchors a call-graph edge.
+``drive_clean`` feeds the simulated clock a model value and stays
+clean.
 """
 
 import time

@@ -2,8 +2,8 @@
 
 An allowlist entry or a ``# repro: lint-ok[...]`` comment that matches no
 finding hides nothing today and would silently hide a future hazard.  The
-findings are taken raw from the roster's passes, before the suppression
-and allowlist filters, so each suppression is judged by what it absorbs.
+findings are the lint visitor's raw output, before the suppression and
+allowlist filters, so each suppression is judged by what it absorbs.
 """
 
 from __future__ import annotations
@@ -11,26 +11,36 @@ from __future__ import annotations
 import io
 import tokenize
 
-from repro.check.lint import suppressed_rules
-from repro.check.program import default_passes
+from repro.check.lint import python_files, raw_findings, suppressed_rules
 
 
-def raw_findings(ir):
-    """Every pass's findings over ``ir``, before any filter."""
-    return [f for p in default_passes() for f in p.run(ir)]
+def read_sources(paths):
+    """``path → source`` for every ``.py`` file under ``paths``."""
+    return {
+        str(path): path.read_text(encoding="utf-8")
+        for path in python_files(paths)
+    }
 
 
-def lint_ok_comments(ir):
+def all_raw_findings(sources):
+    """Every finding in ``sources``, before any filter."""
+    return [
+        f for path, source in sorted(sources.items())
+        for f in raw_findings(source, path)
+    ]
+
+
+def lint_ok_comments(sources):
     """``(path, line, named rules)`` for every suppression comment token
     (docstrings that mention the syntax are not comments)."""
     out = []
-    for _name, mod in sorted(ir.modules.items()):
-        for tok in tokenize.generate_tokens(io.StringIO(mod.source).readline):
+    for path, source in sorted(sources.items()):
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type != tokenize.COMMENT:
                 continue
             named = suppressed_rules(tok.string)
             if named is not None:
-                out.append((str(mod.path), tok.start[0], named))
+                out.append((path, tok.start[0], named))
     return out
 
 

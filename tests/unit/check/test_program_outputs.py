@@ -4,17 +4,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from repro.check.program import (
-    all_rules,
-    report_to_json_dict,
-    run_analysis,
-    to_sarif,
-)
+from repro.check.lint import RULES, lint_paths, report_to_json_dict
+from repro.check.sarif import to_sarif
 from repro.cli import main as cli_main
 
 HERE = Path(__file__).resolve()
@@ -30,7 +27,7 @@ SARIF_SCHEMA = json.loads(
 
 class TestJsonSchema:
     def test_real_fixture_report_validates(self):
-        report = run_analysis([FIXTURES])
+        report = lint_paths([FIXTURES])
         assert report.findings  # the fixture is deliberately dirty
         payload = json.loads(json.dumps(report_to_json_dict(report)))
         jsonschema.validate(payload, LINT_SCHEMA)
@@ -38,7 +35,7 @@ class TestJsonSchema:
     def test_clean_report_validates(self, tmp_path):
         target = tmp_path / "clean.py"
         target.write_text("X = sorted([3, 1, 2])\n")
-        payload = report_to_json_dict(run_analysis([target]))
+        payload = report_to_json_dict(lint_paths([target]))
         jsonschema.validate(payload, LINT_SCHEMA)
         assert payload["ok"] is True and payload["count"] == 0
 
@@ -50,7 +47,7 @@ class TestJsonSchema:
         assert payload["count"] == len(payload["findings"]) > 0
 
     def test_schema_rejects_malformed_finding(self):
-        report = run_analysis([FIXTURES])
+        report = lint_paths([FIXTURES])
         payload = report_to_json_dict(report)
         payload["findings"][0]["fingerprint"] = "nope"
         with pytest.raises(jsonschema.ValidationError):
@@ -59,14 +56,14 @@ class TestJsonSchema:
 
 class TestSarif:
     def test_fixture_sarif_validates_and_is_complete(self):
-        report = run_analysis([FIXTURES])
-        doc = to_sarif(report.findings, report.rules, tool_version="1.0.0",
-                       root=FIXTURES)
+        report = lint_paths([FIXTURES])
+        doc = to_sarif(report.findings, report.sources, RULES,
+                       tool_version="1.0.0", root=FIXTURES)
         jsonschema.validate(doc, SARIF_SCHEMA)
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "uvm-repro-lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {r.id for r in all_rules()} <= rule_ids
+        assert rule_ids == set(RULES)
         assert len(run["results"]) == len(report.findings)
         for result in run["results"]:
             assert result["partialFingerprints"]["uvmLint/v1"]
@@ -81,9 +78,18 @@ class TestSarif:
         assert rc == 1
         assert doc["version"] == "2.1.0"
 
+    def test_fingerprints_are_the_same_in_any_clone(self, tmp_path):
+        prints = []
+        for clone in ("a", "b/deeper"):
+            copy = tmp_path / clone / "miniproj"
+            shutil.copytree(FIXTURES, copy)
+            payload = report_to_json_dict(lint_paths([copy]))
+            prints.append([f["fingerprint"] for f in payload["findings"]])
+        assert prints[0] and prints[0] == prints[1]
+
     def test_every_result_is_an_error(self):
-        report = run_analysis([FIXTURES])
-        doc = to_sarif(report.findings, report.rules, root=FIXTURES)
+        report = lint_paths([FIXTURES])
+        doc = to_sarif(report.findings, report.sources, RULES, root=FIXTURES)
         levels = {
             r["ruleId"]: r["level"] for r in doc["runs"][0]["results"]
         }
@@ -112,21 +118,17 @@ class TestCliContract:
         assert rc == 2
         assert "missing ':'" in capsys.readouterr().err
 
+    def test_exit_2_on_missing_path(self, tmp_path, capsys):
+        missing = tmp_path / "renamed" / "away.py"
+        assert cli_main(["lint", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert "clean" not in captured.out
 
-class TestChangedOnly:
-    def test_restriction_filters_by_suffix(self):
-        report = run_analysis([FIXTURES],
-                              changed=["miniproj/timing.py"])
-        assert report.changed_only
-        assert report.findings
-        assert all(f.path.endswith("timing.py") for f in report.findings)
-
-    def test_unchanged_file_findings_are_dropped(self):
-        report = run_analysis([FIXTURES], changed=["miniproj/graph.py"])
-        assert report.changed_only
-        assert report.findings == []
-
-    def test_changed_files_none_outside_git(self, tmp_path):
-        from repro.check.program import changed_files
-
-        assert changed_files("HEAD", cwd=tmp_path) is None
+    def test_exit_2_on_unparsable_file(self, tmp_path, capsys):
+        broken = tmp_path / "broken.py"
+        broken.write_text("def f(:\n    pass\n")
+        assert cli_main(["lint", str(broken), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert str(broken) in captured.err
+        assert captured.out == ""

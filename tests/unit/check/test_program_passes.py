@@ -1,32 +1,28 @@
-"""The determinism pass on the engine over the miniproj fixture, and the
-suppression liveness audit over small fixtures."""
+"""The determinism lint over the miniproj fixture, and the suppression
+liveness audit over small fixtures."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.check.lint import AllowEntry
-from repro.check.program import build_project_ir, run_analysis
+from repro.check.lint import AllowEntry, lint_paths
 from tests.unit.check.suppression_audit import (
+    all_raw_findings,
     dead_allow_entries,
     lint_ok_comments,
-    raw_findings,
+    read_sources,
     stale_lint_ok_comments,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "miniproj"
 
 
-def analyze(path=FIXTURES, **kw):
-    return run_analysis([path], **kw)
-
-
 def stale_lines(path):
-    ir = build_project_ir([path])
+    sources = read_sources([path])
     return [
         line
         for _path, line, _named in stale_lint_ok_comments(
-            lint_ok_comments(ir), raw_findings(ir))
+            lint_ok_comments(sources), all_raw_findings(sources))
     ]
 
 
@@ -53,13 +49,13 @@ class TestSuppressionHygienePass:
             '"""Explains `# repro: lint-ok[wall-clock]` suppressions."""\n'
             "X = 1\n"
         )
-        assert lint_ok_comments(build_project_ir([mod])) == []
+        assert lint_ok_comments(read_sources([mod])) == []
         assert stale_lines(mod) == []
 
     def test_dead_allow_entry_reported_live_kept(self):
         live = AllowEntry("timing.py", "wall-clock", "wall-clock fires there")
         dead = AllowEntry("clock.py", "wall-clock", "nothing fires there")
-        raw = raw_findings(build_project_ir([FIXTURES]))
+        raw = all_raw_findings(read_sources([FIXTURES]))
         assert dead_allow_entries([live, dead], raw) == [dead]
 
 
@@ -67,12 +63,11 @@ class TestDeterminismPassIntegration:
     def test_per_file_rules_flow_through_engine(self, tmp_path):
         target = tmp_path / "hazard.py"
         target.write_text("for x in {1, 2}:\n    print(x)\n")
-        report = analyze(target)
+        report = lint_paths([target])
         assert [f.rule for f in report.findings] == ["set-iter"]
-        assert report.findings[0].pass_name == "determinism"
 
     def test_suppressed_lines_do_not_reach_the_report(self):
-        report = analyze()
+        report = lint_paths([FIXTURES])
         # timing.py carries one suppressed and one unsuppressed wall-clock
         # read: only the unsuppressed one is reported.
         lines = [

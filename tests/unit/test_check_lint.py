@@ -8,8 +8,15 @@ import json
 
 import pytest
 
-from repro.check.lint import RULES, AllowEntry, lint_source, load_allowlist
-from repro.check.program import render_report, report_to_json_dict, run_analysis
+from repro.check.lint import (
+    RULES,
+    AllowEntry,
+    lint_paths,
+    lint_source,
+    load_allowlist,
+    render_report,
+    report_to_json_dict,
+)
 from repro.cli import main as cli_main
 
 # One minimal trigger per hazard class; keys must stay in sync with RULES.
@@ -35,9 +42,9 @@ def rules_of(findings):
     return {f.rule for f in findings}
 
 
-def engine_findings(paths, allowlist=()):
-    """Engine findings for ``paths`` after suppressions and ``allowlist``."""
-    return run_analysis(paths, allowlist=allowlist).findings
+def lint_findings(paths, allowlist=()):
+    """Findings for ``paths`` after suppressions and ``allowlist``."""
+    return lint_paths(paths, allowlist=allowlist).findings
 
 
 class TestHazardClasses:
@@ -188,20 +195,20 @@ class TestAllowlist:
         target = tmp_path / "pkg" / "clocky.py"
         target.parent.mkdir()
         target.write_text("import time\nt = time.time()\n")
-        assert engine_findings([target], allowlist=entries) == []
-        assert len(engine_findings([target])) == 1
+        assert lint_findings([target], allowlist=entries) == []
+        assert len(lint_findings([target])) == 1
 
     def test_allowlist_is_rule_scoped(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text("import time\nt = time.time()\nxs = sorted([], key=id)\n")
         entries = [AllowEntry("mod.py", "wall-clock", "")]
-        remaining = engine_findings([target], allowlist=entries)
+        remaining = lint_findings([target], allowlist=entries)
         assert rules_of(remaining) == {"id-sort"}
 
     def test_star_rule_matches_everything(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text("import time\nt = time.time()\nxs = sorted([], key=id)\n")
-        assert engine_findings([target], allowlist=[AllowEntry("mod.py", "*", "")]) == []
+        assert lint_findings([target], allowlist=[AllowEntry("mod.py", "*", "")]) == []
 
     def test_unknown_rule_rejected(self, tmp_path):
         allow = tmp_path / "allow.txt"
@@ -220,7 +227,7 @@ class TestOutputFormats:
     def test_render_and_json(self, tmp_path):
         target = tmp_path / "m.py"
         target.write_text("import time\nt = time.time()\n")
-        report = run_analysis([target])
+        report = lint_paths([target])
         text = render_report(report)
         assert "m.py:2" in text and "wall-clock" in text and "1 finding(s)" in text
         payload = json.loads(json.dumps(report_to_json_dict(report)))
@@ -231,7 +238,7 @@ class TestOutputFormats:
     def test_render_clean(self, tmp_path):
         target = tmp_path / "clean.py"
         target.write_text("X = 1\n")
-        assert "clean" in render_report(run_analysis([target]))
+        assert "clean" in render_report(lint_paths([target]))
 
 
 class TestCli:
