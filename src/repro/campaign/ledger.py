@@ -108,7 +108,10 @@ class RunLedger:
 
     def __init__(self, path) -> None:
         self.path = str(path)
-        self._conn = sqlite3.connect(self.path)
+        try:
+            self._conn = sqlite3.connect(self.path)
+        except sqlite3.Error as exc:
+            raise ConfigError(f"ledger {self.path}: cannot open ({exc})") from exc
         try:
             self._conn.executescript(_SCHEMA)
             self._conn.commit()

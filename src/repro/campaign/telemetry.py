@@ -368,14 +368,19 @@ class CampaignMonitor:
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Final drain, then release the file and the manager process."""
-        self.poll()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
+        """Final drain, then release the file and the manager process —
+        also when the drain raises (e.g. a full disk under the file)."""
+        try:
+            self.poll()
+        finally:
+            try:
+                if self._fh is not None:
+                    self._fh.close()
+                    self._fh = None
+            finally:
+                if self._manager is not None:
+                    self._manager.shutdown()
+                    self._manager = None
 
     def __enter__(self) -> "CampaignMonitor":
         return self

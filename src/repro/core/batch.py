@@ -26,24 +26,38 @@ from ..units import PAGE_SHIFT, VABLOCK_SHIFT
 #: Right-shift turning a page id into its VABlock id (array form of
 #: :func:`repro.units.vablock_of_page`).
 _VABLOCK_PAGE_SHIFT = VABLOCK_SHIFT - PAGE_SHIFT
+#: Access codes as plain ints: an enum member lookup costs more than the
+#: array comparison it feeds.
+_WRITE = int(AccessType.WRITE)
+_PREFETCH = int(AccessType.PREFETCH)
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockWork:
     """Unique faulted pages of one VABlock within a batch."""
 
     block_id: int
     #: Unique faulted pages in first-arrival order.
     pages: List[int] = field(default_factory=list)
-    #: Pages with at least one WRITE fault (take GPU write ownership).
-    write_pages: Set[int] = field(default_factory=set)
-    #: Pages demanded only by PREFETCH instructions.
-    prefetch_only_pages: Set[int] = field(default_factory=set)
+    #: Per page of ``pages``: at least one WRITE fault hit it.
+    written: List[bool] = field(default_factory=list)
+    #: Per page of ``pages``: only PREFETCH instructions demanded it.
+    prefetch_only: List[bool] = field(default_factory=list)
     #: Raw fault count attributed to this block (including duplicates).
     raw_faults: int = 0
     #: True for hint-driven bulk migrations (cudaMemPrefetchAsync): no
     #: per-fault servicing cost, no reactive prefetch expansion.
     hinted: bool = False
+
+    @property
+    def write_pages(self) -> Set[int]:
+        """Pages with at least one WRITE fault (take GPU write ownership)."""
+        return {p for p, w in zip(self.pages, self.written) if w}
+
+    @property
+    def prefetch_only_pages(self) -> Set[int]:
+        """Pages demanded only by PREFETCH instructions."""
+        return {p for p, only in zip(self.pages, self.prefetch_only) if only}
 
 
 @dataclass
@@ -102,7 +116,7 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
       fused ``block_rank * n + first_arrival`` key — unique keys make the
       unstable sort order-deterministic.
 
-    Output matches a per-fault dict-of-sets reference assembler exactly
+    Output matches a per-fault reference assembler exactly
     (property-tested): plain Python ints everywhere (``tolist()``), blocks
     in first-fault-arrival order, pages in first-arrival order within each
     block.
@@ -126,22 +140,23 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
     # heads of the sorted column.  The sort need not be stable — each page's
     # earliest arrival is recovered as the minimum argsort index per run,
     # and the page-rank scatter below is order-insensitive within a run.
-    order = np.argsort(pages)
+    order = pages.argsort()
     sorted_pages = pages[order]
     is_first = np.empty(n, dtype=bool)
     is_first[0] = True
     np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=is_first[1:])
-    run_starts = np.nonzero(is_first)[0]
+    run_starts = is_first.nonzero()[0]
     uniq_pages = sorted_pages[run_starts]
     first_idx = np.minimum.reduceat(order, run_starts)
     inv = np.empty(n, dtype=np.int64)
-    inv[order] = np.cumsum(is_first) - 1
+    inv[order] = is_first.cumsum() - 1
     num_unique = int(uniq_pages.size)
 
     # §4.2 duplicate classification via (page, µTLB) pair dedup: a duplicate
     # whose pair is fresh crossed µTLBs (type 2), a repeated pair stayed
     # within one (type 1).
-    pair_keys = np.sort(inv * (int(utlb_ids.max()) + 1) + utlb_ids)
+    pair_keys = inv * (int(utlb_ids.max()) + 1) + utlb_ids
+    pair_keys.sort()
     num_pairs = 1 + int(np.count_nonzero(pair_keys[1:] != pair_keys[:-1]))
     dup_same = n - num_pairs
     dup_cross = num_pairs - num_unique
@@ -150,9 +165,9 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
     # boolean scatters: a page is a write target iff any WRITE hit it, and
     # prefetch-only iff no demand (READ/WRITE) access ever did.
     page_written = np.zeros(num_unique, dtype=bool)
-    page_written[inv[accesses == AccessType.WRITE]] = True
+    page_written[inv[accesses == _WRITE]] = True
     page_demanded = np.zeros(num_unique, dtype=bool)
-    page_demanded[inv[accesses != AccessType.PREFETCH]] = True
+    page_demanded[inv[accesses != _PREFETCH]] = True
 
     # Group by VABlock.  ``uniq_pages`` is sorted, so its block column is
     # too: block membership is just run heads — no second sort.  Blocks
@@ -164,15 +179,15 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
     is_first_blk = np.empty(num_unique, dtype=bool)
     is_first_blk[0] = True
     np.not_equal(page_blocks[1:], page_blocks[:-1], out=is_first_blk[1:])
-    blk_starts = np.nonzero(is_first_blk)[0]
+    blk_starts = is_first_blk.nonzero()[0]
     uniq_blocks = page_blocks[blk_starts]
     num_blocks = int(uniq_blocks.size)
-    blk_inv = np.cumsum(is_first_blk) - 1
+    blk_inv = is_first_blk.cumsum() - 1
     block_arrival = np.minimum.reduceat(first_idx, blk_starts)
-    block_order = np.argsort(block_arrival)  # unique values: quicksort ok
+    block_order = block_arrival.argsort()  # unique values: quicksort ok
     block_rank = np.empty(num_blocks, dtype=np.int64)
     block_rank[block_order] = np.arange(num_blocks)
-    perm = np.argsort(block_rank[blk_inv] * n + first_idx)
+    perm = (block_rank[blk_inv] * n + first_idx).argsort()
     grouped_pages = uniq_pages[perm]
     grouped_written = page_written[perm]
     grouped_prefetch_only = ~page_demanded[perm]
@@ -186,23 +201,22 @@ def assemble_batch(faults: FaultArrays, num_sms: int) -> AssembledBatch:
     # binary search.
     raw_counts = np.bincount(blk_inv[inv], minlength=num_blocks)
 
-    ordered_block_ids = uniq_blocks[block_order].tolist()
-    ordered_raw = raw_counts[block_order].tolist()
-    blocks: List[BlockWork] = []
-    for r, block_id in enumerate(ordered_block_ids):
-        lo, hi = run_bounds[r], run_bounds[r + 1]
-        run_pages = grouped_pages[lo:hi]
-        blocks.append(
-            BlockWork(
-                block_id=block_id,
-                pages=run_pages.tolist(),
-                write_pages=set(run_pages[grouped_written[lo:hi]].tolist()),
-                prefetch_only_pages=set(
-                    run_pages[grouped_prefetch_only[lo:hi]].tolist()
-                ),
-                raw_faults=ordered_raw[r],
-            )
+    # One ``tolist`` per column, then list slices per block.
+    page_list = grouped_pages.tolist()
+    written_list = grouped_written.tolist()
+    prefetch_only_list = grouped_prefetch_only.tolist()
+    bounds = run_bounds.tolist()
+    blocks = [
+        BlockWork(
+            block_id, page_list[lo:hi], written_list[lo:hi], prefetch_only_list[lo:hi], raw
         )
+        for block_id, raw, lo, hi in zip(
+            uniq_blocks[block_order].tolist(),
+            raw_counts[block_order].tolist(),
+            bounds,
+            bounds[1:],
+        )
+    ]
 
     return AssembledBatch(
         faults=faults,

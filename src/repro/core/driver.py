@@ -59,12 +59,30 @@ from ..obs import Observability
 from ..check.sanitizer import NULL_SANITIZER
 from ..obs.spans import NULL_SPAN
 from ..sim.clock import SimClock
+from ..sim.rng import JitterStream
 from .batch import AssembledBatch, BlockWork, assemble_batch
 from .batch_record import BatchRecord
 from .eviction import LruEvictionPolicy, make_eviction_policy
 from .instrumentation import BatchLog
 from .prefetch import DensityPrefetcher, make_prefetcher
 from .vablock import VABlockManager, VABlockState
+
+
+#: The record fields a VABlock's phase charges settle into.
+PHASE_FIELDS = (
+    "time_block_base",
+    "time_alloc",
+    "time_eviction",
+    "time_population",
+    "time_dma",
+    "time_unmap",
+    "time_prefetch_decide",
+    "time_migrate_prep",
+    "time_transfer_h2d",
+    "time_transfer_d2h",
+    "time_pagetable",
+    "time_retry_backoff",
+)
 
 
 class RetryPolicy:
@@ -140,7 +158,8 @@ class UvmDriver:
         self.host_vm = host_vm
         self.dma = dma
         self.cost = cost_model
-        self.rng = rng
+        #: Cost jitter, drawn from ``rng`` in blocks.
+        self.jitter = JitterStream(rng)
         self.obs = obs if obs is not None else Observability(config.obs, clock)
         #: UVMSan invariant checker (no-op null object unless enabled).
         self.san = sanitizer if sanitizer is not None else NULL_SANITIZER
@@ -194,9 +213,15 @@ class UvmDriver:
         self._spans_on = self.obs.spans.enabled
         self._obs_block_on = self._spans_on or self._tracing
         self.eviction.attach_obs(self.obs)
-        #: The (attr, µs) phase marks of the VABlock being serviced, for
-        #: its ``vablock`` event; None when not tracing.
-        self._phase_marks: Optional[List[Tuple[str, float]]] = None
+        #: The µs and phase of each charge of the batch's VABlocks, settled
+        #: once its block loop ends (:meth:`_service_blocks`).  Two flat
+        #: lists: floats and strings are not garbage-collector tracked.
+        self._charge_usecs: List[float] = []
+        self._charge_phases: List[str] = []
+        #: Indices of the charges paid off the fault path (async-unmap
+        #: ablation): they settle into their record field, not their
+        #: block's cost.
+        self._off_path: List[int] = []
 
     # ----------------------------------------------------------- allocation
 
@@ -225,26 +250,16 @@ class UvmDriver:
             by_block: Dict[int, List[int]] = {}
             for page in sorted(set(pages)):
                 by_block.setdefault(vablock_of_page(page), []).append(page)
+            works = [
+                BlockWork(block_id=block_id, pages=block_pages, hinted=True)
+                for block_id, block_pages in by_block.items()
+            ]
             outcome = ServiceOutcome(record=record)
-            block_costs: List[float] = []
-            pinned: Set[int] = set()
-            emit_obs = self._obs_block_on
-            t_block = self.clock.now
-            for block_id, block_pages in by_block.items():
-                pinned.add(block_id)
-                work = BlockWork(block_id=block_id, pages=block_pages, hinted=True)
-                cost, deferred = self._service_block(work, record, outcome, pinned)
-                if emit_obs:
-                    self._emit_block_obs(work, t_block, cost, record)
-                t_block += cost
-                block_costs.append(cost)
-                if deferred:
-                    pinned.discard(block_id)
-            record.num_vablocks = len(by_block)
+            self._service_blocks(works, record, outcome)
+            record.num_vablocks = len(works)
             record.vablock_fault_counts = np.array(
-                [len(p) for p in by_block.values()], dtype=np.int32
+                [len(w.pages) for w in works], dtype=np.int32
             )
-            self._advance_block_phase(block_costs)
         except UvmError:
             # Fail-fast retry exhaustion (or any servicing failure) must not
             # leave the batch open: close the record on the abort path so
@@ -431,29 +446,11 @@ class UvmDriver:
             [len(w.pages) for w in batch.blocks], dtype=np.int32
         )
 
-        # 4. Per-VABlock processing.  Blocks already serviced in this batch
-        # stay pinned (their block locks are held until the replay): a later
-        # block's eviction must not undo this batch's own migrations, or a
-        # working set spanning more blocks than device chunks would thrash
-        # without ever making progress.  A block that cannot obtain memory
-        # because everything is pinned is deferred — its faults drop at the
+        # 4. Per-VABlock processing; a deferred block's faults drop at the
         # flush and reissue (the driver's fault-retry path).
         outcome = ServiceOutcome(record=record)
-        block_costs: List[float] = []
-        pinned: set = set()
-        emit_obs = self._obs_block_on
-        t_block = self.clock.now
-        for work in batch.blocks:
-            pinned.add(work.block_id)
-            cost, deferred = self._service_block(work, record, outcome, pinned)
-            if emit_obs:
-                self._emit_block_obs(work, t_block, cost, record)
-            t_block += cost
-            block_costs.append(cost)
-            if deferred:
-                pinned.discard(work.block_id)
-                outcome.unserviced_faults.extend(faults.rows_for_pages(work.pages))
-        self._advance_block_phase(block_costs)
+        for work in self._service_blocks(batch.blocks, record, outcome):
+            outcome.unserviced_faults.extend(faults.rows_for_pages(work.pages))
 
         # 5. Replay: flush buffer (drop), clear µTLB waiting, push replay.
         with spans.span("driver.replay", batch=record.batch_id) if spans_on else NULL_SPAN:
@@ -559,16 +556,101 @@ class UvmDriver:
 
     # ---------------------------------------------------------- block path
 
+    def _service_blocks(
+        self, works: List[BlockWork], record: BatchRecord, outcome: ServiceOutcome
+    ) -> List[BlockWork]:
+        """Service ``works`` in order, settle their charges and advance the
+        clock by the block phase; returns the deferred works.
+
+        Blocks already serviced in this batch stay pinned (their block
+        locks are held until the replay): a later block's eviction must not
+        undo this batch's own migrations, or a working set spanning more
+        blocks than device chunks would thrash without ever making
+        progress.  A block that cannot obtain memory because everything is
+        pinned is deferred.
+
+        The charges settle on the abort path too, so a raising block leaves
+        the record's timers, and the jitter stream, where charging each
+        cost as it came would have left them.
+        """
+        pinned: Set[int] = set()
+        ends: List[int] = []
+        deferred: List[BlockWork] = []
+        try:
+            for work in works:
+                pinned.add(work.block_id)
+                end, was_deferred = self._service_block(work, record, outcome, pinned)
+                ends.append(end)
+                if was_deferred:
+                    pinned.discard(work.block_id)
+                    deferred.append(work)
+        finally:
+            costs = self._settle(works, ends, record)
+        self._advance_block_phase(costs)
+        return deferred
+
+    def _charge(self, usec: float, phase: str) -> None:
+        """Charge ``usec`` µs of ``phase`` to the VABlock being serviced."""
+        self._charge_usecs.append(usec)
+        self._charge_phases.append(phase)
+
+    def _settle(self, works: List[BlockWork], ends: List[int], record: BatchRecord) -> List[float]:
+        """Jitter the batch's charges and settle them; returns the cost of
+        each block that finished (``ends[k]`` is where block ``k``'s
+        charges end).
+
+        One array op jitters the charges in order.  Then, left to right as
+        they were charged, each folds into its record field and, unless it
+        was off the fault path, into its block's cost.  Every finished
+        block is reported with its phase marks, laid out serially from the
+        clock.
+        """
+        usecs, phases, off_path = self._charge_usecs, self._charge_phases, self._off_path
+        self._charge_usecs, self._charge_phases, self._off_path = [], [], []
+        values = self.jitter.apply_all(
+            np.fromiter(usecs, float, len(usecs)), self.cost.jitter_frac
+        ).tolist()
+        totals = {name: getattr(record, name) for name in PHASE_FIELDS}
+        for phase, value in zip(phases, values):
+            totals[phase] += value
+        for name, total in totals.items():
+            setattr(record, name, total)
+        for i in off_path:
+            self.async_unmap_backlog_usec += values[i]
+            values[i], phases[i] = 0.0, None
+        costs = []
+        lo = 0
+        for hi in ends:
+            cost = 0.0
+            for value in values[lo:hi]:
+                cost += value
+            costs.append(cost)
+            lo = hi
+        if self._obs_block_on:
+            t_block = self.clock.now
+            lo = 0
+            for work, hi, cost in zip(works, ends, costs):
+                marks = None
+                if self._tracing:
+                    marks = [(phase, value) for phase, value
+                             in zip(phases[lo:hi], values[lo:hi]) if phase is not None]
+                self._emit_block_obs(work, t_block, cost, record, marks)
+                t_block += cost
+                lo = hi
+        return costs
+
     def _service_block(
         self,
         work: BlockWork,
         record: BatchRecord,
         outcome: ServiceOutcome,
         pinned: Set[int],
-    ) -> Tuple[float, bool]:
+    ) -> Tuple[int, bool]:
         """Service one VABlock's faults.
 
-        Returns ``(cost, deferred)``; ``deferred`` is True when the block
+        Each cost is charged (:meth:`_charge`) for :meth:`_settle`.
+        Returns ``(end, deferred)``: ``end`` is the batch's charge count
+        once this block is charged; ``deferred`` is True when the block
         could not obtain device memory because every resident block is
         pinned by this batch — its faults must retry in a later batch.
         """
@@ -578,18 +660,8 @@ class UvmDriver:
             raise InvalidAccess(
                 f"faults target VABlock {work.block_id} outside any managed allocation"
             )
-        total = 0.0
-        marks = self._phase_marks = [] if self._tracing else None
-
-        def spend(usec: float, attr: str) -> float:
-            nonlocal total
-            jittered = self.cost.jitter(self.rng, usec)
-            setattr(record, attr, getattr(record, attr) + jittered)
-            total += jittered
-            if marks is not None:
-                marks.append((attr, jittered))
-            return jittered
-
+        charges = self._charge_usecs
+        spend = self._charge
         spend(self.cost.vablock_base_usec, "time_block_base")
 
         faulted = [p for p in work.pages if p not in block.resident_pages]
@@ -613,7 +685,7 @@ class UvmDriver:
                     )
                 if self.eviction.pick_victim(pinned) is None:
                     # Everything resident is pinned by this batch: defer.
-                    return total, True
+                    return len(charges), True
                 self._evict_one(pinned, record, outcome, spend)
                 chunk = self.device.chunks.allocate()
             block.gpu_chunk = chunk
@@ -635,7 +707,7 @@ class UvmDriver:
                 # a later batch retries from untouched radix-tree state.
                 record.blocks_deferred += 1
                 self._m_degrade_dma_defer.inc()
-                return total, True
+                return len(charges), True
             spend(result.cost_usec, "time_dma")
             block.dma_initialized = True
             record.new_dma_blocks += 1
@@ -659,26 +731,25 @@ class UvmDriver:
         # expanded the page set — the common no-prefetch case just sorts.
         target = sorted(set(faulted) | prefetched) if prefetched else sorted(faulted)
         if not target:
-            return total, False
+            return len(charges), False
 
         # (d) CPU unmapping when the block is partially host-resident (§4.4).
         # Read-mostly blocks *duplicate* instead of migrating: the host
         # mappings stay intact — unless this batch carries GPU writes, which
         # collapse the duplication and pay the deferred unmap now.
-        collapse = block.read_mostly and bool(work.write_pages)
+        collapse = block.read_mostly and any(work.written)
         if collapse:
             block.read_mostly = False
-        mapped = self.host_vm.mapped_pages_of(block.valid_pages)
+        mapped = self.host_vm.mapped_pages_of(block.block_id)
         if mapped and (not block.read_mostly or collapse):
             stats = self.host_vm.unmap_range(block.valid_pages)
-            unmap_usec = self.cost.unmap_cost(stats.pages_unmapped, stats.distinct_threads)
             if self.config.driver.async_unmap:
                 # Ablation: charge off the fault path.
-                jit = self.cost.jitter(self.rng, unmap_usec)
-                record.time_unmap += jit
-                self.async_unmap_backlog_usec += jit
-            else:
-                spend(unmap_usec, "time_unmap")
+                self._off_path.append(len(charges))
+            spend(
+                self.cost.unmap_cost(stats.pages_unmapped, stats.distinct_threads),
+                "time_unmap",
+            )
             record.unmap_calls += 1
             record.pages_unmapped += stats.pages_unmapped
 
@@ -727,7 +798,7 @@ class UvmDriver:
                 # its faults drop at the flush and reissue later.
                 record.blocks_deferred += 1
                 self._m_degrade_transfer_defer.inc()
-                return total, True
+                return len(charges), True
             record.pages_migrated_h2d += len(transfer_pages)
             record.bytes_h2d += len(transfer_pages) * 4096
 
@@ -748,7 +819,7 @@ class UvmDriver:
             # this block during this batch.
             self.flight.record("migrate", record.batch_id, block.block_id,
                                target[0], target[-1], len(target))
-        return total, False
+        return len(charges), False
 
     def _evict_one(self, exclude: Set[int], record, outcome, spend) -> None:
         """Evict the LRU VABlock (paper §5.1: fail-alloc, migrate back,
@@ -772,7 +843,7 @@ class UvmDriver:
             self.device.page_table.unmap_pages(pages)
         # Evicted data lands on the host *unmapped*: paging it back in later
         # skips unmap_mapping_range (the lower levels of Fig 13).
-        if not self.host_vm.mapped_pages_of(victim.valid_pages):
+        if not self.host_vm.mapped_pages_of(victim_id):
             record.evictions_unmap_free += 1
         self.device.chunks.free(victim.gpu_chunk)
         victim.gpu_chunk = None
@@ -835,8 +906,7 @@ class UvmDriver:
             target = sorted(p for p in nbr.valid_pages if p not in nbr.resident_pages)
             if not target:
                 continue
-            mapped = self.host_vm.mapped_pages_of(nbr.valid_pages)
-            if mapped:
+            if self.host_vm.mapped_pages_of(nbr_id):
                 stats = self.host_vm.unmap_range(nbr.valid_pages)
                 spend(
                     self.cost.unmap_cost(stats.pages_unmapped, stats.distinct_threads),
@@ -870,9 +940,16 @@ class UvmDriver:
 
     # -------------------------------------------------------- observability
 
-    def _emit_block_obs(self, work: BlockWork, t_block: float, cost: float, record: BatchRecord) -> None:
+    def _emit_block_obs(
+        self,
+        work: BlockWork,
+        t_block: float,
+        cost: float,
+        record: BatchRecord,
+        marks: Optional[List[Tuple[str, float]]],
+    ) -> None:
         """Log one serviced VABlock as a span and, when tracing, a
-        ``vablock`` event with its phase marks.
+        ``vablock`` event with its ``(phase, µs)`` marks.
 
         Blocks are laid out serially from the clock time at the start of the
         block loop (exactly the serial driver's timeline; under the
@@ -890,7 +967,6 @@ class UvmDriver:
                 block=work.block_id,
                 batch=record.batch_id,
             )
-        marks = self._phase_marks
         if marks:
             self.flight.record("vablock", record.batch_id, work.block_id, t_block,
                                cost, len(work.pages), marks)
@@ -923,7 +999,7 @@ class UvmDriver:
 
     def _spend(self, usec: float) -> float:
         """Advance the clock by a jittered cost; returns the jittered value."""
-        jittered = self.cost.jitter(self.rng, usec)
+        jittered = self.jitter.apply(usec, self.cost.jitter_frac)
         self.clock.advance(jittered)
         return jittered
 
@@ -933,15 +1009,13 @@ class UvmDriver:
         The serial driver pays the sum.  Under the parallel-driver ablation
         (§6) blocks are assigned round-robin to ``service_threads`` bins and
         the clock advances by the largest bin — the imbalance the paper
-        predicts shows up as a weak speedup.
+        predicts shows up as a weak speedup.  Each bin adds left to right:
+        builtin ``sum`` of floats is compensated from Python 3.12 on, so it
+        would make the timeline depend on the Python version.
         """
         if not block_costs:
             return
-        threads = self.config.driver.service_threads
-        if threads <= 1:
-            self.clock.advance(sum(block_costs))
-            return
-        bins = [0.0] * threads
+        bins = [0.0] * self.config.driver.service_threads
         for i, cost in enumerate(block_costs):
-            bins[i % threads] += cost
+            bins[i % len(bins)] += cost
         self.clock.advance(max(bins))

@@ -25,9 +25,6 @@ Calibration targets (the paper's *measured shapes*, not absolute numbers):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from ..units import GB
 
@@ -135,6 +132,7 @@ class CostModel:
     # ----------------------------------------------------------------- jitter
     #: Multiplicative jitter applied to batch-level costs (deterministic via
     #: the seeded RNG); models scheduling noise without losing reproducibility.
+    #: The driver applies it through :class:`repro.sim.rng.JitterStream`.
     jitter_frac: float = 0.05
 
     # ------------------------------------------------------------ composites
@@ -183,13 +181,6 @@ class CostModel:
             + new_nodes * self.radix_node_alloc_usec
             + slab_refills * self.radix_slab_refill_usec
         )
-
-    def jitter(self, rng: Optional[np.random.Generator], base: float) -> float:
-        """Apply deterministic multiplicative jitter to ``base`` µs."""
-        if rng is None or self.jitter_frac <= 0.0 or base <= 0.0:
-            return base
-        factor = 1.0 + self.jitter_frac * float(rng.standard_normal())
-        return base * max(0.1, factor)
 
     def apply_overrides(self, overrides: dict) -> "CostModel":
         """Return self after assigning ``{field: value}`` overrides."""

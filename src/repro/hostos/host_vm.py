@@ -17,12 +17,21 @@ Per managed page we track:
   writes and by evictions; cleared when the GPU takes ownership by writing).
 * ``touch_thread`` — the CPU thread that first touched the page, which
   determines TLB-shootdown spread during unmapping (Fig 11).
+
+A per-VABlock count of mapped pages, kept on touch and unmap, answers the
+driver's "is this block partially host-resident?" in O(1).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Set
+
+from ..units import PAGE_SHIFT, VABLOCK_SHIFT
+
+#: Right-shift turning a page id into its VABlock id.
+_BLOCK_SHIFT = VABLOCK_SHIFT - PAGE_SHIFT
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,8 @@ class HostVm:
         self.mapped: Set[int] = set()
         self.valid: Set[int] = set()
         self.touch_thread: Dict[int, int] = {}
+        #: VABlock id -> its number of ``mapped`` pages (absent when 0).
+        self.mapped_per_block: Dict[int, int] = {}
         self.total_unmap_calls = 0
         self.total_pages_unmapped = 0
 
@@ -51,19 +62,21 @@ class HostVm:
         Marks pages mapped and valid, recording the first-touch thread.
         Returns the number of pages newly mapped.
         """
-        newly = 0
+        fresh = []
         for page in pages:
             if page not in self.mapped:
-                newly += 1
+                fresh.append(page)
                 self.mapped.add(page)
                 self.touch_thread[page] = thread_of(page)
             self.valid.add(page)
-        return newly
+        self._count_mapped(fresh, 1)
+        return len(fresh)
 
     # --------------------------------------------------------- driver side
 
-    def mapped_pages_of(self, pages: Iterable[int]) -> Set[int]:
-        return self.mapped.intersection(pages)
+    def mapped_pages_of(self, block_id: int) -> int:
+        """How many pages of VABlock ``block_id`` the host has mapped."""
+        return self.mapped_per_block.get(block_id, 0)
 
     def unmap_range(self, pages: Iterable[int]) -> UnmapStats:
         """unmap_mapping_range() over a VABlock's pages.
@@ -75,9 +88,20 @@ class HostVm:
         victims = self.mapped.intersection(pages)
         threads = {self.touch_thread[p] for p in victims if p in self.touch_thread}
         self.mapped.difference_update(victims)
+        self._count_mapped(victims, -1)
         self.total_unmap_calls += 1
         self.total_pages_unmapped += len(victims)
         return UnmapStats(pages_unmapped=len(victims), distinct_threads=len(threads))
+
+    def _count_mapped(self, pages: Iterable[int], sign: int) -> None:
+        """Add ``sign`` per page to its VABlock's mapped-page count."""
+        counts = self.mapped_per_block
+        for block_id, n in Counter(page >> _BLOCK_SHIFT for page in pages).items():
+            left = counts.get(block_id, 0) + sign * n
+            if left:
+                counts[block_id] = left
+            else:
+                del counts[block_id]
 
     def mark_valid(self, pages: Iterable[int]) -> None:
         """Host copy became current (eviction landed data back on host)."""

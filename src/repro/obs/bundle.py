@@ -162,7 +162,6 @@ def _write_bundle_contents(
         checkpoint_ref["file"] = CHECKPOINT_NAME
 
     progress = getattr(engine, "_progress", None)
-    driver_rng = engine.driver.rng
     manifest = {
         "schema": BUNDLE_SCHEMA,
         "label": label,
@@ -181,9 +180,7 @@ def _write_bundle_contents(
         },
         "rng": {
             "engine": engine.rng.bit_generator.state,
-            "driver": driver_rng.bit_generator.state
-            if driver_rng is not None
-            else None,
+            "driver": engine.driver.jitter.state(),
         },
         "injection": engine.injector.summary(),
         "sanitizer": engine.sanitizer.summary(),

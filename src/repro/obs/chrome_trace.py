@@ -28,11 +28,13 @@ instants from the :class:`~repro.core.instrumentation.BatchLog`; fault
 instants from the tracing ``fault`` events; kernels from ``launch`` /
 ``launch.done``; evictions from ``evict``; the rest from the tracing-only
 ``run``, ``ce``, ``vablock`` and ``peer`` events (``docs/diagnostics.md``
-lists their fields).  The driver applies per-VABlock costs to the clock only after the
-block loop, so a burst or eviction made while a block is serviced is placed
-by the block's ``(attr, µs)`` phase marks: each ``time_transfer_*`` mark is
-one copy-engine burst, and each eviction is its two ``time_eviction`` marks
-plus, when it wrote pages back, everything up to its ``time_transfer_d2h``.
+lists their fields).  The driver settles a batch's per-VABlock costs only
+after its block loop, and logs each block's ``vablock`` event then, after
+every burst and eviction of the loop.  The blocks take the batch's bursts
+and evictions in order and place them by their ``(attr, µs)`` phase marks:
+each ``time_transfer_*`` mark is one copy-engine burst, and each eviction
+is its two ``time_eviction`` marks plus, when it wrote pages back,
+everything up to its ``time_transfer_d2h``.
 
 Timestamps are simulated microseconds, which is exactly the unit the trace
 format expects, so simulated time maps 1:1 onto the viewer's timeline.
@@ -43,6 +45,7 @@ as separate process groups.
 from __future__ import annotations
 
 import json
+from collections import deque
 from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -122,9 +125,10 @@ class _Renderer:
                 0 if direction == "h2d" else 1, {"bytes": nbytes, "runs": runs},
             ))
 
-    def block(self, args: Tuple, bursts: List[Tuple], evicts: List[Tuple]) -> None:
-        """One VABlock: its slice, its phase slices, and the ``bursts`` and
-        ``evicts`` logged while it was serviced, placed by its marks."""
+    def block(self, args: Tuple, bursts: deque, evicts: deque) -> None:
+        """One VABlock: its slice, its phase slices, and the bursts and
+        evictions it made, taken from the front of the batch's ``bursts``
+        and ``evicts`` and placed by its marks."""
         batch, block_id, t_block, cost, faults, marks = args
         out = self.out
         out.append(_slice(f"vablock {block_id}", "driver", t_block, cost,
@@ -133,18 +137,18 @@ class _Renderer:
         # The in-block cost after each mark, summed as the driver sums it.
         ends = list(accumulate(usec for _, usec in marks))
         starts = [0.0] + ends[:-1]
-        burst_args = iter(bursts)
         offset = t_block
         for (attr, usec), start in zip(marks, starts):
             if attr.startswith("time_transfer_"):
-                self.burst(t_block + start, next(burst_args))
+                self.burst(t_block + start, bursts.popleft())
             out.append(_slice(attr[5:], "driver", offset, usec,
                               self.pid_driver, TID_PHASE))
             offset += usec
         # An eviction spends two time_eviction marks, then writes its pages
         # back, ending at a time_transfer_d2h mark.
         firsts = [i for i, (attr, _) in enumerate(marks) if attr == "time_eviction"]
-        for i, evict in zip(firsts[::2], evicts):
+        for i in firsts[::2]:
+            evict = evicts.popleft()
             end = i + 1
             if evict[4]:
                 end = next(k for k in range(end, len(marks))
@@ -159,9 +163,9 @@ class _Renderer:
     def run(self) -> None:
         src = self.source
         out = self.out
-        #: Bursts and evictions of the VABlock being serviced.
-        bursts: List[Tuple] = []
-        evicts: List[Tuple] = []
+        #: Bursts and evictions of the batch not yet placed in a block.
+        bursts: deque = deque()
+        evicts: deque = deque()
         in_batch = False
         launch = None
         launch_faults = 0
@@ -183,13 +187,13 @@ class _Renderer:
                 evicts.append(args)
             elif kind == "vablock":
                 self.block(args, bursts, evicts)
-                bursts, evicts = [], []
             elif kind == "batch.open":
                 in_batch = True
             elif kind in ("batch.close", "batch.abort"):
                 # A block that raised logged no vablock event: like its
                 # slice, its bursts and evictions stay out of the trace.
-                bursts, evicts = [], []
+                bursts.clear()
+                evicts.clear()
                 in_batch = False
                 launch_faults += args[1]
             elif kind == "launch":

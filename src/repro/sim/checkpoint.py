@@ -1,7 +1,8 @@
 """Engine checkpoint/restore for crash-recovery chaos testing.
 
 :class:`EngineCheckpoint` snapshots the *pure simulation state* of one
-:class:`~repro.sim.engine.Engine` — clock, RNG streams, fault buffer, µTLBs,
+:class:`~repro.sim.engine.Engine` — clock, RNG streams (the driver's jitter
+stream as its block's generator state plus a cursor), fault buffer, µTLBs,
 SM/warp scheduling state, page table, chunk allocator, copy-engine counters,
 host VM/DMA state, the driver's VABlock manager and batch log, and the
 in-flight launch progress.  A checkpoint is two pickles and a list:
@@ -137,9 +138,7 @@ def _build_state(engine) -> dict:
     return {
         "clock_now": engine.clock.now,
         "engine_rng": engine.rng.bit_generator.state,
-        "driver_rng": (
-            driver.rng.bit_generator.state if driver.rng is not None else None
-        ),
+        "driver_jitter": driver.jitter.state(),
         "engine": {name: getattr(engine, name) for name in _ENGINE_ATTRS},
         "fault_buffer": _capture_obj(device.fault_buffer),
         "gmmu": _capture_obj(device.gmmu, _SKIP_EXTRA["gmmu"]),
@@ -269,8 +268,7 @@ class EngineCheckpoint:
         device = engine.device
         engine.clock.restore(state["clock_now"])
         engine.rng.bit_generator.state = state["engine_rng"]
-        if driver.rng is not None and state["driver_rng"] is not None:
-            driver.rng.bit_generator.state = state["driver_rng"]
+        driver.jitter.restore(state["driver_jitter"])
         engine._programs = table.programs
         engine._program_pickle = table
         for name in _ENGINE_ATTRS:

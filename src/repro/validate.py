@@ -95,11 +95,21 @@ def check_fault_conservation(system: UvmSystem) -> List[Violation]:
 
 
 def check_host_state(system: UvmSystem) -> List[Violation]:
-    """Host-mapped pages of GPU-resident data only under read-mostly."""
+    """Host-mapped pages of GPU-resident data only under read-mostly, and
+    each VABlock's mapped-page count equal to its mapped pages."""
     out: List[Violation] = []
     host_vm = system.engine.host_vm
     driver = system.engine.driver
     for block in driver.vablocks.blocks():
+        counted = host_vm.mapped_pages_of(block.block_id)
+        if counted != len(host_vm.mapped.intersection(block.valid_pages)):
+            out.append(
+                Violation(
+                    "host-state",
+                    f"VABlock {block.block_id}: mapped-page count {counted} "
+                    "differs from its host-mapped pages",
+                )
+            )
         if block.read_mostly:
             continue
         overlap = host_vm.mapped & block.resident_pages

@@ -101,6 +101,8 @@ def assemble_batch_scalar(faults: Iterable[Fault], num_sms: int) -> AssembledBat
     sm_counts = np.zeros(num_sms, dtype=np.int32)
     block_index: Dict[int, BlockWork] = {}
     seen_utlbs: Dict[int, Set[int]] = {}
+    #: Page -> its slot in its block's ``pages``.
+    slot: Dict[int, int] = {}
 
     for fault in faults:
         sm_counts[fault.sm_id] += 1
@@ -118,11 +120,10 @@ def assemble_batch_scalar(faults: Iterable[Fault], num_sms: int) -> AssembledBat
             # First fault for this page in the batch: unique.
             seen_utlbs[page] = {fault.utlb_id}
             batch.num_unique += 1
+            slot[page] = len(work.pages)
             work.pages.append(page)
-            if fault.access == AccessType.WRITE:
-                work.write_pages.add(page)
-            elif fault.access == AccessType.PREFETCH:
-                work.prefetch_only_pages.add(page)
+            work.written.append(fault.access == AccessType.WRITE)
+            work.prefetch_only.append(fault.access == AccessType.PREFETCH)
         else:
             if fault.utlb_id in utlbs:
                 batch.dup_same_utlb += 1
@@ -131,10 +132,9 @@ def assemble_batch_scalar(faults: Iterable[Fault], num_sms: int) -> AssembledBat
                 utlbs.add(fault.utlb_id)
             # Upgrade access strength for the page.
             if fault.access == AccessType.WRITE:
-                work.write_pages.add(page)
-                work.prefetch_only_pages.discard(page)
-            elif fault.access == AccessType.READ:
-                work.prefetch_only_pages.discard(page)
+                work.written[slot[page]] = True
+            if fault.access != AccessType.PREFETCH:
+                work.prefetch_only[slot[page]] = False
 
     batch.sm_fault_counts = sm_counts
     return batch

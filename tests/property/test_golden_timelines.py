@@ -7,7 +7,10 @@ refactor of the fault path (issuance, buffer, assembly, driver) must leave
 every timeline bit-identical.  The cases cover replay-heavy streaming,
 evict-under-fault at 4 MiB, reuse and write faults, irregular access, PTX
 prefetch storms, every builtin chaos profile and every bundled
-``examples/chaos/*.json`` profile.
+``examples/chaos/*.json`` profile, and the driver paths behind the
+``DriverConfig`` ablations: asynchronous unmapping, parallel service
+threads, enlarged prefetch scope, prefetch and read-mostly hints, the
+host-initialised unmap path, and a fail-fast run that aborts mid-batch.
 
 The same digests pin that no host wall time reaches the simulated
 timeline: a kitchen-sink chaos case run with metrics, spans, the Chrome
@@ -32,6 +35,8 @@ import pytest
 
 from repro.api import UvmSystem
 from repro.config import default_config
+from repro.errors import RetryExhausted
+from repro.gpu.warp import KernelLaunch, Phase, WarpProgram
 from repro.inject.profiles import BUILTIN_PROFILES
 from repro.units import MB
 from repro.workloads import WORKLOAD_REGISTRY
@@ -44,10 +49,37 @@ CHAOS_DIR = HERE.parents[1] / "examples" / "chaos"
 STALL_ONLY = {"utlb.stall": {"rate": 0.25}}
 
 
+#: Flaky copy engines under fail-fast with two attempts per burst: at
+#: seed 1 a burst exhausts its retries 175 batches in, in the third VABlock
+#: of a batch that has already evicted, and aborts the run.
+FAIL_FAST_SITES = {"ce.transfer_fault": {"rate": 0.05}}
+FAIL_FAST = {"failure_mode": "fail-fast", "retry_max_attempts": 2}
+
+
 def _case(workload: str, seed: int, gpu_mem_mb: int = 16,
-          profile: Optional[str] = None, sites: Optional[dict] = None) -> dict:
+          profile: Optional[str] = None, sites: Optional[dict] = None,
+          driver: Optional[dict] = None) -> dict:
     return {"workload": workload, "seed": seed, "gpu_mem_mb": gpu_mem_mb,
-            "profile": profile, "sites": sites}
+            "profile": profile, "sites": sites, "driver": driver}
+
+
+def hinted_read_mostly(system: UvmSystem) -> None:
+    """Host init, read-mostly advice and a prefetch hint over half the
+    range, then a kernel that reads everything and writes a quarter: the
+    writes collapse the read-mostly duplication and pay the deferred unmap."""
+    alloc = system.managed_alloc(6 * MB, "grid")
+    system.host_touch(alloc)
+    system.mem_advise_read_mostly(alloc)
+    system.mem_prefetch(alloc, 0, alloc.num_pages // 2)
+    pages = list(alloc.pages())
+    writes = pages[: len(pages) // 4]
+    phases = [Phase.of(pages[i:i + 32]) for i in range(0, len(pages), 32)]
+    phases += [Phase.of([], writes[i:i + 32]) for i in range(0, len(writes), 32)]
+    system.launch(KernelLaunch("sweep", [WarpProgram(phases[i::4]) for i in range(4)]))
+
+
+#: Scripted runs, by the name a case gives as its workload.
+SCRIPTS = {"hinted-read-mostly": hinted_read_mostly}
 
 
 def golden_cases() -> Dict[str, dict]:
@@ -77,14 +109,28 @@ def golden_cases() -> Dict[str, dict]:
         cases[f"vecadd/4MiB/utlb-churn/s{seed}"] = _case(
             "vecadd", seed, gpu_mem_mb=4, profile="utlb-churn"
         )
+    # Driver paths no case above takes.
+    cases["random/s0"] = _case("random", 0)
+    cases["random/async-unmap/s0"] = _case("random", 0, driver={"async_unmap": True})
+    cases["stream/4MiB/threads2/s0"] = _case(
+        "stream", 0, gpu_mem_mb=4, driver={"service_threads": 2}
+    )
+    cases["stream/scope2/s0"] = _case("stream", 0, driver={"prefetch_scope_blocks": 2})
+    cases["hinted-read-mostly/4MiB/s1"] = _case("hinted-read-mostly", 1, gpu_mem_mb=4)
+    cases["stream/4MiB/fail-fast/s1"] = _case(
+        "stream", 1, gpu_mem_mb=4, sites=FAIL_FAST_SITES, driver=FAIL_FAST
+    )
     return cases
 
 
 def run_case(workload: str, seed: int, gpu_mem_mb: int, profile, sites,
-             sanitize: bool = False, observed: bool = False) -> UvmSystem:
-    """Run one case; ``sanitize`` attaches UVMSan in report mode, and
-    ``observed`` keeps metrics and spans on and adds the Chrome trace and
-    the full event log (``UvmSystem(trace=True)``)."""
+             driver=None, sanitize: bool = False,
+             observed: bool = False) -> UvmSystem:
+    """Run one case; ``driver`` overrides ``DriverConfig`` fields,
+    ``sanitize`` attaches UVMSan in report mode, and ``observed`` keeps
+    metrics and spans on and adds the Chrome trace and the full event log
+    (``UvmSystem(trace=True)``).  A fail-fast case must abort: its digest
+    covers the aborted batch's partial record."""
     cfg = default_config()
     cfg.seed = seed
     cfg.gpu.memory_bytes = gpu_mem_mb * MB
@@ -100,9 +146,17 @@ def run_case(workload: str, seed: int, gpu_mem_mb: int, profile, sites,
         cfg.inject.enabled = True
         cfg.inject.profile = profile
         cfg.inject.sites = dict(sites or {})
+    for name, value in (driver or {}).items():
+        setattr(cfg.driver, name, value)
     cfg.validate()
     system = UvmSystem(cfg, trace=observed)
-    WORKLOAD_REGISTRY[workload]().run(system)
+    run = SCRIPTS.get(workload) or WORKLOAD_REGISTRY[workload]().run
+    if cfg.driver.failure_mode == "fail-fast":
+        with pytest.raises(RetryExhausted):
+            run(system)
+        assert system.records[-1].aborted
+    else:
+        run(system)
     return system
 
 

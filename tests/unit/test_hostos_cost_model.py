@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.hostos.cost_model import CostModel
+from repro.sim.rng import JitterStream
 from repro.units import PAGE_SIZE
 
 
@@ -61,31 +62,31 @@ class TestComposites:
 
 
 class TestJitter:
+    """``CostModel.jitter_frac`` as the driver's jitter stream applies it."""
+
     def test_no_rng_passthrough(self):
-        cm = CostModel()
-        assert cm.jitter(None, 10.0) == 10.0
+        assert JitterStream(None).apply(10.0, CostModel().jitter_frac) == 10.0
 
     def test_zero_frac_passthrough(self):
         cm = CostModel(jitter_frac=0.0)
-        rng = np.random.default_rng(0)
-        assert cm.jitter(rng, 10.0) == 10.0
+        stream = JitterStream(np.random.default_rng(0))
+        assert stream.apply(10.0, cm.jitter_frac) == 10.0
 
     def test_jitter_bounded_positive(self):
         cm = CostModel(jitter_frac=0.5)
-        rng = np.random.default_rng(0)
-        values = [cm.jitter(rng, 10.0) for _ in range(200)]
+        stream = JitterStream(np.random.default_rng(0))
+        values = [stream.apply(10.0, cm.jitter_frac) for _ in range(200)]
         assert all(v > 0 for v in values)
 
     def test_jitter_centered(self):
         cm = CostModel(jitter_frac=0.05)
-        rng = np.random.default_rng(0)
-        values = [cm.jitter(rng, 10.0) for _ in range(2000)]
+        stream = JitterStream(np.random.default_rng(0))
+        values = [stream.apply(10.0, cm.jitter_frac) for _ in range(2000)]
         assert np.mean(values) == pytest.approx(10.0, rel=0.02)
 
     def test_zero_base_passthrough(self):
-        cm = CostModel()
-        rng = np.random.default_rng(0)
-        assert cm.jitter(rng, 0.0) == 0.0
+        stream = JitterStream(np.random.default_rng(0))
+        assert stream.apply(0.0, CostModel().jitter_frac) == 0.0
 
 
 class TestOverrides:

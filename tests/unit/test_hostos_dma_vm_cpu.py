@@ -7,6 +7,7 @@ from repro.hostos.cost_model import CostModel
 from repro.hostos.cpu import HostCpu, interleaved_first_touch, static_first_touch
 from repro.hostos.dma import DmaMapper
 from repro.hostos.host_vm import HostVm
+from repro.units import PAGES_PER_VABLOCK
 
 
 class TestDmaMapper:
@@ -114,6 +115,18 @@ class TestHostVm:
         vm.invalidate([1])
         assert not vm.has_valid_data(1)
         assert 1 in vm.mapped  # invalidation is about data, not PTEs
+
+    def test_mapped_pages_of_counts_each_block(self):
+        vm = HostVm()
+        block = PAGES_PER_VABLOCK
+        vm.cpu_touch([0, 1, 2, block + 5, 1], thread_of=lambda p: 0)
+        vm.cpu_touch([2, 3], thread_of=lambda p: 0)  # 2 is a re-touch
+        assert [vm.mapped_pages_of(b) for b in (0, 1, 2)] == [4, 1, 0]
+        vm.unmap_range([1, 3, 4])
+        assert vm.mapped_pages_of(0) == 2
+        vm.unmap_range(range(2 * block))
+        assert [vm.mapped_pages_of(b) for b in (0, 1)] == [0, 0]
+        assert vm.mapped_per_block == {}
 
 
 class TestFirstTouch:

@@ -533,6 +533,40 @@ class TestLedgerAndMonitors:
         assert rc == 2
         assert err.count("\n") == 1 and "not a run ledger" in err
 
+    def test_campaign_cli_rejects_an_unopenable_ledger_in_one_line(
+        self, tmp_path, one_cell_spec, capsys
+    ):
+        rc = cli_main([
+            "campaign", str(one_cell_spec),
+            "--ledger", str(tmp_path / "no" / "such" / "dir" / "x.ledger"),
+            "--out", str(tmp_path / "out.ndjson"), "--no-cache",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "cannot open" in err
+
+    def test_monitor_close_releases_its_file_when_the_drain_raises(
+        self, tmp_path, monkeypatch
+    ):
+        class Manager:
+            down = False
+
+            def shutdown(self):
+                self.down = True
+
+        monitor = CampaignMonitor(1, path=tmp_path / "t.ndjson", mp_safe=False)
+        fh, manager = monitor._fh, Manager()
+        monitor._manager = manager
+
+        def full_disk():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(monitor, "poll", full_disk)
+        with pytest.raises(OSError):
+            monitor.close()
+        assert fh.closed and monitor._fh is None
+        assert manager.down and monitor._manager is None
+
     def test_run_campaign_closes_its_own_monitor_at_every_raise(
         self, tmp_path, monkeypatch, one_cell_spec
     ):

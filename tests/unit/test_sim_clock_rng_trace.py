@@ -1,12 +1,20 @@
-"""Unit tests for the simulation kernel: clock, RNG streams, event trace."""
+"""Unit tests for the simulation kernel: clock, RNG streams, the jitter
+stream, event trace."""
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.config import ObsConfig
+from repro.api import UvmSystem
+from repro.config import ObsConfig, default_config
 from repro.obs import Observability
+from repro.obs.bundle import read_manifest, write_bundle
 from repro.obs.flight import FlightRecorder
 from repro.sim.clock import SimClock
-from repro.sim.rng import make_rng, spawn_rng
+from repro.sim.rng import JitterStream, make_rng, spawn_rng
+from repro.units import MB
+from repro.workloads import RegularStream
 
 
 class TestSimClock:
@@ -72,6 +80,114 @@ class TestRng:
         a = spawn_rng(1, "x").random(10)
         b = spawn_rng(2, "x").random(10)
         assert (a != b).any()
+
+
+def scalar_jitter(rng, usecs, frac):
+    """The jitter of one scalar draw per positive cost, in order."""
+    return [
+        u * max(0.1, 1.0 + frac * float(rng.standard_normal())) if u > 0.0 else u
+        for u in usecs
+    ]
+
+
+class TestJitterStream:
+    COSTS = [8.0, 0.0, 2.5, 0.0, 0.0, 1.25, 40.0, 0.3]
+
+    def test_block_draws_equal_scalar_draws_across_refills(self):
+        frac = 0.05
+        costs = self.COSTS * 40
+        ref = np.random.default_rng(7)
+        stream = JitterStream(np.random.default_rng(7), block=5)
+        got = []
+        for i in range(0, len(costs), 16):
+            chunk = costs[i:i + 16]
+            if i % 32:
+                got += [stream.apply(u, frac) for u in chunk]
+            else:
+                got += stream.apply_all(np.array(chunk), frac).tolist()
+        assert got == scalar_jitter(ref, costs, frac)
+        # Both generators stand where the same number of draws leaves them.
+        ref.standard_normal(stream.state()["drawn"] - stream.state()["cursor"])
+        assert stream.rng.bit_generator.state == ref.bit_generator.state
+
+    def test_zero_frac_and_no_generator_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        stream = JitterStream(rng)
+        costs = np.array(self.COSTS)
+        assert stream.apply_all(costs, 0.0).tolist() == self.COSTS
+        assert [stream.apply(u, 0.0) for u in self.COSTS] == self.COSTS
+        assert rng.bit_generator.state == before
+        none = JitterStream(None)
+        assert none.apply_all(costs, 0.05).tolist() == self.COSTS
+        assert none.state() is None
+
+    def test_restore_seeks_mid_block(self):
+        stream = JitterStream(np.random.default_rng(11), block=64)
+        stream.normals(30)
+        stream.normals(50)  # spans a refill
+        state = json.loads(json.dumps(stream.state()))
+        assert 0 < state["cursor"] < state["drawn"]
+        ahead = stream.normals(200).copy()
+        stream.restore(state)
+        assert stream.normals(200).tolist() == ahead.tolist()
+        fresh = JitterStream(np.random.default_rng(0), block=64)
+        fresh.restore(state)
+        assert fresh.normals(200).tolist() == ahead.tolist()
+
+
+def jittered_system(**driver_kw):
+    cfg = default_config(**driver_kw)
+    cfg.gpu.num_sms = 8
+    cfg.gpu.memory_bytes = 8 * MB
+    cfg.obs = cfg.obs.disabled()
+    cfg.validate()
+    return UvmSystem(cfg)
+
+
+def fingerprint(system):
+    return system.clock.now, [sorted(r.to_dict().items()) for r in system.records]
+
+
+class TestJitterStreamInTheDriver:
+    def test_checkpoint_mid_block_restores_the_same_timeline(self):
+        system = jittered_system()
+        captured = {}
+
+        def hook(engine, batch_id):
+            state = engine.driver.jitter.state()
+            if "ckpt" not in captured and 0 < state["cursor"] < state["drawn"]:
+                captured["ckpt"] = engine.checkpoint()
+
+        system.engine._batch_hooks.append(hook)
+        RegularStream().run(system)
+        final = fingerprint(system)
+        assert "ckpt" in captured
+        captured["ckpt"].restore_into(system.engine)
+        system.engine.resume()
+        assert fingerprint(system) == final
+
+    def test_bundle_manifest_driver_state_round_trips(self, tmp_path):
+        system = jittered_system()
+        RegularStream().run(system)
+        bundle = write_bundle(tmp_path / "b", system.engine)
+        state = read_manifest(bundle)["rng"]["driver"]
+        assert state == system.engine.driver.jitter.state()
+        revived = JitterStream(np.random.default_rng(0))
+        revived.restore(state)
+        assert revived.normals(3000).tolist() == system.engine.driver.jitter.normals(3000).tolist()
+
+    def test_block_phase_adds_left_to_right(self):
+        """Builtin ``sum`` is compensated from Python 3.12 on: there
+        1e16 + 1.0 + 1.0 is 1e16 + 2, while a left-to-right fold rounds
+        each step back to 1e16."""
+        costs = [1e16, 1.0, 1.0]
+        assert 1e16 + 1.0 + 1.0 == 1e16
+        serial, threads2 = jittered_system(), jittered_system(service_threads=2)
+        serial.engine.driver._advance_block_phase(costs)
+        assert serial.clock.now == 1e16
+        threads2.engine.driver._advance_block_phase(costs + [1.0])
+        assert threads2.clock.now == 1e16
 
 
 class TestEventTrace:
