@@ -32,7 +32,7 @@ _WRITE = int(AccessType.WRITE)
 _PREFETCH = int(AccessType.PREFETCH)
 
 
-@dataclass(slots=True)
+@dataclass
 class BlockWork:
     """Unique faulted pages of one VABlock within a batch."""
 

@@ -484,7 +484,7 @@ class UvmDriver:
 
     # ------------------------------------------------------ retry/failover
 
-    def _dma_map_with_retry(self, pages: List[int], record: BatchRecord, spend):
+    def _dma_map_with_retry(self, pages: List[int], record: BatchRecord):
         """DMA-map ``pages`` with bounded exponential backoff.
 
         Returns the :class:`~repro.hostos.dma.DmaMapResult`, or None when
@@ -502,7 +502,7 @@ class UvmDriver:
                     if self.retry.fail_fast:
                         raise RetryExhausted("dma.map_fail", attempt, exc)
                     return None
-                spend(self.retry.backoff_usec(attempt), "time_retry_backoff")
+                self._charge(self.retry.backoff_usec(attempt), "time_retry_backoff")
                 attempt += 1
 
     def _transfer_with_retry(
@@ -510,7 +510,6 @@ class UvmDriver:
         direction: str,
         runs: List[int],
         record: BatchRecord,
-        spend,
         allow_degrade: bool = True,
     ) -> bool:
         """Run one copy-engine burst under the retry/failover policy.
@@ -531,19 +530,19 @@ class UvmDriver:
                     cost = ce.host_to_device(runs)
                 else:
                     cost = ce.device_to_host(runs)
-                spend(cost, "time_transfer_" + direction)
+                self._charge(cost, "time_transfer_" + direction)
                 return True
             except TransferFault as exc:
-                spend(exc.wasted_usec, "time_retry_backoff")
+                self._charge(exc.wasted_usec, "time_retry_backoff")
                 record.retries_transfer += 1
                 self.flight.record("retry", "ce", attempt, record.batch_id)
                 if attempt >= self.retry.max_attempts:
                     if self.retry.fail_fast or not allow_degrade:
                         raise RetryExhausted("ce.transfer_fault", attempt, exc)
                     return False
-                spend(self.retry.backoff_usec(attempt), "time_retry_backoff")
+                self._charge(self.retry.backoff_usec(attempt), "time_retry_backoff")
             except TransferStuck as exc:
-                spend(self.retry.deadline_usec, "time_retry_backoff")
+                self._charge(self.retry.deadline_usec, "time_retry_backoff")
                 record.ce_failovers += 1
                 self.flight.record("failover", "ce", attempt, record.batch_id)
                 if attempt >= self.retry.max_attempts:
@@ -579,8 +578,8 @@ class UvmDriver:
         try:
             for work in works:
                 pinned.add(work.block_id)
-                end, was_deferred = self._service_block(work, record, outcome, pinned)
-                ends.append(end)
+                _, was_deferred = self._service_block(work, record, outcome, pinned)
+                ends.append(len(self._charge_usecs))
                 if was_deferred:
                     pinned.discard(work.block_id)
                     deferred.append(work)
@@ -645,14 +644,16 @@ class UvmDriver:
         record: BatchRecord,
         outcome: ServiceOutcome,
         pinned: Set[int],
-    ) -> Tuple[int, bool]:
+    ) -> Tuple[None, bool]:
         """Service one VABlock's faults.
 
-        Each cost is charged (:meth:`_charge`) for :meth:`_settle`.
-        Returns ``(end, deferred)``: ``end`` is the batch's charge count
-        once this block is charged; ``deferred`` is True when the block
-        could not obtain device memory because every resident block is
-        pinned by this batch — its faults must retry in a later batch.
+        Each cost is charged (:meth:`_charge`) for :meth:`_settle`, which
+        prices the block.  Returns ``(None, deferred)``: the cost slot stays
+        empty until the settle, and ``perfbench/layertrace.py`` reads
+        ``deferred`` as the pair's second element.  ``deferred`` is True
+        when the block could not obtain device memory because every
+        resident block is pinned by this batch — its faults must retry in a
+        later batch.
         """
         try:
             block = self.vablocks.get(work.block_id)
@@ -660,16 +661,14 @@ class UvmDriver:
             raise InvalidAccess(
                 f"faults target VABlock {work.block_id} outside any managed allocation"
             )
-        charges = self._charge_usecs
-        spend = self._charge
-        spend(self.cost.vablock_base_usec, "time_block_base")
+        self._charge(self.cost.vablock_base_usec, "time_block_base")
 
         faulted = [p for p in work.pages if p not in block.resident_pages]
         if not work.hinted:
             # Per-unique-page fault servicing (VMA/policy/service
             # bookkeeping); prefetched pages ride along in bulk and skip
             # this cost, as do hint-driven migrations.
-            spend(
+            self._charge(
                 len(faulted) * self.cost.fault_service_per_page_usec,
                 "time_block_base",
             )
@@ -685,14 +684,14 @@ class UvmDriver:
                     )
                 if self.eviction.pick_victim(pinned) is None:
                     # Everything resident is pinned by this batch: defer.
-                    return len(charges), True
-                self._evict_one(pinned, record, outcome, spend)
+                    return None, True
+                self._evict_one(pinned, record, outcome, self._charge)
                 chunk = self.device.chunks.allocate()
             block.gpu_chunk = chunk
             block.alloc_stamp = self.vablocks.next_stamp()
             allocated_now = True
             record.blocks_allocated += 1
-            spend(self.cost.chunk_alloc_usec, "time_alloc")
+            self._charge(self.cost.chunk_alloc_usec, "time_alloc")
             self.eviction.on_gpu_allocated(block.block_id)
             self.san.on_block_allocated(block)
         else:
@@ -700,15 +699,15 @@ class UvmDriver:
 
         # (b) compulsory DMA state (once per block lifetime).
         if not block.dma_initialized:
-            result = self._dma_map_with_retry(sorted(block.valid_pages), record, spend)
+            result = self._dma_map_with_retry(sorted(block.valid_pages), record)
             if result is None:
                 # Degrade: DMA state could not be created this batch.  Defer
                 # the block — its faults drop at the flush and reissue, and
                 # a later batch retries from untouched radix-tree state.
                 record.blocks_deferred += 1
                 self._m_degrade_dma_defer.inc()
-                return len(charges), True
-            spend(result.cost_usec, "time_dma")
+                return None, True
+            self._charge(result.cost_usec, "time_dma")
             block.dma_initialized = True
             record.new_dma_blocks += 1
             record.dma_mappings_created += result.new_mappings
@@ -719,19 +718,19 @@ class UvmDriver:
         prefetched: Set[int] = set()
         if self.config.driver.prefetch_enabled and faulted and not work.hinted:
             prefetched = self.prefetcher.expand(block, faulted)
-            spend(
+            self._charge(
                 self.cost.prefetch_decision_cost(REGIONS_PER_VABLOCK),
                 "time_prefetch_decide",
             )
             if self.prefetcher.scope_blocks > 1:
-                self._scope_expansion(block, faulted, prefetched, record, outcome, spend)
+                self._scope_expansion(block, faulted, prefetched, record, outcome)
 
         # ``faulted`` is already unique (deduped batch pages / hint lists),
         # so the set union + rebuild is only needed when a prefetch actually
         # expanded the page set — the common no-prefetch case just sorts.
         target = sorted(set(faulted) | prefetched) if prefetched else sorted(faulted)
         if not target:
-            return len(charges), False
+            return None, False
 
         # (d) CPU unmapping when the block is partially host-resident (§4.4).
         # Read-mostly blocks *duplicate* instead of migrating: the host
@@ -745,8 +744,8 @@ class UvmDriver:
             stats = self.host_vm.unmap_range(block.valid_pages)
             if self.config.driver.async_unmap:
                 # Ablation: charge off the fault path.
-                self._off_path.append(len(charges))
-            spend(
+                self._off_path.append(len(self._charge_usecs))
+            self._charge(
                 self.cost.unmap_cost(stats.pages_unmapped, stats.distinct_threads),
                 "time_unmap",
             )
@@ -769,17 +768,17 @@ class UvmDriver:
                 self.config.driver.eviction_enabled
                 and self.eviction.pick_victim(pinned) is not None
             ):
-                self._evict_one(pinned, record, outcome, spend)
-            spend(self.retry.backoff_usec(1), "time_retry_backoff")
-        spend(self.cost.population_cost(populate_pages), "time_population")
+                self._evict_one(pinned, record, outcome, self._charge)
+            self._charge(self.retry.backoff_usec(1), "time_retry_backoff")
+        self._charge(self.cost.population_cost(populate_pages), "time_population")
         record.pages_populated += populate_pages
         if transfer_pages:
-            spend(
+            self._charge(
                 len(transfer_pages) * self.cost.migration_prep_per_page_usec,
                 "time_migrate_prep",
             )
             ok = self._transfer_with_retry(
-                "h2d", contiguous_runs(transfer_pages), record, spend
+                "h2d", contiguous_runs(transfer_pages), record
             )
             if not ok and prefetched:
                 # Graceful degradation: drop the speculative prefetch and
@@ -791,19 +790,19 @@ class UvmDriver:
                 target = sorted(faulted)
                 transfer_pages = [p for p in target if self.host_vm.has_valid_data(p)]
                 ok = not transfer_pages or self._transfer_with_retry(
-                    "h2d", contiguous_runs(transfer_pages), record, spend
+                    "h2d", contiguous_runs(transfer_pages), record
                 )
             if not ok:
                 # Transfer impossible this batch: defer the block entirely;
                 # its faults drop at the flush and reissue later.
                 record.blocks_deferred += 1
                 self._m_degrade_transfer_defer.inc()
-                return len(charges), True
+                return None, True
             record.pages_migrated_h2d += len(transfer_pages)
             record.bytes_h2d += len(transfer_pages) * 4096
 
         # (g) page-table update.
-        spend(self.cost.pagetable_cost(len(target)), "time_pagetable")
+        self._charge(self.cost.pagetable_cost(len(target)), "time_pagetable")
         self.device.page_table.map_pages(target)
         block.resident_pages.update(target)
         self.san.on_block_touched(block)
@@ -819,7 +818,7 @@ class UvmDriver:
             # this block during this batch.
             self.flight.record("migrate", record.batch_id, block.block_id,
                                target[0], target[-1], len(target))
-        return len(charges), False
+        return None, False
 
     def _evict_one(self, exclude: Set[int], record, outcome, spend) -> None:
         """Evict the LRU VABlock (paper §5.1: fail-alloc, migrate back,
@@ -836,7 +835,7 @@ class UvmDriver:
             # not a degradation option — so retry exhaustion raises even in
             # degrade mode (allow_degrade=False).
             self._transfer_with_retry(
-                "d2h", contiguous_runs(pages), record, spend, allow_degrade=False
+                "d2h", contiguous_runs(pages), record, allow_degrade=False
             )
             record.bytes_d2h += len(pages) * 4096
             self.host_vm.mark_valid(pages)
@@ -865,7 +864,6 @@ class UvmDriver:
         prefetched: Set[int],
         record: BatchRecord,
         outcome: ServiceOutcome,
-        spend,
     ) -> None:
         """Enlarged prefetch scope (§6 ablation): when a block goes fully
         dense, mirror the fetch into already-GPU-allocated neighbour blocks
@@ -886,18 +884,18 @@ class UvmDriver:
                 nbr.gpu_chunk = chunk
                 nbr.alloc_stamp = self.vablocks.next_stamp()
                 record.blocks_allocated += 1
-                spend(self.cost.chunk_alloc_usec, "time_alloc")
+                self._charge(self.cost.chunk_alloc_usec, "time_alloc")
                 self.eviction.on_gpu_allocated(nbr_id)
                 self.san.on_block_allocated(nbr)
                 if not nbr.dma_initialized:
                     result = self._dma_map_with_retry(
-                        sorted(nbr.valid_pages), record, spend
+                        sorted(nbr.valid_pages), record
                     )
                     if result is None:
                         # Speculative neighbour: just skip it this batch.
                         self._m_degrade_scope_skip.inc()
                         continue
-                    spend(result.cost_usec, "time_dma")
+                    self._charge(result.cost_usec, "time_dma")
                     nbr.dma_initialized = True
                     record.new_dma_blocks += 1
                     record.dma_mappings_created += result.new_mappings
@@ -908,29 +906,29 @@ class UvmDriver:
                 continue
             if self.host_vm.mapped_pages_of(nbr_id):
                 stats = self.host_vm.unmap_range(nbr.valid_pages)
-                spend(
+                self._charge(
                     self.cost.unmap_cost(stats.pages_unmapped, stats.distinct_threads),
                     "time_unmap",
                 )
                 record.unmap_calls += 1
                 record.pages_unmapped += stats.pages_unmapped
             transfer = [p for p in target if self.host_vm.has_valid_data(p)]
-            spend(self.cost.population_cost(len(target) - len(transfer)), "time_population")
+            self._charge(self.cost.population_cost(len(target) - len(transfer)), "time_population")
             record.pages_populated += len(target) - len(transfer)
             if transfer:
-                spend(
+                self._charge(
                     len(transfer) * self.cost.migration_prep_per_page_usec,
                     "time_migrate_prep",
                 )
                 if not self._transfer_with_retry(
-                    "h2d", contiguous_runs(transfer), record, spend
+                    "h2d", contiguous_runs(transfer), record
                 ):
                     # Speculative neighbour transfer: skip it this batch.
                     self._m_degrade_scope_skip.inc()
                     continue
                 record.pages_migrated_h2d += len(transfer)
                 record.bytes_h2d += len(transfer) * 4096
-            spend(self.cost.pagetable_cost(len(target)), "time_pagetable")
+            self._charge(self.cost.pagetable_cost(len(target)), "time_pagetable")
             self.device.page_table.map_pages(target)
             nbr.resident_pages.update(target)
             self.san.on_block_touched(nbr)

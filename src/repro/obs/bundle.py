@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 #: Manifest ``schema`` identifier; bump on incompatible layout changes.
-BUNDLE_SCHEMA = "uvm-repro-bundle/1"
+BUNDLE_SCHEMA = "uvm-repro-bundle/2"
 
 #: Filenames inside every bundle directory.
 MANIFEST_NAME = "manifest.json"

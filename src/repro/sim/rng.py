@@ -35,6 +35,8 @@ def spawn_rng(seed: int, stream: str) -> np.random.Generator:
 
 
 _EMPTY = np.empty(0)
+#: Normals a :class:`JitterStream` draws at a time.
+_BLOCK = 1024
 
 
 class JitterStream:
@@ -46,18 +48,17 @@ class JitterStream:
 
     ``Generator.standard_normal(n)`` yields the same values as ``n`` scalar
     draws and leaves the generator in the same state, so the stream draws
-    ``block`` values at a time and hands them out by cursor: each jittered
+    ``_BLOCK`` values at a time and hands them out by cursor: each jittered
     cost is the one a scalar draw per cost gives.  :meth:`state` is the
     generator state the current block was drawn from, the block's length
     and the cursor; :meth:`restore` redraws the block from it, so a
     checkpoint taken mid-block resumes on the same values.
     """
 
-    __slots__ = ("rng", "block", "_start", "_buf", "_pos")
+    __slots__ = ("rng", "_start", "_buf", "_pos")
 
-    def __init__(self, rng: Optional[np.random.Generator], block: int = 1024) -> None:
+    def __init__(self, rng: Optional[np.random.Generator]) -> None:
         self.rng = rng
-        self.block = block
         #: Generator state ``_buf`` was drawn from (the current state while
         #: nothing is drawn).
         self._start = rng.bit_generator.state if rng is not None else None
@@ -78,7 +79,7 @@ class JitterStream:
             return self._buf[pos:end]
         rest = self._buf[pos:]
         need = n - len(rest)
-        self._draw(max(self.block, need))
+        self._draw(max(_BLOCK, need))
         self._pos = need
         return np.concatenate((rest, self._buf[:need]))
 
@@ -87,7 +88,7 @@ class JitterStream:
         if self.rng is None or frac <= 0.0 or usec <= 0.0:
             return usec
         if self._pos == len(self._buf):
-            self._draw(self.block)
+            self._draw(_BLOCK)
         z = float(self._buf[self._pos])
         self._pos += 1
         return usec * max(0.1, 1.0 + frac * z)

@@ -95,9 +95,9 @@ class TestJitterStream:
 
     def test_block_draws_equal_scalar_draws_across_refills(self):
         frac = 0.05
-        costs = self.COSTS * 40
+        costs = self.COSTS * 600  # 3000 draws: two refills
         ref = np.random.default_rng(7)
-        stream = JitterStream(np.random.default_rng(7), block=5)
+        stream = JitterStream(np.random.default_rng(7))
         got = []
         for i in range(0, len(costs), 16):
             chunk = costs[i:i + 16]
@@ -123,15 +123,15 @@ class TestJitterStream:
         assert none.state() is None
 
     def test_restore_seeks_mid_block(self):
-        stream = JitterStream(np.random.default_rng(11), block=64)
-        stream.normals(30)
+        stream = JitterStream(np.random.default_rng(11))
+        stream.normals(1000)
         stream.normals(50)  # spans a refill
         state = json.loads(json.dumps(stream.state()))
         assert 0 < state["cursor"] < state["drawn"]
         ahead = stream.normals(200).copy()
         stream.restore(state)
         assert stream.normals(200).tolist() == ahead.tolist()
-        fresh = JitterStream(np.random.default_rng(0), block=64)
+        fresh = JitterStream(np.random.default_rng(0))
         fresh.restore(state)
         assert fresh.normals(200).tolist() == ahead.tolist()
 
