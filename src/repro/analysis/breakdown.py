@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from ..core.batch_record import BatchRecord
-from ..units import fmt_usec
+from ..units import fmt_usec, fold_sum
 from .report import ascii_table
 
 #: (record attribute, human label) in servicing order.
@@ -54,7 +54,7 @@ def cost_breakdown(records: Iterable[BatchRecord]) -> List[ComponentShare]:
     for r in records:
         for attr in totals:
             totals[attr] += getattr(r, attr)
-    grand = sum(totals.values()) or 1.0
+    grand = fold_sum(totals.values()) or 1.0
     shares = [
         ComponentShare(attr, label, totals[attr], totals[attr] / grand)
         for attr, label in COMPONENTS
@@ -78,7 +78,7 @@ def host_os_share(records: Iterable[BatchRecord]) -> float:
     — the costs §6 flags as common to every HMM implementation."""
     shares = {s.attr: s for s in cost_breakdown(records)}
     host = shares["time_unmap"].total_usec + shares["time_dma"].total_usec
-    grand = sum(s.total_usec for s in shares.values()) or 1.0
+    grand = fold_sum(s.total_usec for s in shares.values()) or 1.0
     return host / grand
 
 
@@ -87,5 +87,5 @@ def wire_share(records: Iterable[BatchRecord]) -> float:
     division between transfer and management)."""
     shares = {s.attr: s for s in cost_breakdown(records)}
     wire = shares["time_transfer_h2d"].total_usec + shares["time_transfer_d2h"].total_usec
-    grand = sum(s.total_usec for s in shares.values()) or 1.0
+    grand = fold_sum(s.total_usec for s in shares.values()) or 1.0
     return wire / grand

@@ -19,6 +19,7 @@ from typing import Iterable, List, Sequence
 import numpy as np
 
 from ..core.batch_record import BatchRecord
+from ..units import fold_sum
 
 
 @dataclass(frozen=True)
@@ -143,5 +144,5 @@ def batch_size_summary(records: Iterable[BatchRecord]) -> BatchSizeSummary:
         num_batches=len(records),
         raw_sizes=SummaryStats.of([r.num_faults_raw for r in records]),
         unique_sizes=SummaryStats.of([r.num_faults_unique for r in records]),
-        total_batch_time_usec=sum(r.duration for r in records),
+        total_batch_time_usec=fold_sum(r.duration for r in records),
     )

@@ -29,7 +29,7 @@ from .errors import AllocationError
 from .gpu.warp import KernelLaunch
 from .hostos.cpu import static_first_touch
 from .sim.engine import Engine, LaunchResult
-from .units import PAGE_SIZE, VABLOCK_SIZE, align_up
+from .units import PAGE_SIZE, VABLOCK_SIZE, align_up, fold_sum
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,12 @@ class RunResult:
     @property
     def kernel_time_usec(self) -> float:
         """Aggregate kernel wall time (Table 4's "Kernel" column)."""
-        return sum(l.kernel_time_usec for l in self.launches)
+        return fold_sum(l.kernel_time_usec for l in self.launches)
 
     @property
     def batch_time_usec(self) -> float:
         """Aggregate batch servicing time (Table 4's "Batch" column)."""
-        return sum(l.batch_time_usec for l in self.launches)
+        return fold_sum(l.batch_time_usec for l in self.launches)
 
     @property
     def num_batches(self) -> int:

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, List, Union
 
+from ..units import fold_sum
 from .batch_record import BatchRecord
 
 
@@ -43,7 +44,7 @@ class BatchLog:
     @property
     def total_batch_time(self) -> float:
         """Aggregate batch servicing time (µs) — Table 4's "Batch" column."""
-        return sum(r.duration for r in self._records)
+        return fold_sum(r.duration for r in self._records)
 
     @property
     def total_faults_raw(self) -> int:

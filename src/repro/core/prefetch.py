@@ -73,6 +73,9 @@ class DensityPrefetcher(PrefetcherBase):
         #: valid-page count (blocks are never deallocated and their valid
         #: sets only grow, so a length match proves the mask is current).
         self._valid_masks: Dict[int, Tuple[int, np.ndarray]] = {}
+        #: Bumped on every mask-cache fill (checkpoints re-pickle the cache
+        #: only when it moved).
+        self.version = 0
 
     def _valid_mask(self, block: VABlockState, first: int) -> np.ndarray:
         cached = self._valid_masks.get(block.block_id)
@@ -84,6 +87,7 @@ class DensityPrefetcher(PrefetcherBase):
             np.fromiter(block.valid_pages, dtype=np.int64, count=num_valid) - first
         ] = True
         self._valid_masks[block.block_id] = (num_valid, mask)
+        self.version += 1
         return mask
 
     def expand(self, block: VABlockState, faulted_pages: Iterable[int]) -> Set[int]:

@@ -128,6 +128,10 @@ class VABlockManager:
     def __init__(self) -> None:
         self._blocks: Dict[int, VABlockState] = {}
         self._stamp = 0
+        #: Bumped by every registration, the only writer of any block's
+        #: ``valid_pages`` (checkpoints re-pickle the layout only when it
+        #: moved).
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -144,6 +148,7 @@ class VABlockManager:
         if num_pages <= 0:
             raise AllocationError("allocation must contain at least one page")
         created: List[VABlockState] = []
+        self.version += 1
         end_page = start_page + num_pages
         page = start_page
         while page < end_page:
@@ -161,6 +166,15 @@ class VABlockManager:
                 state.valid_pages |= pages
             page = span_end
         return created
+
+    def valid_pages_by_block(self) -> Dict[int, Set[int]]:
+        """Every block's ``valid_pages``, by block id."""
+        return {block_id: b.valid_pages for block_id, b in self._blocks.items()}
+
+    def set_valid_pages(self, pages_by_block: Dict[int, Set[int]]) -> None:
+        """Install :meth:`valid_pages_by_block`'s sets on the blocks."""
+        for block_id, pages in pages_by_block.items():
+            self._blocks[block_id].valid_pages = pages
 
     def get(self, block_id: int) -> VABlockState:
         return self._blocks[block_id]

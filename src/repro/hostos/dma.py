@@ -40,6 +40,9 @@ class DmaMapper:
     def __init__(self, cost_model: CostModel) -> None:
         self.cost_model = cost_model
         self.reverse = RadixTree()
+        #: Bumped whenever ``reverse`` changes (checkpoints re-pickle the
+        #: tree only when it moved).
+        self.version = 0
         self.total_mappings = 0
         self._slab_refills_done = 0
         #: Attached fault injector, or None (the common, zero-cost case).
@@ -76,6 +79,8 @@ class DmaMapper:
             if self.reverse.insert(page, self.dma_address_of(page)):
                 new_mappings += 1
         new_nodes = self.reverse.nodes_allocated - nodes_before
+        if new_mappings:
+            self.version += 1
         slab_refills = self._consume_slab(new_nodes)
         cost = self.cost_model.dma_cost(new_mappings, new_nodes, slab_refills)
         self.total_mappings += new_mappings
@@ -87,6 +92,8 @@ class DmaMapper:
         for page in pages:
             if self.reverse.delete(page) is not None:
                 removed += 1
+        if removed:
+            self.version += 1
         self.total_mappings -= removed
         return removed
 

@@ -49,6 +49,9 @@ class HostVm:
         self.mapped: Set[int] = set()
         self.valid: Set[int] = set()
         self.touch_thread: Dict[int, int] = {}
+        #: Bumped whenever ``touch_thread`` grows (checkpoints re-pickle
+        #: the map only when it moved).
+        self.version = 0
         #: VABlock id -> its number of ``mapped`` pages (absent when 0).
         self.mapped_per_block: Dict[int, int] = {}
         self.total_unmap_calls = 0
@@ -69,6 +72,8 @@ class HostVm:
                 self.mapped.add(page)
                 self.touch_thread[page] = thread_of(page)
             self.valid.add(page)
+        if fresh:
+            self.version += 1
         self._count_mapped(fresh, 1)
         return len(fresh)
 

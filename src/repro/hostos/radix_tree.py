@@ -29,6 +29,18 @@ class _Node:
         self.slots: List[Any] = [None] * MAP_SIZE
         self.count = 0
 
+    def __reduce__(self):
+        # Pickled as its two fields, not a slot-state dict: a checkpoint of
+        # the DMA reverse map pickles every node.
+        return _node, (self.slots, self.count)
+
+
+def _node(slots: List[Any], count: int) -> _Node:
+    node = _Node.__new__(_Node)
+    node.slots = slots
+    node.count = count
+    return node
+
 
 class RadixTree:
     """Path-growing radix tree with allocation accounting.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List
 
+from ..units import fold_sum
+
 #: Per-record resilience counters summed into the report.
 _RESILIENCE_COUNTERS = (
     "retries_dma",
@@ -40,7 +42,7 @@ def build_chaos_report(system, result, workload: str) -> dict:
         name: sum(getattr(r, name) for r in records)
         for name in _RESILIENCE_COUNTERS
     }
-    resilience["time_retry_backoff_usec"] = sum(
+    resilience["time_retry_backoff_usec"] = fold_sum(
         r.time_retry_backoff for r in records
     )
     # Engine-side (non-batch) accounting: the CPU-touch D2H retry path has

@@ -27,6 +27,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..units import fold_sum
 from .bundle import EVENTS_NAME, is_bundle_dir, read_manifest
 
 #: BatchRecord component timers, in fault-path order (Fig 7's stack).
@@ -161,12 +162,12 @@ def _thrash_window(run: List[dict]) -> dict:
 def build_report(records: List[dict]) -> dict:
     """The full analysis report for one run's batch records."""
     durations = [r.get("duration", 0.0) for r in records]
-    total_usec = sum(durations)
+    total_usec = fold_sum(durations)
     fault_batches = [r for r in records if not r.get("hinted", False)]
-    stall_usec = sum(r.get("duration", 0.0) for r in fault_batches)
+    stall_usec = fold_sum(r.get("duration", 0.0) for r in fault_batches)
     phases = {}
     for name in PHASE_FIELDS:
-        usec = sum(r.get(name, 0.0) for r in records)
+        usec = fold_sum(r.get(name, 0.0) for r in records)
         phases[name[5:]] = {
             "usec": usec,
             "frac": usec / total_usec if total_usec > 0 else 0.0,

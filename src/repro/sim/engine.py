@@ -52,7 +52,7 @@ from ..hostos.dma import DmaMapper
 from ..hostos.host_vm import HostVm
 from ..obs import Observability
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS
-from ..units import vablock_of_page
+from ..units import fold_sum, vablock_of_page
 from .checkpoint import EngineCheckpoint
 from .clock import SimClock
 from .rng import spawn_rng
@@ -75,7 +75,7 @@ class LaunchResult:
     @property
     def batch_time_usec(self) -> float:
         """Aggregate batch servicing time (Table 4's "Batch" column)."""
-        return sum(r.duration for r in self.records)
+        return fold_sum(r.duration for r in self.records)
 
     @property
     def num_batches(self) -> int:
@@ -231,8 +231,9 @@ class Engine:
         self._warps: Dict[int, WarpState] = {}
         #: The current launch's warp programs, in launch order.
         self._programs: Tuple[WarpProgram, ...] = ()
-        #: The checkpoint layer's cached pickle of ``_programs``.
-        self._program_pickle = None
+        #: What the checkpoint layer's next capture reuses: the program
+        #: table of ``_programs`` and the last capture's part pickles.
+        self._pickles = None
         self._prefetch_queue: List[Tuple[int, int]] = []  # (sm_id, page)
         #: SMs a round visits (see :meth:`_busy`); None rebuilds the list.
         self._busy_sms: Optional[List[StreamingMultiprocessor]] = None

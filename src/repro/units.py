@@ -18,6 +18,8 @@ so hot paths can inline the shifts directly where profiling warrants it.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
@@ -41,6 +43,17 @@ REGIONS_PER_VABLOCK = VABLOCK_SIZE // REGION_SIZE  # 32
 USEC = 1.0
 MSEC = 1e3
 SEC = 1e6
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, one rounding per add, as the clock
+    adds.  Builtin ``sum`` compensates float rounding from Python 3.12 on,
+    so a total of simulated µs made with it differs in its last bits
+    between Python versions."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def page_of(addr: int) -> int:

@@ -147,26 +147,27 @@ class Hpgmg(Workload):
                 lambda s, f=f: s.host_touch(f, interleaved=self.host_interleaved)
             )
 
+        # Every V-cycle runs the same warp programs; programs are
+        # immutable, so one set is built and each cycle's kernel submits it.
+        phases: List[List[Phase]] = [[] for _ in range(self.num_programs)]
+        # Downstroke: smooth + restrict per level.
+        for l in range(self.levels - 1):
+            for _ in range(self.pre_smooth):
+                self._smooth_phases(us[l], fs[l], ns[l], phases)
+            self._transfer_phases(us[l], ns[l], fs[l + 1], ns[l + 1], phases)
+        # Coarse solve.
+        for _ in range(self.coarse_smooth):
+            self._smooth_phases(us[-1], fs[-1], ns[-1], phases)
+        # Upstroke: prolong + smooth.
+        for l in range(self.levels - 2, -1, -1):
+            self._transfer_phases(us[l + 1], ns[l + 1], us[l], ns[l], phases)
+            for _ in range(self.post_smooth):
+                self._smooth_phases(us[l], fs[l], ns[l], phases)
+        programs = [WarpProgram(ph, label=f"mg{k}") for k, ph in enumerate(phases) if ph]
+
         pr_fine = (8 * self.n) // PAGE_SIZE
         for cycle in range(self.cycles):
-            programs: List[List[Phase]] = [[] for _ in range(self.num_programs)]
-            # Downstroke: smooth + restrict per level.
-            for l in range(self.levels - 1):
-                for _ in range(self.pre_smooth):
-                    self._smooth_phases(us[l], fs[l], ns[l], programs)
-                self._transfer_phases(us[l], ns[l], fs[l + 1], ns[l + 1], programs)
-            # Coarse solve.
-            for _ in range(self.coarse_smooth):
-                self._smooth_phases(us[-1], fs[-1], ns[-1], programs)
-            # Upstroke: prolong + smooth.
-            for l in range(self.levels - 2, -1, -1):
-                self._transfer_phases(us[l + 1], ns[l + 1], us[l], ns[l], programs)
-                for _ in range(self.post_smooth):
-                    self._smooth_phases(us[l], fs[l], ns[l], programs)
-            kernel = KernelLaunch(
-                f"{self.name}-vcycle{cycle}",
-                [WarpProgram(ph, label=f"mg{k}") for k, ph in enumerate(programs) if ph],
-            )
+            kernel = KernelLaunch(f"{self.name}-vcycle{cycle}", programs)
             steps.append(kernel)
             # Host work between cycles: norm/boundary handling re-touches
             # part of the fine grid, re-arming the unmap cost (§4.4).

@@ -215,10 +215,27 @@ class TestCheckpointHoldsLiveState:
 
         system.engine._batch_hooks.append(hook)
         StreamTriad(nbytes=2 * MB).run(system)
-        assert ckpts[1]._programs_blob is ckpts[3]._programs_blob
+        assert ckpts[1]._table.blob is ckpts[3]._table.blob
         # A restore installs the checkpoint's table, so it is not re-pickled.
         ckpts[1].restore_into(system.engine)
-        assert system.engine.checkpoint()._programs_blob is ckpts[1]._programs_blob
+        assert system.engine.checkpoint()._table.blob is ckpts[1]._table.blob
+
+        # Launches that submit the same program objects share it too.
+        system = make_system()
+        alloc = system.managed_alloc(16 * PAGE_SIZE)
+        programs = [
+            WarpProgram([Phase.of([alloc.page(i)], compute_usec=1.0)]) for i in range(16)
+        ]
+        blobs = {}
+
+        def first_capture(engine, batch_id):
+            blobs.setdefault(engine._progress.name, engine.checkpoint()._table.blob)
+
+        system.engine._batch_hooks.append(first_capture)
+        for cycle in range(2):
+            system.host_touch(alloc)  # the pages fault again in each launch
+            system.launch(KernelLaunch(f"cycle{cycle}", programs))
+        assert blobs["cycle0"] is blobs["cycle1"]
 
     def test_program_outside_the_launch_pickles_by_value(self):
         system = make_system()

@@ -10,7 +10,8 @@ prefetch storms, every builtin chaos profile and every bundled
 ``examples/chaos/*.json`` profile, and the driver paths behind the
 ``DriverConfig`` ablations: asynchronous unmapping, parallel service
 threads, enlarged prefetch scope, prefetch and read-mostly hints, the
-host-initialised unmap path, and a fail-fast run that aborts mid-batch.
+host-initialised unmap path, a fail-fast run that aborts mid-batch, and
+multi-cycle HPGMG, clean and crash-recovered from periodic checkpoints.
 
 The same digests pin that no host wall time reaches the simulated
 timeline: a kitchen-sink chaos case run with metrics, spans, the Chrome
@@ -40,6 +41,7 @@ from repro.gpu.warp import KernelLaunch, Phase, WarpProgram
 from repro.inject.profiles import BUILTIN_PROFILES
 from repro.units import MB
 from repro.workloads import WORKLOAD_REGISTRY
+from repro.workloads.hpgmg import Hpgmg
 
 HERE = Path(__file__).resolve().parent
 TABLE = HERE / "golden_timelines.json"
@@ -58,9 +60,10 @@ FAIL_FAST = {"failure_mode": "fail-fast", "retry_max_attempts": 2}
 
 def _case(workload: str, seed: int, gpu_mem_mb: int = 16,
           profile: Optional[str] = None, sites: Optional[dict] = None,
-          driver: Optional[dict] = None) -> dict:
+          driver: Optional[dict] = None, checkpoint_every: int = 0) -> dict:
     return {"workload": workload, "seed": seed, "gpu_mem_mb": gpu_mem_mb,
-            "profile": profile, "sites": sites, "driver": driver}
+            "profile": profile, "sites": sites, "driver": driver,
+            "checkpoint_every": checkpoint_every}
 
 
 def hinted_read_mostly(system: UvmSystem) -> None:
@@ -78,8 +81,14 @@ def hinted_read_mostly(system: UvmSystem) -> None:
     system.launch(KernelLaunch("sweep", [WarpProgram(phases[i::4]) for i in range(4)]))
 
 
+def hpgmg_3cycle(system: UvmSystem) -> None:
+    """Three V-cycles with host work between them on a small grid: each
+    cycle's kernel launches the same warp programs."""
+    Hpgmg(n=512, levels=3, cycles=3).run(system)
+
+
 #: Scripted runs, by the name a case gives as its workload.
-SCRIPTS = {"hinted-read-mostly": hinted_read_mostly}
+SCRIPTS = {"hinted-read-mostly": hinted_read_mostly, "hpgmg-3cycle": hpgmg_3cycle}
 
 
 def golden_cases() -> Dict[str, dict]:
@@ -120,13 +129,22 @@ def golden_cases() -> Dict[str, dict]:
     cases["stream/4MiB/fail-fast/s1"] = _case(
         "stream", 1, gpu_mem_mb=4, sites=FAIL_FAST_SITES, driver=FAIL_FAST
     )
+    # V-cycles that launch one program set, clean and crash-recovered
+    # from a checkpoint taken every 8 batches.
+    cases["hpgmg-3cycle/4MiB/s0"] = _case("hpgmg-3cycle", 0, gpu_mem_mb=4)
+    for seed in (0, 7):
+        cases[f"hpgmg-3cycle/4MiB/kitchen-sink/ckpt8/s{seed}"] = _case(
+            "hpgmg-3cycle", seed, gpu_mem_mb=4, profile="kitchen-sink",
+            checkpoint_every=8,
+        )
     return cases
 
 
 def run_case(workload: str, seed: int, gpu_mem_mb: int, profile, sites,
-             driver=None, sanitize: bool = False,
+             driver=None, checkpoint_every: int = 0, sanitize: bool = False,
              observed: bool = False) -> UvmSystem:
     """Run one case; ``driver`` overrides ``DriverConfig`` fields,
+    ``checkpoint_every`` sets the injected run's checkpoint period,
     ``sanitize`` attaches UVMSan in report mode, and ``observed`` keeps
     metrics and spans on and adds the Chrome trace and the full event log
     (``UvmSystem(trace=True)``).  A fail-fast case must abort: its digest
@@ -146,6 +164,7 @@ def run_case(workload: str, seed: int, gpu_mem_mb: int, profile, sites,
         cfg.inject.enabled = True
         cfg.inject.profile = profile
         cfg.inject.sites = dict(sites or {})
+        cfg.inject.checkpoint_every = checkpoint_every
     for name, value in (driver or {}).items():
         setattr(cfg.driver, name, value)
     cfg.validate()

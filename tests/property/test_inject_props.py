@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from repro.api import UvmSystem
 from repro.config import default_config
 from repro.core.eviction import EVICTION_POLICIES
 from repro.inject import BUILTIN_PROFILES
-from repro.sim.checkpoint import EngineCheckpoint
+from repro.sim.checkpoint import EngineCheckpoint, _pickle_parts
 from repro.units import MB
-from repro.workloads import RegularStream, Sgemm, VecAddPageStride
+from repro.workloads import Hpgmg, RegularStream, Sgemm, VecAddPageStride
 
 WORKLOADS = {
     "vecadd": lambda: VecAddPageStride(tsize=8),
@@ -169,7 +170,7 @@ _NOT_STATE_GROUPS = {
     ("last_bundle",): "where the latest crash bundle landed",
     ("_auto_checkpoint",): "the crash-recovery restore target itself",
     ("_batch_hooks",): "test and tooling callbacks",
-    ("_program_pickle",): "a cache of the launch's program pickle, not simulation state",
+    ("_pickles",): "the checkpoint layer's cache of the program and part pickles",
 }
 NOT_STATE = {name: why for names, why in _NOT_STATE_GROUPS.items() for name in names}
 
@@ -256,6 +257,42 @@ def assert_state_equal(recorded, restored):
     assert not differ, f"restore left these attributes unlike the capture: {differ}"
 
 
+def from_scratch_parts(engine):
+    """The part pickles a capture with an empty cache makes."""
+    return _pickle_parts(engine, {})
+
+
+class PartsChecked:
+    """Within the block, every capture asserts that each part it holds,
+    reused or not, equals a from-scratch pickle of the live component."""
+
+    def __init__(self):
+        self.captures = 0
+        self.reused = 0
+        self._previous = {}
+
+    def __enter__(self):
+        capture = EngineCheckpoint.capture
+
+        def checked(cls, engine):
+            ckpt = capture(engine)
+            assert ckpt._parts == from_scratch_parts(engine)
+            self.captures += 1
+            self.reused += sum(
+                blob is self._previous.get(name, (None, None))[1]
+                for name, (_, blob) in ckpt._parts.items()
+            )
+            self._previous = ckpt._parts
+            return ckpt
+
+        self._patch = mock.patch.object(EngineCheckpoint, "capture", classmethod(checked))
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
 def run_with_checkpoint(at_batch, workload=RegularStream, **cfg_kw):
     """Run ``workload()`` to completion, capturing a checkpoint (and the
     simulation state it should restore) at ``at_batch``."""
@@ -337,6 +374,40 @@ class TestCheckpointRestore:
         assert ckpt.summary()["batches"] == 6
         assert all(a is b for a, b in zip(ckpt._records, system.records))
 
+    def test_parts_stay_fresh_over_v_cycles(self):
+        """HPGMG's V-cycles launch one program set, between host work, and
+        its DMA tree and prefetch masks move as blocks are first touched:
+        every capture, through a crash recovery, holds fresh parts."""
+        with PartsChecked() as parts:
+            system = UvmSystem(build_config(
+                gpu_mem_mb=4, inject=True, profile="kitchen-sink", checkpoint_every=2
+            ))
+            Hpgmg(n=512, levels=3, cycles=3).run(system)
+        assert system.injector.summary()["recoveries"] == 1
+        assert parts.captures > 20 and parts.reused > 0
+
+    def test_no_part_bytes_outlive_a_restore(self):
+        """A restore rewinds each part's version.  Bytes cached after the
+        restored capture must not be reused when the rewound version climbs
+        back to their number with different contents."""
+        system = UvmSystem(build_config())
+        engine = system.engine
+        alloc = system.managed_alloc(MB)
+        before = engine.checkpoint()
+        system.host_touch(alloc, 0, 16)
+        system.managed_alloc(MB)
+        after = engine.checkpoint()
+        before.restore_into(engine)
+        system.host_touch(alloc, 16, 32)
+        system.managed_alloc(2 * MB)
+        again = engine.checkpoint()
+        for name in ("host_vm.touch_thread", "vablocks.valid_pages"):
+            assert again._parts[name][0] == after._parts[name][0]  # the same version
+        for name, (_, blob) in again._parts.items():
+            made_after_restored = after._parts[name][1] is not before._parts[name][1]
+            assert not (made_after_restored and blob is after._parts[name][1]), name
+        assert again._parts == from_scratch_parts(engine)
+
     def test_resume_without_pending_launch_raises(self):
         from repro.errors import SimulationError
 
@@ -400,22 +471,25 @@ class TestRestoreAcrossTheConfigSpace:
             inject=True, profile=profile, checkpoint_every=checkpoint_every,
             batch_size=batch_size, utlb_cap=utlb_cap,
         )
-        system, ckpt, captured = run_with_checkpoint(
-            at_batch, make, sites={"engine.crash": {"at_batch": PAST_THE_END}}, **cfg_kw
-        )
-        clean = timeline_fingerprint(system)
+        with PartsChecked() as parts:
+            system, ckpt, captured = run_with_checkpoint(
+                at_batch, make, sites={"engine.crash": {"at_batch": PAST_THE_END}},
+                **cfg_kw,
+            )
+            clean = timeline_fingerprint(system)
 
-        ckpt.restore_into(system.engine)
-        assert_state_equal(captured, simulation_state(system.engine))
-        system.engine.resume()
-        assert timeline_fingerprint(system) == clean
+            ckpt.restore_into(system.engine)
+            assert_state_equal(captured, simulation_state(system.engine))
+            system.engine.resume()
+            assert timeline_fingerprint(system) == clean
 
-        crashed = UvmSystem(
-            build_config(sites={"engine.crash": {"at_batch": at_batch}}, **cfg_kw)
-        )
-        make().run(crashed)
-        assert crashed.injector.summary()["recoveries"] == 1
-        assert timeline_fingerprint(crashed) == clean
+            crashed = UvmSystem(
+                build_config(sites={"engine.crash": {"at_batch": at_batch}}, **cfg_kw)
+            )
+            make().run(crashed)
+            assert crashed.injector.summary()["recoveries"] == 1
+            assert timeline_fingerprint(crashed) == clean
+        assert parts.reused > 0
 
 
 class TestSanitizerCleanAcrossTheConfigSpace:

@@ -1,8 +1,15 @@
 """Unit tests for address/size arithmetic in repro.units."""
 
+import math
+
 import pytest
 
 from repro import units as u
+from repro.analysis.stats import batch_size_summary
+from repro.core.batch_record import BatchRecord
+from repro.core.instrumentation import BatchLog
+from repro.obs.analyze import build_report
+from repro.sim.engine import LaunchResult
 
 
 class TestConstants:
@@ -108,3 +115,31 @@ class TestFormatting:
         assert u.fmt_usec(0.5) == "0.50us"
         assert u.fmt_usec(1500) == "1.500ms"
         assert u.fmt_usec(2_500_000) == "2.500s"
+
+
+#: Batch durations whose left-to-right total (1e16: each 1.0 is lost to
+#: rounding) differs from the compensated total (1e16 + 2) that builtin
+#: ``sum`` returns from Python 3.12 on.
+DURATIONS = (1e16, 1.0, 1.0)
+
+
+class TestFoldSum:
+    def test_adds_left_to_right(self):
+        assert math.fsum(DURATIONS) == 1e16 + 2
+        assert u.fold_sum(DURATIONS) == 1e16
+        assert u.fold_sum([]) == 0
+
+    def test_batch_totals_fold_on_every_python(self):
+        records = [
+            BatchRecord(batch_id=i, t_start=0.0, t_end=d)
+            for i, d in enumerate(DURATIONS)
+        ]
+        log = BatchLog()
+        for record in records:
+            log.append(record)
+        assert log.total_batch_time == 1e16
+        assert LaunchResult("k", 0.0, records).batch_time_usec == 1e16
+        assert batch_size_summary(records).total_batch_time_usec == 1e16
+        report = build_report([r.to_dict() for r in records])
+        assert report["total_batch_usec"] == 1e16
+        assert report["gpu_stall"]["stall_usec"] == 1e16
