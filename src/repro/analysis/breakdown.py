@@ -10,13 +10,14 @@ per-batch component timers across a run into that attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
-from ..core.batch_record import BatchRecord
+from ..core.batch_record import BatchRecord, phase_totals
 from ..units import fmt_usec, fold_sum
 from .report import ascii_table
 
-#: (record attribute, human label) in servicing order.
+#: (record attribute, human label) for every ``PHASE_FIELDS`` timer, in
+#: display order.
 COMPONENTS: List[Tuple[str, str]] = [
     ("time_wake", "worker wakeup"),
     ("time_fetch", "fault-buffer fetch"),
@@ -49,12 +50,8 @@ class ComponentShare:
 
 def cost_breakdown(records: Iterable[BatchRecord]) -> List[ComponentShare]:
     """Aggregate component timers over ``records``, largest share first."""
-    records = list(records)
-    totals: Dict[str, float] = {attr: 0.0 for attr, _ in COMPONENTS}
-    for r in records:
-        for attr in totals:
-            totals[attr] += getattr(r, attr)
-    grand = fold_sum(totals.values()) or 1.0
+    totals = phase_totals(records)
+    grand = fold_sum(totals[attr] for attr, _ in COMPONENTS) or 1.0
     shares = [
         ComponentShare(attr, label, totals[attr], totals[attr] / grand)
         for attr, label in COMPONENTS

@@ -144,11 +144,6 @@ class UvmSystem:
         return self.engine.obs.metrics
 
     @property
-    def spans(self):
-        """The run's :class:`~repro.obs.spans.SpanProfiler`."""
-        return self.engine.obs.spans
-
-    @property
     def sanitizer(self):
         """The run's UVMSan checker (a null object unless
         ``config.check.enabled`` — see :mod:`repro.check.sanitizer`)."""

@@ -48,7 +48,7 @@ from .telemetry import HEARTBEAT_INTERVAL_SEC, HeartbeatThread, emit
 
 #: Cell-checkpoint file format version (bump on layout change; a mismatched
 #: or unreadable file is ignored and the cell reruns from scratch).
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: Default auto-checkpoint cadence in serviced batches.
 DEFAULT_CHECKPOINT_EVERY = 8

@@ -199,23 +199,19 @@ class HostConfig:
 class ObsConfig:
     """Observability settings (the :mod:`repro.obs` layer).
 
-    Metrics and spans are cheap enough to default on; the Chrome trace
+    Metrics are cheap enough to default on; the Chrome trace
     keeps every event of the run's log (one per phase/fault/transfer) and
     defaults off for sweeps.
     """
 
     #: Aggregate counters/gauges/histograms (``MetricsRegistry``).
     metrics: bool = True
-    #: Sim-vs-wall phase spans (``SpanProfiler``).
-    spans: bool = True
     #: Chrome trace-event timeline (``ChromeTrace``), rendered from a
     #: tracing flight recorder, which keeps every event.
     chrome_trace: bool = False
     #: NDJSON structured-log path for batch records, plus every
     #: flight-recorder event while tracing (None = no sink).
     ndjson_path: Optional[str] = None
-    #: Retention cap for completed spans (None = unbounded).
-    max_spans: Optional[int] = None
     #: Always-on flight recorder: a bounded ring of recent structured events
     #: (batch open/close, retries, evictions, injections, violations) that
     #: crash bundles dump for post-mortem forensics.  Purely observational —
@@ -239,15 +235,12 @@ class ObsConfig:
         return dataclasses.replace(
             self,
             metrics=False,
-            spans=False,
             chrome_trace=False,
             ndjson_path=None,
             flight_recorder=self.bundle_dir is not None,
         )
 
     def validate(self) -> None:
-        if self.max_spans is not None and self.max_spans <= 0:
-            raise ConfigError("max_spans must be positive or None")
         if self.flight_cap <= 0:
             raise ConfigError("flight_cap must be positive")
 

@@ -19,9 +19,42 @@ Field groups map directly onto the paper's analyses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
+
+from ..units import fold_sum
+
+#: The component timers, in fault-path order (Fig 7's stack): the one
+#: phase split every report folds.
+PHASE_FIELDS = (
+    "time_wake",
+    "time_fetch",
+    "time_preprocess",
+    "time_block_base",
+    "time_alloc",
+    "time_eviction",
+    "time_population",
+    "time_dma",
+    "time_unmap",
+    "time_prefetch_decide",
+    "time_migrate_prep",
+    "time_transfer_h2d",
+    "time_transfer_d2h",
+    "time_pagetable",
+    "time_replay",
+    "time_retry_backoff",
+)
+
+
+def phase_totals(records: Iterable["BatchRecord"]) -> Dict[str, float]:
+    """Each :data:`PHASE_FIELDS` timer summed over ``records``, left to
+    right (sim µs)."""
+    totals = dict.fromkeys(PHASE_FIELDS, 0.0)
+    for record in records:
+        for name in PHASE_FIELDS:
+            totals[name] += getattr(record, name)
+    return totals
 
 
 @dataclass
@@ -133,24 +166,7 @@ class BatchRecord:
         """Sum of accounted component timers (== duration for the serial
         driver; < duration only under the parallel-driver ablation where the
         clock advances by the critical path, not total work)."""
-        return (
-            self.time_wake
-            + self.time_fetch
-            + self.time_preprocess
-            + self.time_block_base
-            + self.time_alloc
-            + self.time_eviction
-            + self.time_population
-            + self.time_dma
-            + self.time_unmap
-            + self.time_prefetch_decide
-            + self.time_migrate_prep
-            + self.time_transfer_h2d
-            + self.time_transfer_d2h
-            + self.time_pagetable
-            + self.time_replay
-            + self.time_retry_backoff
-        )
+        return fold_sum(getattr(self, name) for name in PHASE_FIELDS)
 
     @property
     def transfer_fraction(self) -> float:

@@ -57,31 +57,21 @@ from ..hostos.dma import DmaMapper
 from ..hostos.host_vm import HostVm
 from ..obs import Observability
 from ..check.sanitizer import NULL_SANITIZER
-from ..obs.spans import NULL_SPAN
 from ..sim.clock import SimClock
 from ..sim.rng import JitterStream
 from .batch import AssembledBatch, BlockWork, assemble_batch
-from .batch_record import BatchRecord
+from .batch_record import PHASE_FIELDS, BatchRecord
 from .eviction import LruEvictionPolicy, make_eviction_policy
 from .instrumentation import BatchLog
 from .prefetch import DensityPrefetcher, make_prefetcher
 from .vablock import VABlockManager, VABlockState
 
 
-#: The record fields a VABlock's phase charges settle into.
-PHASE_FIELDS = (
-    "time_block_base",
-    "time_alloc",
-    "time_eviction",
-    "time_population",
-    "time_dma",
-    "time_unmap",
-    "time_prefetch_decide",
-    "time_migrate_prep",
-    "time_transfer_h2d",
-    "time_transfer_d2h",
-    "time_pagetable",
-    "time_retry_backoff",
+#: The record fields a VABlock's phase charges settle into: every phase
+#: but the batch-level ones around the block loop.
+BLOCK_PHASE_FIELDS = tuple(
+    name for name in PHASE_FIELDS
+    if name not in ("time_wake", "time_fetch", "time_preprocess", "time_replay")
 )
 
 
@@ -207,11 +197,6 @@ class UvmDriver:
         #: Tracing recorder: also log every fetched fault, migration and
         #: serviced VABlock.
         self._tracing = self.flight.tracing
-        #: Cached observability flags (fixed per run): the per-batch paths
-        #: skip span-context and phase-mark construction entirely when
-        #: nothing consumes them.
-        self._spans_on = self.obs.spans.enabled
-        self._obs_block_on = self._spans_on or self._tracing
         self.eviction.attach_obs(self.obs)
         #: The µs and phase of each charge of the batch's VABlocks, settled
         #: once its block loop ends (:meth:`_service_blocks`).  Two flat
@@ -407,19 +392,14 @@ class UvmDriver:
         return outcome
 
     def _service_batch_body(self, record: BatchRecord, slept: bool) -> ServiceOutcome:
-        spans = self.obs.spans
-        spans_on = self._spans_on
-
         # 1. Wake + interrupt acknowledge.
         if slept:
-            with spans.span("driver.wake", batch=record.batch_id) if spans_on else NULL_SPAN:
-                record.time_wake = self._spend(self.cost.interrupt_wake_usec)
+            record.time_wake = self._spend(self.cost.interrupt_wake_usec)
         self.device.gmmu.acknowledge()
 
         # 2. Fetch.
-        with spans.span("driver.fetch", batch=record.batch_id) if spans_on else NULL_SPAN:
-            faults = self.device.fault_buffer.fetch(self.effective_batch_size)
-            record.time_fetch = self._spend(self.cost.fetch_cost(len(faults)))
+        faults = self.device.fault_buffer.fetch(self.effective_batch_size)
+        record.time_fetch = self._spend(self.cost.fetch_cost(len(faults)))
 
         if self._tracing:
             # Per-fault instrumentation (the paper's first driver variant):
@@ -430,9 +410,8 @@ class UvmDriver:
                                    f.sm_id, f.warp_uid, f.timestamp)
 
         # 3. Preprocess / dedup.
-        with spans.span("driver.preprocess", batch=record.batch_id) if spans_on else NULL_SPAN:
-            batch = assemble_batch(faults, self.device.config.num_sms)
-            record.time_preprocess = self._spend(self.cost.preprocess_cost(len(faults)))
+        batch = assemble_batch(faults, self.device.config.num_sms)
+        record.time_preprocess = self._spend(self.cost.preprocess_cost(len(faults)))
         if faults:
             record.t_first_fault = faults[0].timestamp
             record.t_last_fault = faults[-1].timestamp
@@ -453,11 +432,10 @@ class UvmDriver:
             outcome.unserviced_faults.extend(faults.rows_for_pages(work.pages))
 
         # 5. Replay: flush buffer (drop), clear µTLB waiting, push replay.
-        with spans.span("driver.replay", batch=record.batch_id) if spans_on else NULL_SPAN:
-            outcome.dropped_faults = self.device.fault_buffer.flush()
-            record.dropped_at_flush = len(outcome.dropped_faults)
-            record.time_replay = self._spend(self.cost.replay_usec)
-            self.device.replay_all()
+        outcome.dropped_faults = self.device.fault_buffer.flush()
+        record.dropped_at_flush = len(outcome.dropped_faults)
+        record.time_replay = self._spend(self.cost.replay_usec)
+        self.device.replay_all()
 
         # Pages evicted by later blocks of this batch are not serviced.
         resident = self.device.page_table.resident
@@ -600,16 +578,19 @@ class UvmDriver:
 
         One array op jitters the charges in order.  Then, left to right as
         they were charged, each folds into its record field and, unless it
-        was off the fault path, into its block's cost.  Every finished
-        block is reported with its phase marks, laid out serially from the
-        clock.
+        was off the fault path, into its block's cost.  When tracing, every
+        finished block with a phase mark is logged as a ``vablock`` event
+        with its ``(phase, µs)`` marks.  Blocks are laid out serially from
+        the clock: exactly the serial driver's timeline; under the
+        parallel-driver ablation the events show total work, while the
+        clock advances by the critical path.
         """
         usecs, phases, off_path = self._charge_usecs, self._charge_phases, self._off_path
         self._charge_usecs, self._charge_phases, self._off_path = [], [], []
         values = self.jitter.apply_all(
             np.fromiter(usecs, float, len(usecs)), self.cost.jitter_frac
         ).tolist()
-        totals = {name: getattr(record, name) for name in PHASE_FIELDS}
+        totals = {name: getattr(record, name) for name in BLOCK_PHASE_FIELDS}
         for phase, value in zip(phases, values):
             totals[phase] += value
         for name, total in totals.items():
@@ -625,15 +606,15 @@ class UvmDriver:
                 cost += value
             costs.append(cost)
             lo = hi
-        if self._obs_block_on:
+        if self._tracing:
             t_block = self.clock.now
             lo = 0
             for work, hi, cost in zip(works, ends, costs):
-                marks = None
-                if self._tracing:
-                    marks = [(phase, value) for phase, value
-                             in zip(phases[lo:hi], values[lo:hi]) if phase is not None]
-                self._emit_block_obs(work, t_block, cost, record, marks)
+                marks = [(phase, value) for phase, value
+                         in zip(phases[lo:hi], values[lo:hi]) if phase is not None]
+                if marks:
+                    self.flight.record("vablock", record.batch_id, work.block_id, t_block,
+                                       cost, len(work.pages), marks)
                 t_block += cost
                 lo = hi
         return costs
@@ -938,60 +919,18 @@ class UvmDriver:
 
     # -------------------------------------------------------- observability
 
-    def _emit_block_obs(
-        self,
-        work: BlockWork,
-        t_block: float,
-        cost: float,
-        record: BatchRecord,
-        marks: Optional[List[Tuple[str, float]]],
-    ) -> None:
-        """Log one serviced VABlock as a span and, when tracing, a
-        ``vablock`` event with its ``(phase, µs)`` marks.
-
-        Blocks are laid out serially from the clock time at the start of the
-        block loop (exactly the serial driver's timeline; under the
-        parallel-driver ablation the visualization shows total work, while
-        the clock advances by the critical path).
-        """
-        obs = self.obs
-        if obs.spans.enabled and cost > 0.0:
-            obs.spans.record(
-                "driver.vablock",
-                "driver",
-                sim_start=t_block,
-                sim_dur=cost,
-                depth=1,
-                block=work.block_id,
-                batch=record.batch_id,
-            )
-        if marks:
-            self.flight.record("vablock", record.batch_id, work.block_id, t_block,
-                               cost, len(work.pages), marks)
-
     def _finish_record_obs(self, record: BatchRecord) -> None:
-        """Report one finished batch to the flight recorder, spans and the
-        sink (its metrics and Chrome-trace slices are read from the log)."""
-        obs = self.obs
+        """Report one finished batch to the flight recorder and the sink
+        (its metrics and Chrome-trace slices are read from the log)."""
         self.flight.record(
             "batch.abort" if record.aborted else "batch.close",
             record.batch_id,
             record.num_faults_raw,
             record.duration,
         )
-        if obs.spans.enabled:
-            # The batch envelope as a manual span: reconciles against
-            # ``BatchRecord.duration``/``service_time`` in tests.
-            obs.spans.record(
-                "driver.batch",
-                "driver",
-                sim_start=record.t_start,
-                sim_dur=record.duration,
-                batch=record.batch_id,
-                hinted=record.hinted,
-            )
-        if obs.sink is not None:
-            obs.sink.write_batch_record(record)
+        sink = self.obs.sink
+        if sink is not None:
+            sink.write_batch_record(record)
 
     # ------------------------------------------------------------ internals
 

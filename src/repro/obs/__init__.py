@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics, spans, event log, and its views.
+"""Unified observability layer: metrics, event log, and its views.
 
 One :class:`Observability` object per simulated system bundles the
 instruments the fault-path analysis needs:
@@ -8,8 +8,6 @@ instruments the fault-path analysis needs:
 * :class:`~repro.obs.metrics.MetricsRegistry` — run-level counters, gauges,
   and histograms with labeled series (snapshot dict / Prometheus text);
   families the batch log already holds are folded from it at read time;
-* :class:`~repro.obs.spans.SpanProfiler` — nested phase spans recording
-  simulated *and* host wall-clock time;
 * :class:`~repro.obs.chrome_trace.ChromeTrace` — the run as a
   Perfetto/``chrome://tracing`` timeline, rendered from the event log and
   the batch log whenever it is read;
@@ -19,10 +17,17 @@ instruments the fault-path analysis needs:
 Enablement comes from :class:`~repro.config.ObsConfig`; every instrument is
 independently switchable and near-zero-cost when off.  A checkpoint stores
 :meth:`Observability.mark` and a restore calls :meth:`Observability.rewind`,
-so the event log, the spans and the sink all forget the batches a recovery
-replays.  Multi-GPU systems share one ``Observability`` across engines and
-give each device a scoped view (:meth:`Observability.scoped`) so its trace
-tracks land in a separate process group.
+so the event log and the sink both forget the batches a recovery replays.
+Multi-GPU systems share one ``Observability`` across engines and give each
+device a scoped view (:meth:`Observability.scoped`) so its trace tracks
+land in a separate process group.
+
+The sim-time phase split is no instrument of its own: every
+:class:`~repro.core.batch_record.BatchRecord` carries its ``time_*`` timers
+(:data:`~repro.core.batch_record.PHASE_FIELDS`), which
+:mod:`repro.obs.analyze` and :mod:`repro.analysis.breakdown` fold at read
+time.  Host wall time per simulator layer is measured outside the
+simulator, by ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from typing import Optional, Tuple
 
 from .catalog import (
     METRIC_CATALOG,
-    SPAN_CATALOG,
     declared_label_keys,
     metric_declaration,
     validate_registry,
@@ -60,11 +64,10 @@ from .metrics import (
     NULL_INSTRUMENT,
 )
 from .sinks import NdjsonSink, read_ndjson
-from .spans import NULL_SPAN, SpanProfiler, SpanRecord
 
 
 class Observability:
-    """Facade bundling one system's metrics, spans, traces, and logs."""
+    """Facade bundling one system's metrics, traces, and logs."""
 
     def __init__(self, config, clock, pid_base: int = 0, label: str = "",
                  trace: bool = False) -> None:
@@ -77,7 +80,6 @@ class Observability:
         self.pid_base = pid_base
         self.label = label
         self.metrics = MetricsRegistry(enabled=config.metrics)
-        self.spans = SpanProfiler(clock, enabled=config.spans, max_spans=config.max_spans)
         self.chrome = ChromeTrace(enabled=config.chrome_trace)
         self.sink: Optional[NdjsonSink] = (
             NdjsonSink(config.ndjson_path) if config.ndjson_path else None
@@ -104,7 +106,6 @@ class Observability:
         view.pid_base = pid_base
         view.label = label
         view.metrics = self.metrics
-        view.spans = self.spans
         view.chrome = self.chrome
         view.sink = self.sink
         view.flight = (
@@ -118,37 +119,21 @@ class Observability:
         """Trace pid for a subsystem constant, offset for this device."""
         return self.pid_base + subsystem_pid
 
-    # ---------------------------------------------------------- delegation
-
-    def span(self, name: str, category: str = "driver", **args):
-        """Shorthand for ``obs.spans.span(...)``."""
-        return self.spans.span(name, category, **args)
-
     @property
     def any_enabled(self) -> bool:
-        return (
-            self.metrics.enabled
-            or self.spans.enabled
-            or self.chrome.enabled
-            or self.sink is not None
-        )
+        return self.metrics.enabled or self.chrome.enabled or self.sink is not None
 
     # ------------------------------------------------------------ rewinding
 
-    def mark(self) -> Tuple[int, int, Optional[int]]:
-        """Where the event log, the spans and the sink stand (a checkpoint
-        stores this)."""
-        return (
-            self.flight.appended,
-            len(self.spans),
-            None if self.sink is None else self.sink.tell(),
-        )
+    def mark(self) -> Tuple[int, Optional[int]]:
+        """Where the event log and the sink stand (a checkpoint stores
+        this)."""
+        return (self.flight.appended, None if self.sink is None else self.sink.tell())
 
-    def rewind(self, mark: Tuple[int, int, Optional[int]]) -> None:
+    def rewind(self, mark: Tuple[int, Optional[int]]) -> None:
         """Forget everything logged since :meth:`mark` returned ``mark``."""
-        appended, spans, offset = mark
+        appended, offset = mark
         self.flight.rewind(appended)
-        self.spans.truncate(spans)
         if self.sink is not None:
             self.sink.truncate(offset)
 
@@ -163,7 +148,6 @@ class Observability:
 __all__ = [
     "Observability",
     "METRIC_CATALOG",
-    "SPAN_CATALOG",
     "declared_label_keys",
     "metric_declaration",
     "validate_registry",
@@ -175,9 +159,6 @@ __all__ = [
     "NULL_INSTRUMENT",
     "DEFAULT_TIME_BUCKETS_USEC",
     "DEFAULT_COUNT_BUCKETS",
-    "SpanProfiler",
-    "SpanRecord",
-    "NULL_SPAN",
     "FlightRecorder",
     "NULL_FLIGHT",
     "ChromeTrace",

@@ -18,7 +18,8 @@ report without re-running the simulation:
   tolerance, the primitive behind ``analyze --diff``.
 
 Everything here is pure post-processing: dict in, dict out, renderable as
-ASCII.  Nothing imports the simulator.
+ASCII.  Nothing runs the simulator: the only simulator import is the batch
+record's phase tuple.
 """
 
 from __future__ import annotations
@@ -27,28 +28,9 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.batch_record import PHASE_FIELDS
 from ..units import fold_sum
 from .bundle import EVENTS_NAME, is_bundle_dir, read_manifest
-
-#: BatchRecord component timers, in fault-path order (Fig 7's stack).
-PHASE_FIELDS = (
-    "time_wake",
-    "time_fetch",
-    "time_preprocess",
-    "time_block_base",
-    "time_alloc",
-    "time_eviction",
-    "time_population",
-    "time_dma",
-    "time_unmap",
-    "time_prefetch_decide",
-    "time_migrate_prep",
-    "time_transfer_h2d",
-    "time_transfer_d2h",
-    "time_pagetable",
-    "time_replay",
-    "time_retry_backoff",
-)
 
 #: Default relative tolerance for ``diff_reports`` (10 %).
 DEFAULT_TOLERANCE = 0.10

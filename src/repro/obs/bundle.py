@@ -14,7 +14,8 @@ Bundle layout (schema: ``docs/schemas/bundle.schema.json``)::
       config.json      full SystemConfig snapshot (dataclasses.asdict)
       events.ndjson    the flight-recorder ring, oldest first
       metrics.json     MetricsRegistry.snapshot()
-      spans.json       SpanProfiler.totals()
+      phases.json      the batch log's ``time_*`` timers, each summed over
+                       every logged batch (sim µs, ``phase_totals``)
       checkpoint.bin   latest auto-checkpoint, ``EngineCheckpoint.to_bytes()``
                        (only when one exists)
 
@@ -32,15 +33,17 @@ import shutil
 from pathlib import Path
 from typing import Optional, Union
 
+from ..core.batch_record import phase_totals
+
 #: Manifest ``schema`` identifier; bump on incompatible layout changes.
-BUNDLE_SCHEMA = "uvm-repro-bundle/2"
+BUNDLE_SCHEMA = "uvm-repro-bundle/3"
 
 #: Filenames inside every bundle directory.
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
 EVENTS_NAME = "events.ndjson"
 METRICS_NAME = "metrics.json"
-SPANS_NAME = "spans.json"
+PHASES_NAME = "phases.json"
 CHECKPOINT_NAME = "checkpoint.bin"
 
 
@@ -152,7 +155,7 @@ def _write_bundle_contents(
 
     _dump_json(directory / CONFIG_NAME, dataclasses.asdict(config))
     _dump_json(directory / METRICS_NAME, obs.metrics.snapshot())
-    _dump_json(directory / SPANS_NAME, obs.spans.totals())
+    _dump_json(directory / PHASES_NAME, phase_totals(engine.driver.log.records))
 
     checkpoint_ref = None
     auto = getattr(engine, "_auto_checkpoint", None)
@@ -189,7 +192,7 @@ def _write_bundle_contents(
             "config": CONFIG_NAME,
             "events": EVENTS_NAME,
             "metrics": METRICS_NAME,
-            "spans": SPANS_NAME,
+            "phases": PHASES_NAME,
         },
     }
     return manifest

@@ -1,5 +1,4 @@
-"""Declarative catalog of every metric family and span name the simulator
-emits.
+"""Declarative catalog of every metric family the simulator emits.
 
 The registry API registers families lazily at call sites, which is
 ergonomic but drift-prone: rename a family at its one registration site
@@ -13,13 +12,12 @@ checked by running the simulator:
   :data:`UNIT_VOCAB`;
 * ``tests/unit/check/test_obs_catalog.py`` runs the benchmark matrix at
   reduced scale, a recovered chaos run, a two-GPU run and a fleet
-  coordinator, and asserts that the families they register and the spans
-  they record are exactly the entries below, so the catalog can drift
-  from reality in neither direction.
+  coordinator, and asserts that the families they register are exactly
+  the entries below, so the catalog can drift from reality in neither
+  direction.
 
-When adding a metric or span: register or record it at the call site,
-declare it here with a unit, and make sure one of the coverage runs
-emits it.
+When adding a metric: register it at the call site, declare it here with
+a unit, and make sure one of the coverage runs emits it.
 """
 
 from __future__ import annotations
@@ -201,50 +199,6 @@ METRIC_CATALOG: Dict[str, dict] = {
         "unit": "violations",
     },
 }
-
-#: span name → {"help": one-line description, "unit": duration unit}.
-#: Covers ``obs.span(...)`` / ``spans.span(...)`` context spans and the
-#: manual ``spans.record(...)`` replayed spans.  Every span duration is
-#: simulated microseconds.  Keep alphabetical.
-SPAN_CATALOG: Dict[str, dict] = {
-    "driver.batch": {
-        "help": "one batch envelope, reconciled against BatchRecord",
-        "unit": "us",
-    },
-    "driver.fetch": {
-        "help": "drain the HW fault buffer into the batch",
-        "unit": "us",
-    },
-    "driver.preprocess": {
-        "help": "dedup/sort/group faults into VABlock work",
-        "unit": "us",
-    },
-    "driver.replay": {
-        "help": "replay the stalled warps after servicing",
-        "unit": "us",
-    },
-    "driver.vablock": {
-        "help": "per-VABlock servicing slice (manual span)",
-        "unit": "us",
-    },
-    "driver.wake": {
-        "help": "batch-trigger wakeup latency",
-        "unit": "us",
-    },
-    "engine.host_touch": {
-        "help": "CPU-side touch of managed pages",
-        "unit": "us",
-    },
-    "engine.launch": {
-        "help": "one kernel launch end-to-end",
-        "unit": "us",
-    },
-    "engine.resume": {
-        "help": "resume a kernel after checkpoint restore",
-        "unit": "us",
-    },
-}
-
 
 def metric_declaration(name: str) -> dict:
     """The declaration for ``name`` (raises KeyError when undeclared)."""

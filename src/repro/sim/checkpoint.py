@@ -53,10 +53,9 @@ the injector object, and config/cost-model references stay with the live
 engine, so a restore rewinds the *simulated* world without disturbing the
 instrumentation around it; engine-side resilience counters never rewind.
 The metric families folded from the batch log and the Chrome trace rendered
-from the logs rewind with it, and the flight recorder, the span profiler
-and the NDJSON sink drop what they logged since the capture
-(:meth:`~repro.obs.Observability.mark`).  The injector
-contributes its own
+from the logs rewind with it, and the flight recorder and the NDJSON sink
+drop what they logged since the capture
+(:meth:`~repro.obs.Observability.mark`).  The injector contributes its own
 :meth:`~repro.inject.FaultInjector.snapshot` (RNG stream states + counters),
 and the sanitizer is :meth:`~repro.check.sanitizer.Sanitizer.resync`'d after
 restore so the monotonicity watermarks accept the rewound clock.

@@ -277,21 +277,20 @@ class Engine:
         if thread_of is None:
             thread_of = lambda page: 0
         try:
-            with self.obs.span("engine.host_touch", "engine", pages=len(pages)):
-                is_remote = self.driver.is_remote_mapped
-                resident = [
-                    p
-                    for p in pages
-                    if self.device.page_table.is_resident(p) and not is_remote(p)
-                ]
-                if resident:
-                    resident.sort()
-                    self.clock.advance(self._d2h_with_retry(contiguous_runs(resident)))
-                    self.device.page_table.unmap_pages(resident)
-                    self.driver.discard_resident(resident)
-                    self.host_vm.mark_valid(resident)
-                self.host_vm.cpu_touch(pages, thread_of)
-                self.clock.advance(self.host_cpu.touch_cost_usec(len(pages)))
+            is_remote = self.driver.is_remote_mapped
+            resident = [
+                p
+                for p in pages
+                if self.device.page_table.is_resident(p) and not is_remote(p)
+            ]
+            if resident:
+                resident.sort()
+                self.clock.advance(self._d2h_with_retry(contiguous_runs(resident)))
+                self.device.page_table.unmap_pages(resident)
+                self.driver.discard_resident(resident)
+                self.host_vm.mark_valid(resident)
+            self.host_vm.cpu_touch(pages, thread_of)
+            self.clock.advance(self.host_cpu.touch_cost_usec(len(pages)))
         except UvmError as exc:
             self._capture_bundle(exc)
             raise
@@ -348,8 +347,7 @@ class Engine:
         """
         self.flight.record("launch", kernel.name, len(kernel.programs))
         try:
-            with self.obs.span("engine.launch", "engine", kernel=kernel.name):
-                result = self._launch(kernel)
+            result = self._launch(kernel)
         except UvmError as exc:
             self._capture_bundle(exc)
             raise
@@ -396,8 +394,7 @@ class Engine:
             raise SimulationError("no in-flight launch to resume")
         self.flight.record("resume", self._progress.name)
         try:
-            with self.obs.span("engine.resume", "engine", kernel=self._progress.name):
-                return self._run_loop()
+            return self._run_loop()
         except UvmError as exc:
             self._capture_bundle(exc)
             raise

@@ -1,6 +1,7 @@
 """Crash-bundle integration: every chaos profile, crashed at the same
 batch, writes a schema-valid diagnostic bundle; equal seeds produce
-byte-identical bundles; and the flight recorder never moves the timeline.
+byte-identical bundles; the bundle's phase split is the batch log's; and
+the flight recorder never moves the timeline.
 """
 
 import json
@@ -11,16 +12,20 @@ import pytest
 
 from repro.api import UvmSystem
 from repro.config import default_config
+from repro.core.batch_record import PHASE_FIELDS
 from repro.errors import InjectedCrash
 from repro.inject.profiles import BUILTIN_PROFILES
 from repro.obs.analyze import analyze_bundle
 from repro.obs.bundle import (
     BUNDLE_SCHEMA,
+    CHECKPOINT_NAME,
+    CONFIG_NAME,
     EVENTS_NAME,
-    MANIFEST_NAME,
+    METRICS_NAME,
+    PHASES_NAME,
     read_manifest,
 )
-from repro.units import MB
+from repro.units import MB, fold_sum
 from repro.workloads import WORKLOAD_REGISTRY
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -35,10 +40,10 @@ PROFILES = sorted(BUILTIN_PROFILES) + EXAMPLE_PROFILES
 CRASH_BATCH = 4
 
 
-def _crash_run(profile, seed, bundle_root, trace=False):
+def _crash_system(profile, seed, bundle_root, trace=False):
     """Run stream under ``profile`` with a forced unrecovered crash; the
     inline site merges over the profile, so every profile dies at the same
-    batch and the bundle is the only artifact under test."""
+    batch and writes its bundle."""
     cfg = default_config()
     cfg.gpu.memory_bytes = 32 * MB
     cfg.seed = seed
@@ -51,9 +56,13 @@ def _crash_run(profile, seed, bundle_root, trace=False):
     system = UvmSystem(cfg, trace=trace)
     with pytest.raises(InjectedCrash):
         WORKLOAD_REGISTRY["stream"]().run(system)
-    bundle = system.engine.last_bundle
-    assert bundle is not None
-    return bundle
+    assert system.engine.last_bundle is not None
+    return system
+
+
+def _crash_run(profile, seed, bundle_root, trace=False):
+    """The bundle of :func:`_crash_system`'s run."""
+    return _crash_system(profile, seed, bundle_root, trace).engine.last_bundle
 
 
 class TestBundleOnCrash:
@@ -76,12 +85,33 @@ class TestBundleOnCrash:
 
     @pytest.mark.parametrize("profile", ["crashy", "kitchen-sink"])
     def test_equal_seeds_byte_identical(self, profile, tmp_path):
+        """Every file of two equal-seed bundles is byte-identical, except
+        that each config names its own bundle directory."""
         a = _crash_run(profile, 0, tmp_path / "a")
         b = _crash_run(profile, 0, tmp_path / "b")
-        assert (a / EVENTS_NAME).read_bytes() == (b / EVENTS_NAME).read_bytes()
-        assert (a / MANIFEST_NAME).read_bytes() == (
-            b / MANIFEST_NAME
-        ).read_bytes()
+        names = sorted(path.name for path in a.iterdir())
+        assert names == sorted(path.name for path in b.iterdir())
+        assert {CHECKPOINT_NAME, CONFIG_NAME, METRICS_NAME, PHASES_NAME} <= set(names)
+        for name in names:
+            if name != CONFIG_NAME:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        configs = [json.loads((d / CONFIG_NAME).read_text()) for d in (a, b)]
+        for config in configs:
+            config["obs"].pop("bundle_dir")
+        assert configs[0] == configs[1]
+
+    def test_phases_fold_the_batch_log(self, tmp_path):
+        """``phases.json`` is each ``time_*`` timer summed left to right
+        over the batch log."""
+        system = _crash_system("kitchen-sink", 0, tmp_path)
+        records = system.engine.driver.log.records
+        assert records
+        expected = {
+            name: fold_sum(getattr(r, name) for r in records) for name in PHASE_FIELDS
+        }
+        assert expected["time_fetch"] > 0.0
+        bundle = system.engine.last_bundle
+        assert json.loads((bundle / PHASES_NAME).read_text()) == expected
 
     def test_traced_run_bundles_its_unbounded_log(self, tmp_path):
         bundle = _crash_run("crashy", 0, tmp_path, trace=True)

@@ -1,11 +1,11 @@
-"""Runtime check of the metric/span catalog.
+"""Runtime check of the metric catalog.
 
 A real workload run registers only families the catalog declares, with
 matching kinds, label keys and known units.  Across the coverage runs
 below — the benchmark matrix at reduced scale, a chaos run recovered by
 restore and resume, a two-GPU run and a fleet coordinator — the families
-registered and the spans recorded are exactly the catalog's entries, so
-the catalog can drift from the code in neither direction.
+registered are exactly the catalog's entries, so the catalog can drift
+from the code in neither direction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
-from typing import FrozenSet, List, NamedTuple
+from typing import List, NamedTuple
 
 import pytest
 
@@ -26,7 +26,6 @@ from repro.gpu.warp import KernelLaunch, Phase, WarpProgram
 from repro.multigpu import MultiGpuSystem
 from repro.obs.catalog import (
     METRIC_CATALOG,
-    SPAN_CATALOG,
     UNIT_VOCAB,
     declared_label_keys,
     metric_declaration,
@@ -74,11 +73,10 @@ def reduced_matrix():
 class Run(NamedTuple):
     label: str
     registry: object
-    spans: FrozenSet[str]
 
 
 def observed(label: str, system) -> Run:
-    return Run(label, system.obs.metrics, frozenset(r.name for r in system.obs.spans.records))
+    return Run(label, system.obs.metrics)
 
 
 def matrix_run(name: str, workload) -> Run:
@@ -132,20 +130,15 @@ def two_gpu_run() -> Run:
 def fleet_run() -> Run:
     fleet = FleetCoordinator([], [], jobs=1, config=FleetConfig())
     fleet.run()
-    return Run("fleet", fleet.metrics, frozenset())
+    return Run("fleet", fleet.metrics)
 
 
 def coverage_problems(runs: List[Run]) -> List[str]:
     """Where the runs and the catalog disagree (empty = they agree)."""
-    families = set().union(*(r.registry.snapshot() for r in runs))
-    spans = set().union(*(r.spans for r in runs))
-    problems = []
-    for kind, emitted, declared in (
-        ("metric", families, set(METRIC_CATALOG)),
-        ("span", spans, set(SPAN_CATALOG)),
-    ):
-        problems += [f"{kind} {n}: declared but never emitted" for n in sorted(declared - emitted)]
-        problems += [f"{kind} {n}: emitted but undeclared" for n in sorted(emitted - declared)]
+    emitted = set().union(*(r.registry.snapshot() for r in runs))
+    declared = set(METRIC_CATALOG)
+    problems = [f"metric {n}: declared but never emitted" for n in sorted(declared - emitted)]
+    problems += [f"metric {n}: emitted but undeclared" for n in sorted(emitted - declared)]
     for run in runs:
         problems += [f"{run.label}: {p}" for p in validate_registry(run.registry)]
     return problems
@@ -168,7 +161,6 @@ def metered_system():
     cfg.gpu.memory_bytes = 32 * MB
     cfg.seed = 7
     cfg.obs.metrics = True
-    cfg.obs.spans = True
     system = UvmSystem(cfg)
     StreamTriad(nbytes=4 * MB).run(system)
     return system
@@ -180,16 +172,12 @@ class TestCatalogShape:
             assert spec["kind"] in ("counter", "gauge", "histogram"), name
             assert isinstance(spec["labels"], tuple), name
             assert spec["help"], name
-        for name, spec in SPAN_CATALOG.items():
-            assert isinstance(spec, dict), name
-            assert spec["help"], name
 
     def test_every_entry_declares_a_known_unit(self):
-        for catalog in (METRIC_CATALOG, SPAN_CATALOG):
-            for name, spec in catalog.items():
-                assert spec.get("unit") in UNIT_VOCAB, (
-                    f"{name}: unit {spec.get('unit')!r} not in UNIT_VOCAB"
-                )
+        for name, spec in METRIC_CATALOG.items():
+            assert spec.get("unit") in UNIT_VOCAB, (
+                f"{name}: unit {spec.get('unit')!r} not in UNIT_VOCAB"
+            )
 
     def test_helpers(self):
         assert metric_declaration("uvm_faults_total")["kind"] == "counter"
@@ -207,11 +195,6 @@ class TestRuntimeAgreement:
         snapshot = metered_system.metrics.snapshot()
         assert "uvm_faults_total" in snapshot
         assert "uvm_batches_total" in snapshot
-
-    def test_recorded_spans_are_declared(self, metered_system):
-        names = {s.name for s in metered_system.obs.spans.records}
-        undeclared = names - set(SPAN_CATALOG)
-        assert not undeclared, f"spans missing from SPAN_CATALOG: {undeclared}"
 
     def test_unknown_unit_is_reported(self, metered_system, monkeypatch):
         decl = METRIC_CATALOG["uvm_faults_total"]
@@ -231,30 +214,21 @@ class TestCatalogCoverage:
         problems = coverage_problems(coverage_runs)
         assert problems == [], "\n".join(problems)
 
-    @pytest.mark.parametrize(
-        "catalog, name, entry",
-        [
-            (METRIC_CATALOG, "uvm_unemitted_total",
-             {"kind": "counter", "labels": (), "help": "never emitted", "unit": "count"}),
-            (SPAN_CATALOG, "engine.unemitted", {"help": "never recorded", "unit": "us"}),
-        ],
-        ids=["metric", "span"],
-    )
-    def test_declared_but_unemitted_entry_fails(
-        self, coverage_runs, monkeypatch, catalog, name, entry
-    ):
-        monkeypatch.setitem(catalog, name, entry)
+    def test_declared_but_unemitted_entry_fails(self, coverage_runs, monkeypatch):
+        monkeypatch.setitem(
+            METRIC_CATALOG,
+            "uvm_unemitted_total",
+            {"kind": "counter", "labels": (), "help": "never emitted", "unit": "count"},
+        )
         problems = coverage_problems(coverage_runs)
-        assert any(name in p and "never emitted" in p for p in problems), problems
+        assert any(
+            "uvm_unemitted_total" in p and "never emitted" in p for p in problems
+        ), problems
 
-    @pytest.mark.parametrize("emit", ["family", "span"])
-    def test_emitted_but_undeclared_entry_fails(self, coverage_runs, emit):
+    def test_emitted_but_undeclared_entry_fails(self, coverage_runs):
         system = UvmSystem(default_config())
-        if emit == "family":
-            system.metrics.counter("uvm_undeclared_total", "not in the catalog").inc()
-        else:
-            with system.obs.span("engine.undeclared", "engine"):
-                pass
+        system.metrics.counter("uvm_undeclared_total", "not in the catalog").inc()
         problems = coverage_problems(coverage_runs + [observed("mutant", system)])
-        name = "uvm_undeclared_total" if emit == "family" else "engine.undeclared"
-        assert any(name in p and "undeclared" in p for p in problems), problems
+        assert any(
+            "uvm_undeclared_total" in p and "undeclared" in p for p in problems
+        ), problems

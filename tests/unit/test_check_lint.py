@@ -272,9 +272,10 @@ class TestCli:
         assert cli_main(["lint"]) == 0
 
     def test_lint_cli_no_allowlist_flag(self, capsys):
-        """Without the allowlist the intentional wall-clock reads (obs
-        spans, CLI elapsed display) surface — proving the allowlist is
-        load-bearing rather than the rules being too lax to notice."""
+        """Without the allowlist the intentional wall-clock reads (CLI
+        elapsed display, campaign telemetry) surface — proving the
+        allowlist is load-bearing rather than the rules being too lax to
+        notice."""
         rc = cli_main(["lint", "--no-allowlist"])
         out = capsys.readouterr().out
         assert rc == 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -13,11 +12,9 @@ from repro.obs import (
     ChromeTrace,
     MetricsRegistry,
     NULL_INSTRUMENT,
-    NULL_SPAN,
     NdjsonSink,
     Observability,
     PID_DRIVER,
-    SpanProfiler,
     read_ndjson,
 )
 from repro.obs.flight import FlightRecorder
@@ -129,88 +126,6 @@ class TestRegistry:
         assert 'uvm_usec_bucket{le="+Inf"} 1' in text
         assert "uvm_usec_sum 4" in text
         assert "uvm_usec_count 1" in text
-
-
-# ------------------------------------------------------------------ spans
-
-
-class TestSpanProfiler:
-    def test_span_measures_clock_advance(self):
-        clock = SimClock()
-        prof = SpanProfiler(clock)
-        with prof.span("fetch", batch=7):
-            clock.advance(12.5)
-        (rec,) = prof.records
-        assert rec.name == "fetch"
-        assert rec.sim_start == 0.0
-        assert rec.sim_dur == 12.5
-        assert rec.sim_end == 12.5
-        assert rec.wall_dur >= 0.0
-        assert rec.args_dict() == {"batch": 7}
-
-    def test_nested_spans_track_depth(self):
-        clock = SimClock()
-        prof = SpanProfiler(clock)
-        with prof.span("outer"):
-            clock.advance(1.0)
-            with prof.span("inner"):
-                clock.advance(2.0)
-        inner, outer = prof.records  # inner completes first
-        assert inner.name == "inner" and inner.depth == 1
-        assert outer.name == "outer" and outer.depth == 0
-        assert outer.sim_dur == 3.0
-
-    def test_disabled_profiler_is_null(self):
-        prof = SpanProfiler(SimClock(), enabled=False)
-        assert prof.span("x") is NULL_SPAN
-        with prof.span("x"):
-            pass
-        prof.record("y", sim_dur=5.0)
-        assert len(prof) == 0
-
-    def test_manual_record_and_totals(self):
-        prof = SpanProfiler(SimClock())
-        prof.record("vablock", sim_start=10.0, sim_dur=4.0, block=3)
-        prof.record("vablock", sim_start=14.0, sim_dur=6.0, block=4)
-        assert prof.sim_total("vablock") == 10.0
-        totals = prof.totals()
-        assert totals["vablock"]["count"] == 2
-        assert totals["vablock"]["sim_usec"] == 10.0
-
-    def test_max_spans_drops_overflow(self):
-        prof = SpanProfiler(SimClock(), max_spans=1)
-        prof.record("a", sim_dur=1.0)
-        prof.record("b", sim_dur=1.0)
-        assert len(prof) == 1
-        assert prof.dropped == 1
-        prof.clear()
-        assert prof.dropped == 0
-
-    def test_threads_get_independent_stacks(self):
-        clock = SimClock()
-        prof = SpanProfiler(clock)
-        errors = []
-        # Hold every worker until all have started, so thread idents are
-        # distinct (the OS reuses idents of joined threads).
-        barrier = threading.Barrier(4)
-
-        def worker():
-            try:
-                barrier.wait()
-                for _ in range(50):
-                    with prof.span("w"):
-                        pass
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(prof) == 200
-        assert len({r.thread_id for r in prof.records}) == 4
 
 
 # ----------------------------------------------------------- chrome trace
@@ -336,7 +251,6 @@ class TestObservabilityFacade:
         obs = Observability(ObsConfig(chrome_trace=True), SimClock())
         view = obs.scoped(10, "GPU1")
         assert view.metrics is obs.metrics
-        assert view.spans is obs.spans
         assert view.chrome is obs.chrome
         assert view.pid(PID_DRIVER) == 10 + PID_DRIVER
         assert obs.pid(PID_DRIVER) == PID_DRIVER
@@ -348,10 +262,9 @@ class TestObservabilityFacade:
 
     def test_disabled_config_validate(self):
         cfg = ObsConfig().disabled()
-        assert not (cfg.metrics or cfg.spans or cfg.chrome_trace)
+        assert not (cfg.metrics or cfg.chrome_trace)
         assert cfg.ndjson_path is None
-        with pytest.raises(ConfigError):
-            ObsConfig(max_spans=-1).validate()
+        cfg.validate()
 
 
 # ------------------------------------------- event trace ring (flight recorder)

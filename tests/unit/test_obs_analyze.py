@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.core.batch_record import PHASE_FIELDS
 from repro.obs.analyze import (
     DEFAULT_TOLERANCE,
-    PHASE_FIELDS,
     analyze_path,
     build_report,
     detect_overflow_storms,

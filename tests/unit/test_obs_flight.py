@@ -261,7 +261,7 @@ class TestBundleWriter:
         assert (bundle / "checkpoint.bin").is_file()
         assert (bundle / "config.json").is_file()
         assert (bundle / "metrics.json").is_file()
-        assert (bundle / "spans.json").is_file()
+        assert (bundle / "phases.json").is_file()
         assert manifest["flight"]["recorded"] == len(engine.flight)
 
     def test_bundle_counts_in_metrics(self, tmp_path):

@@ -2,10 +2,10 @@
 
 A function that opens a resource closes it on every way out, exceptions
 included: a batch the driver opens reaches its batch log (completed, or
-flagged ``aborted``), a profiler span is popped, an atomic-write temp
-file is renamed into place or removed, a crash-bundle directory gets its
-``manifest.json`` last or is removed, and a ``RunLedger`` (with its
-sqlite connection) or a ``CampaignMonitor`` is closed.
+flagged ``aborted``), an atomic-write temp file is renamed into place
+or removed, a crash-bundle directory gets its ``manifest.json`` last or
+is removed, and a ``RunLedger`` (with its sqlite connection) or a
+``CampaignMonitor`` is closed.
 
 Each test drives a real call to the function that owns a resource: once
 to count its calls to the collaborators it lists, then once for every k
@@ -16,7 +16,6 @@ what the call left behind:
 * no bundle directory without its ``manifest.json``, and, as a process
   killed at the raise would leave it, no destination file half-written;
 * ``len(driver.log) == driver._batch_id``, and the last record aborted;
-* an empty span stack;
 * every sqlite connection and every ``CampaignMonitor`` closed.
 
 On the driver the raises come from the injection sites that end a batch
@@ -226,7 +225,6 @@ def drive_batches(system, spy, run):
     assert len(driver.log) == driver._batch_id
     if spy.raised:
         assert driver.log.records[-1].aborted, spy.raised
-    assert system.obs.spans._stack() == []
     return spy
 
 
