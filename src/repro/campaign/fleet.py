@@ -264,6 +264,17 @@ class _JobSlot:
         return self.base_attempts + self.run_attempts
 
 
+#: The fleet's metric families: event kind -> (name, help, label names).
+_FLEET_METRICS = {
+    "retries": (
+        "uvm_fleet_retries_total", "Fleet-level job retries by failure class", ("class",)
+    ),
+    "kills": ("uvm_fleet_kills_total", "Worker kill escalations by signal", ("signal",)),
+    "resumes": ("uvm_fleet_resumes_total", "Jobs resumed from an engine checkpoint", ()),
+    "ledger_writes": ("uvm_fleet_ledger_writes_total", "Run-ledger mutations committed", ()),
+}
+
+
 class FleetCoordinator:
     """Runs pending campaign cells across supervised worker processes."""
 
@@ -302,34 +313,35 @@ class FleetCoordinator:
         self._manager = self._ctx.Manager()
         self._result_q = self._manager.Queue()
         self._telemetry_q = self._manager.Queue()
-        # Fleet self-observation: registered here, declared (with units) in
-        # repro.obs.catalog; tests/unit/check/test_obs_catalog.py checks
-        # this registry against the catalog.
+        #: Fleet events counted by ``(kind, label values)``: :meth:`run`'s
+        #: report totals and the ``uvm_fleet_*`` metric families both read it.
+        self.counts: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         self.metrics = MetricsRegistry()
-        self._m_retries = self.metrics.counter(
-            "uvm_fleet_retries_total",
-            "Fleet-level job retries by failure class",
-            labels=("class",),
-        )
-        self._m_kills = self.metrics.counter(
-            "uvm_fleet_kills_total",
-            "Worker kill escalations by signal",
-            labels=("signal",),
-        )
-        self._m_resumes = self.metrics.counter(
-            "uvm_fleet_resumes_total",
-            "Jobs resumed from an engine checkpoint",
-        )
-        self._m_ledger_writes = self.metrics.counter(
-            "uvm_fleet_ledger_writes_total",
-            "Run-ledger mutations committed",
-        )
-        self.report = {
-            "retries": 0,
-            "kills": 0,
-            "resumes": 0,
-            "worker_deaths": 0,
+        self.metrics.add_fold(self._fold_metrics)
+
+    @property
+    def report(self) -> Dict[str, int]:
+        """The fleet report's totals, one per event kind."""
+        totals = {"retries": 0, "kills": 0, "resumes": 0, "worker_deaths": 0}
+        for (kind, _), count in self.counts.items():
+            if kind in totals:
+                totals[kind] += count
+        return totals
+
+    def _fold_metrics(self, metrics) -> None:
+        """The ``uvm_fleet_*`` families (declared, with units, in
+        :mod:`repro.obs.catalog`), read from :attr:`counts`."""
+        families = {
+            kind: metrics.counter(name, text, labels=labels)
+            for kind, (name, text, labels) in _FLEET_METRICS.items()
         }
+        for (kind, labels), count in sorted(self.counts.items()):
+            if kind in families:
+                families[kind].labels(*labels).inc(count)
+
+    def _count(self, kind: str, *labels: str) -> None:
+        key = (kind, labels)
+        self.counts[key] = self.counts.get(key, 0) + 1
 
     # ------------------------------------------------------------- plumbing
 
@@ -337,7 +349,7 @@ class FleetCoordinator:
         if self.ledger is None:
             return
         getattr(self.ledger, method)(*args)
-        self._m_ledger_writes.inc()
+        self._count("ledger_writes")
 
     def _emit(self, event: dict) -> None:
         if self.monitor is not None:
@@ -367,7 +379,7 @@ class FleetCoordinator:
             raise CampaignInterrupted(self.rows)
         finally:
             self._shutdown()
-        return dict(self.report)
+        return self.report
 
     # ----------------------------------------------------------- scheduling
 
@@ -465,8 +477,7 @@ class FleetCoordinator:
                     int(event.get("batches", 0)),
                 )
             elif event["type"] == "job.resume":
-                self.report["resumes"] += 1
-                self._m_resumes.inc()
+                self._count("resumes")
                 self._ledger_write(
                     "job_resumed",
                     index,
@@ -507,7 +518,7 @@ class FleetCoordinator:
             index = worker.job
             worker.job = None
             self._busy.pop(index, None)
-            self.report["worker_deaths"] += 1
+            self._count("worker_deaths")
             exitcode = worker.process.exitcode
             self._emit({"type": "worker.exit", "worker": worker.wid,
                         "exitcode": exitcode, "index": index})
@@ -549,8 +560,7 @@ class FleetCoordinator:
             if worker.termed_at is not None:
                 if now - worker.termed_at >= self.config.term_grace_sec:
                     if worker.signal(signal.SIGKILL):
-                        self.report["kills"] += 1
-                        self._m_kills.labels("SIGKILL").inc()
+                        self._count("kills", "SIGKILL")
                         self._emit({"type": "job.kill", "index": index,
                                     "signal": "SIGKILL"})
                         self._ledger_write(
@@ -563,8 +573,7 @@ class FleetCoordinator:
                 worker.kill_reason = "hang"
                 worker.termed_at = now
                 if worker.signal(signal.SIGTERM):
-                    self.report["kills"] += 1
-                    self._m_kills.labels("SIGTERM").inc()
+                    self._count("kills", "SIGTERM")
                     self._emit({"type": "job.kill", "index": index,
                                 "signal": "SIGTERM"})
                     self._ledger_write(
@@ -596,8 +605,7 @@ class FleetCoordinator:
             slot.next_eligible = time.monotonic() + backoff
             self._ready.append(index)
             self._ready.sort()
-            self.report["retries"] += 1
-            self._m_retries.labels(failure_class).inc()
+            self._count("retries", failure_class)
             self._emit({
                 "type": "job.retry",
                 "index": index,

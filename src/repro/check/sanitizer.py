@@ -276,25 +276,16 @@ class Sanitizer:
     def __init__(self, config, clock, obs=None) -> None:
         """``config`` is a :class:`~repro.config.CheckConfig` with
         ``enabled=True``; ``clock`` the system's :class:`SimClock`; ``obs``
-        an optional :class:`~repro.obs.Observability` for the violation
-        counter."""
+        an optional :class:`~repro.obs.Observability` whose event log the
+        violations land in."""
         self.config = config
         self.clock = clock
         self.mode = config.mode
         self.violations: List[InvariantViolation] = []
         self.total_violations = 0
-        if obs is not None:
-            self._m_violations = obs.metrics.counter(
-                "uvm_san_violations_total",
-                "UVMSan invariant violations detected",
-                labels=("rule",),
-            )
-        else:  # standalone use (tests driving the sanitizer directly)
-            from ..obs.metrics import MetricsRegistry
-
-            self._m_violations = MetricsRegistry(enabled=False).counter(
-                "uvm_san_violations_total", "", labels=("rule",)
-            )
+        #: Violations detected per rule, the retained and the raised ones
+        #: (the ``uvm_san_violations_total`` family).
+        self.violations_by_rule: Dict[str, int] = {}
         from ..obs.flight import NULL_FLIGHT
 
         #: Flight recorder: violations land in the crash-bundle ring too.
@@ -333,7 +324,7 @@ class Sanitizer:
             batch_id=self._batch_id,
             context=context,
         )
-        self._m_violations.labels(rule).inc()
+        self.violations_by_rule[rule] = self.violations_by_rule.get(rule, 0) + 1
         self._flight.record("san.violation", rule, self._batch_id)
         self.total_violations += 1
         if self.mode == "raise":
@@ -343,14 +334,11 @@ class Sanitizer:
 
     def summary(self) -> dict:
         """Violation roll-up for ``repro validate`` output."""
-        by_rule: Dict[str, int] = {}
-        for v in self.violations:
-            by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
         return {
             "enabled": True,
             "mode": self.mode,
             "violations": self.total_violations,
-            "by_rule": by_rule,
+            "by_rule": dict(sorted(self.violations_by_rule.items())),
             "full_scans": self.full_scans,
             "blocks_checked": self.blocks_checked,
         }

@@ -199,13 +199,12 @@ class HostConfig:
 class ObsConfig:
     """Observability settings (the :mod:`repro.obs` layer).
 
-    Metrics are cheap enough to default on; the Chrome trace
-    keeps every event of the run's log (one per phase/fault/transfer) and
-    defaults off for sweeps.
+    The metrics registry has no setting: it folds its families from the
+    components' own counters when read, so it costs nothing until then.
+    The Chrome trace keeps every event of the run's log (one per
+    phase/fault/transfer) and defaults off for sweeps.
     """
 
-    #: Aggregate counters/gauges/histograms (``MetricsRegistry``).
-    metrics: bool = True
     #: Chrome trace-event timeline (``ChromeTrace``), rendered from a
     #: tracing flight recorder, which keeps every event.
     chrome_trace: bool = False
@@ -234,7 +233,6 @@ class ObsConfig:
         """
         return dataclasses.replace(
             self,
-            metrics=False,
             chrome_trace=False,
             ndjson_path=None,
             flight_recorder=self.bundle_dir is not None,

@@ -176,28 +176,20 @@ class UvmDriver:
         self._current_batch_size = config.driver.batch_size
         #: Unmap work deferred off the fault path (async-unmap ablation).
         self.async_unmap_backlog_usec = 0.0
-        # Metric families the batch log already holds (batches, faults,
-        # pages, retries, ...) are folded from it at read time by the
-        # engine.  Degradations mostly have no record field, so they count
-        # at their sites through cached handles (no-op instruments when the
-        # registry is disabled, so the hot path never branches).
-        self._m_degrade = self.obs.metrics.counter(
-            "uvm_degrade_total",
-            "Graceful degradations on the fault path",
-            labels=("kind",),
+        #: Graceful degradations on the fault path, by kind (the
+        #: ``uvm_degrade_total`` family).  Checkpointed state, so a restore
+        #: rewinds it with the batch log.
+        self.degradations: Dict[str, int] = dict.fromkeys(
+            ("accessed-by-skip", "dma-defer", "transfer-defer", "prefetch-fallback",
+             "scope-skip"),
+            0,
         )
-        self._m_degrade_accessed_by = self._m_degrade.labels("accessed-by-skip")
-        self._m_degrade_dma_defer = self._m_degrade.labels("dma-defer")
-        self._m_degrade_transfer_defer = self._m_degrade.labels("transfer-defer")
-        self._m_degrade_prefetch_fallback = self._m_degrade.labels("prefetch-fallback")
-        self._m_degrade_scope_skip = self._m_degrade.labels("scope-skip")
         #: Flight recorder (bounded ring of recent events; null object when
         #: off, so the per-batch paths call it unconditionally).
         self.flight = self.obs.flight
         #: Tracing recorder: also log every fetched fault, migration and
         #: serviced VABlock.
         self._tracing = self.flight.tracing
-        self.eviction.attach_obs(self.obs)
         #: The µs and phase of each charge of the batch's VABlocks, settled
         #: once its block loop ends (:meth:`_service_blocks`).  Two flat
         #: lists: floats and strings are not garbage-collector tracked.
@@ -310,7 +302,7 @@ class UvmDriver:
         if result is None:
             # Degrade: leave the pages unmapped — the hint is advisory,
             # so the GPU simply demand-faults them later.
-            self._m_degrade_accessed_by.inc()
+            self.degradations["accessed-by-skip"] += 1
             return
         self.clock.advance(result.cost_usec)
         record.time_dma = result.cost_usec
@@ -666,7 +658,7 @@ class UvmDriver:
                 if self.eviction.pick_victim(pinned) is None:
                     # Everything resident is pinned by this batch: defer.
                     return None, True
-                self._evict_one(pinned, record, outcome, self._charge)
+                self._evict_one(pinned, record, outcome)
                 chunk = self.device.chunks.allocate()
             block.gpu_chunk = chunk
             block.alloc_stamp = self.vablocks.next_stamp()
@@ -686,7 +678,7 @@ class UvmDriver:
                 # the block — its faults drop at the flush and reissue, and
                 # a later batch retries from untouched radix-tree state.
                 record.blocks_deferred += 1
-                self._m_degrade_dma_defer.inc()
+                self.degradations["dma-defer"] += 1
                 return None, True
             self._charge(result.cost_usec, "time_dma")
             block.dma_initialized = True
@@ -749,7 +741,7 @@ class UvmDriver:
                 self.config.driver.eviction_enabled
                 and self.eviction.pick_victim(pinned) is not None
             ):
-                self._evict_one(pinned, record, outcome, self._charge)
+                self._evict_one(pinned, record, outcome)
             self._charge(self.retry.backoff_usec(1), "time_retry_backoff")
         self._charge(self.cost.population_cost(populate_pages), "time_population")
         record.pages_populated += populate_pages
@@ -766,7 +758,7 @@ class UvmDriver:
                 # fall back to demand paging — retry with only the pages
                 # that actually faulted.
                 record.prefetch_fallbacks += 1
-                self._m_degrade_prefetch_fallback.inc()
+                self.degradations["prefetch-fallback"] += 1
                 prefetched = set()
                 target = sorted(faulted)
                 transfer_pages = [p for p in target if self.host_vm.has_valid_data(p)]
@@ -777,7 +769,7 @@ class UvmDriver:
                 # Transfer impossible this batch: defer the block entirely;
                 # its faults drop at the flush and reissue later.
                 record.blocks_deferred += 1
-                self._m_degrade_transfer_defer.inc()
+                self.degradations["transfer-defer"] += 1
                 return None, True
             record.pages_migrated_h2d += len(transfer_pages)
             record.bytes_h2d += len(transfer_pages) * 4096
@@ -801,7 +793,7 @@ class UvmDriver:
                                target[0], target[-1], len(target))
         return None, False
 
-    def _evict_one(self, exclude: Set[int], record, outcome, spend) -> None:
+    def _evict_one(self, exclude: Set[int], record, outcome) -> None:
         """Evict the LRU VABlock (paper §5.1: fail-alloc, migrate back,
         restart)."""
         victim_id = self.eviction.require_victim(exclude)
@@ -809,8 +801,8 @@ class UvmDriver:
         pages = sorted(victim.resident_pages)
         # The Chrome trace places the eviction by these two marks and the
         # write-back's time_transfer_d2h mark.
-        spend(self.cost.evict_restart_usec, "time_eviction")
-        spend(self.cost.pagetable_cost(len(pages)), "time_eviction")
+        self._charge(self.cost.evict_restart_usec, "time_eviction")
+        self._charge(self.cost.pagetable_cost(len(pages)), "time_eviction")
         if pages:
             # Write-back must complete — losing the only copy of the data is
             # not a degradation option — so retry exhaustion raises even in
@@ -874,7 +866,7 @@ class UvmDriver:
                     )
                     if result is None:
                         # Speculative neighbour: just skip it this batch.
-                        self._m_degrade_scope_skip.inc()
+                        self.degradations["scope-skip"] += 1
                         continue
                     self._charge(result.cost_usec, "time_dma")
                     nbr.dma_initialized = True
@@ -905,7 +897,7 @@ class UvmDriver:
                     "h2d", contiguous_runs(transfer), record
                 ):
                     # Speculative neighbour transfer: skip it this batch.
-                    self._m_degrade_scope_skip.inc()
+                    self.degradations["scope-skip"] += 1
                     continue
                 record.pages_migrated_h2d += len(transfer)
                 record.bytes_h2d += len(transfer) * 4096

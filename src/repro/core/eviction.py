@@ -39,11 +39,6 @@ class LruEvictionPolicy:
         #: block_id → None, ordered least- to most-recently fault-touched.
         self._order: "OrderedDict[int, None]" = OrderedDict()
         self.total_evictions = 0
-        #: Gauge handle installed by :meth:`attach_obs` (null-safe: the
-        #: driver always attaches, pointing at a no-op instrument when the
-        #: metrics registry is disabled).  ``uvm_evictions_total`` is folded
-        #: from the batch log (``BatchRecord.evictions``), not counted here.
-        self._m_resident = None
 
     def __len__(self) -> int:
         return len(self._order)
@@ -55,27 +50,16 @@ class LruEvictionPolicy:
         """A block received a physical chunk: becomes most-recently-used."""
         self._order.pop(block_id, None)
         self._order[block_id] = None
-        if self._m_resident is not None:
-            self._m_resident.set(len(self._order))
 
     def on_fault_service(self, block_id: int) -> None:
         """Faults were serviced for a resident block: refresh recency."""
         if block_id in self._order:
             self._order.move_to_end(block_id)
 
-    def attach_obs(self, obs) -> None:
-        """Register this policy's metric series with ``obs.metrics``."""
-        self._m_resident = obs.metrics.gauge(
-            "uvm_resident_vablocks",
-            "GPU-allocated VABlocks tracked by the eviction policy",
-        )
-
     def on_evicted(self, block_id: int) -> None:
         """A block lost its chunk: drop from the order."""
         self._order.pop(block_id, None)
         self.total_evictions += 1
-        if self._m_resident is not None:
-            self._m_resident.set(len(self._order))
 
     def pick_victim(self, exclude: Set[int]) -> Optional[int]:
         """Least-recently-used allocated block not in ``exclude``.

@@ -47,6 +47,9 @@ class CopyEngine:
     deadline (:class:`repro.errors.TransferStuck`), or complete browned-out
     (wire time multiplied); counters are only advanced for bytes that
     actually moved, so byte conservation holds under every profile.
+
+    The counters are checkpointed state, so the ``uvm_ce_*`` metric
+    families folded from them rewind with a restore.
     """
 
     __slots__ = (
@@ -58,12 +61,11 @@ class CopyEngine:
         "bytes_d2h",
         "transfers_h2d",
         "transfers_d2h",
+        "bursts_h2d",
+        "bursts_d2h",
         "failed_bursts",
         "stuck_events",
         "brownout_bursts",
-        "_obs",
-        "_m_bytes",
-        "_m_bursts",
         "_san",
         "_inj",
         "_flight",
@@ -84,13 +86,13 @@ class CopyEngine:
         self.bytes_d2h = 0
         self.transfers_h2d = 0
         self.transfers_d2h = 0
+        #: Bursts that moved bytes (``transfers_*`` count their runs).
+        self.bursts_h2d = 0
+        self.bursts_d2h = 0
         #: Injected-failure statistics (chaos testing only).
         self.failed_bursts = 0
         self.stuck_events = 0
         self.brownout_bursts = 0
-        self._obs = None
-        self._m_bytes = None
-        self._m_bursts = None
         #: Attached UVMSan checker, or None (the common, zero-cost case).
         self._san = None
         #: Attached fault injector, or None (the common, zero-cost case).
@@ -98,18 +100,7 @@ class CopyEngine:
         #: Attached flight recorder, or None (the common, zero-cost case).
         self._flight = None
 
-    # -------------------------------------------------------- observability
-
-    def attach_obs(self, obs) -> None:
-        """Hook the copy engine into the observability layer: every burst
-        bumps the ``uvm_ce_*`` metric families."""
-        self._obs = obs
-        self._m_bytes = obs.metrics.counter(
-            "uvm_ce_bytes_total", "Bytes moved by the copy engines", labels=("dir",)
-        )
-        self._m_bursts = obs.metrics.counter(
-            "uvm_ce_bursts_total", "Copy-engine burst operations", labels=("dir",)
-        )
+    # ----------------------------------------------------------- attachments
 
     def attach_sanitizer(self, sanitizer) -> None:
         """Check byte conservation + cost sanity on every burst."""
@@ -148,14 +139,10 @@ class CopyEngine:
             return cost * inj.factor("ce.brownout")
         return cost
 
-    def _observe_burst(self, direction: str, nbytes: int, num_runs: int, cost: float) -> None:
+    def _trace_burst(self, direction: str, nbytes: int, num_runs: int, cost: float) -> None:
         flight = self._flight
         if flight is not None and flight.tracing:
             flight.record("ce", direction, nbytes, num_runs, cost)
-        if self._obs is None or nbytes == 0:
-            return
-        self._m_bytes.labels(direction).inc(nbytes)
-        self._m_bursts.labels(direction).inc()
 
     def cost_for_bytes(self, nbytes: int) -> float:
         """Time (µs) for one standalone transfer of ``nbytes``."""
@@ -186,10 +173,12 @@ class CopyEngine:
         for npages in run_lengths:
             nbytes += npages * PAGE_SIZE
             self.transfers_h2d += 1
-        self.bytes_h2d += nbytes
+        if nbytes:
+            self.bytes_h2d += nbytes
+            self.bursts_h2d += 1
         if self._san is not None:
             self._san.on_ce_burst("h2d", run_lengths, nbytes, cost)
-        self._observe_burst("h2d", nbytes, len(run_lengths), cost)
+        self._trace_burst("h2d", nbytes, len(run_lengths), cost)
         return cost
 
     def device_to_host(self, run_lengths: Sequence[int]) -> float:
@@ -199,10 +188,12 @@ class CopyEngine:
         for npages in run_lengths:
             nbytes += npages * PAGE_SIZE
             self.transfers_d2h += 1
-        self.bytes_d2h += nbytes
+        if nbytes:
+            self.bytes_d2h += nbytes
+            self.bursts_d2h += 1
         if self._san is not None:
             self._san.on_ce_burst("d2h", run_lengths, nbytes, cost)
-        self._observe_burst("d2h", nbytes, len(run_lengths), cost)
+        self._trace_burst("d2h", nbytes, len(run_lengths), cost)
         return cost
 
 

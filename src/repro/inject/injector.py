@@ -83,13 +83,14 @@ class FaultInjector:
     One lazily-spawned RNG stream per site (``"inject:" + site`` under the
     system seed) makes the per-site schedule a pure function of (seed,
     profile, opportunity sequence).  Counters and a bounded (clock, site)
-    event log feed the chaos report and the schedule-determinism property
-    tests.
+    event log feed the chaos report, the ``uvm_injected_total`` and
+    ``uvm_crash_recoveries_total`` metric families, and the
+    schedule-determinism property tests.
     """
 
     enabled = True
 
-    def __init__(self, config, seed: int, clock, obs=None) -> None:
+    def __init__(self, config, seed: int, clock) -> None:
         from .profiles import resolve_profile
 
         self.config = config
@@ -99,7 +100,8 @@ class FaultInjector:
         self._rngs: Dict[str, object] = {}
         #: Per-site draw counts (every chance the site had to fire).
         self.opportunities: Dict[str, int] = {}
-        #: Per-site injected-event counts.
+        #: Per-site injected-event counts (the one-shot ``engine.crash``
+        #: counts in :attr:`crashes_fired` instead).
         self.fired: Dict[str, int] = {}
         #: Bounded (clock_usec, site) schedule of injected events.
         self.events: List[Tuple[float, str]] = []
@@ -108,17 +110,6 @@ class FaultInjector:
         self.crashes_fired = 0
         self.recoveries = 0
         self._max_events = config.max_events
-        self._m_injected = None
-        self._m_recoveries = None
-        if obs is not None:
-            metrics = obs.metrics
-            self._m_injected = metrics.counter(
-                "uvm_injected_total", "Injected faults by site", labels=("site",)
-            )
-            self._m_recoveries = metrics.counter(
-                "uvm_crash_recoveries_total",
-                "Injected crashes recovered from a checkpoint",
-            )
 
     # ------------------------------------------------------------- firing
 
@@ -144,15 +135,13 @@ class FaultInjector:
         self.opportunities[site] = self.opportunities.get(site, 0) + 1
         if float(self._rng_for(site).random()) >= spec.rate:
             return False
-        self._record(site)
+        self.fired[site] = self.fired.get(site, 0) + 1
+        self._log(site)
         return True
 
-    def _record(self, site: str) -> None:
-        self.fired[site] = self.fired.get(site, 0) + 1
+    def _log(self, site: str) -> None:
         if len(self.events) < self._max_events:
             self.events.append((self.clock.now, site))
-        if self._m_injected is not None:
-            self._m_injected.labels(site).inc()
 
     def factor(self, site: str) -> float:
         spec = self.sites.get(site)
@@ -176,12 +165,18 @@ class FaultInjector:
 
     def record_crash(self) -> None:
         self.crashes_fired += 1
-        self._record("engine.crash")
+        self._log("engine.crash")
 
     def record_recovery(self) -> None:
         self.recoveries += 1
-        if self._m_recoveries is not None:
-            self._m_recoveries.inc()
+
+    def fired_by_site(self) -> Dict[str, int]:
+        """Injected events per site, the crash included (it survives the
+        restore that recovers from it)."""
+        fired = dict(self.fired)
+        if self.crashes_fired:
+            fired["engine.crash"] = self.crashes_fired
+        return fired
 
     # --------------------------------------------------- checkpoint support
 
@@ -215,6 +210,7 @@ class FaultInjector:
     # -------------------------------------------------------------- report
 
     def summary(self) -> dict:
+        fired = self.fired_by_site()
         return {
             "enabled": True,
             "profile": self.config.profile,
@@ -222,11 +218,11 @@ class FaultInjector:
                 site: {
                     "rate": self.sites[site].rate,
                     "opportunities": self.opportunities.get(site, 0),
-                    "fired": self.fired.get(site, 0),
+                    "fired": fired.get(site, 0),
                 }
                 for site in sorted(self.sites)
             },
-            "fired_total": sum(self.fired[site] for site in sorted(self.fired)),
+            "fired_total": sum(fired[site] for site in sorted(fired)),
             "crashes": self.crashes_fired,
             "recoveries": self.recoveries,
         }
@@ -287,8 +283,8 @@ class NullInjector:
 NULL_INJECTOR = NullInjector()
 
 
-def make_injector(config, seed: int, clock, obs=None):
+def make_injector(config, seed: int, clock):
     """Injector for ``config``: real when enabled, the shared null otherwise."""
     if not config.enabled:
         return NULL_INJECTOR
-    return FaultInjector(config, seed, clock, obs)
+    return FaultInjector(config, seed, clock)

@@ -90,16 +90,7 @@ class MultiGpuSystem:
         #: layer's own log carries the peer migrations.
         self.obs = Observability(self.config.obs, self.clock)
         self.obs.chrome.add_source(0, "", self.obs.flight)
-        self._m_peer_pages = self.obs.metrics.counter(
-            "uvm_peer_pages_total",
-            "Pages moved between devices",
-            labels=("mode",),
-        )
-        self._m_peer_usec = self.obs.metrics.counter(
-            "uvm_peer_time_usec_total",
-            "Simulated time spent on cross-device migration",
-            labels=("mode",),
-        )
+        self.obs.metrics.add_fold(self._fold_metrics)
         self.devices: List[DeviceHandle] = []
         for device_id in range(num_devices):
             cfg = self.config.replace(seed=self.config.seed + device_id)
@@ -275,8 +266,6 @@ class MultiGpuSystem:
             self.peer_stats.bounce_transfers += len(runs)
             self.peer_stats.bounce_pages += len(resident)
             self.peer_stats.bounce_usec += usec + (self.clock.now - t0)
-        self._m_peer_pages.labels(mode).inc(len(resident))
-        self._m_peer_usec.labels(mode).inc(self.clock.now - t_migrate)
         if self.obs.flight.tracing:
             self.obs.flight.record("peer", src_id, dst_id, mode, t_migrate,
                                    len(resident), nbytes)
@@ -291,6 +280,26 @@ class MultiGpuSystem:
         for handle in self.devices:
             records.extend(handle.driver.log.records)
         return sorted(records, key=lambda r: r.t_start)
+
+    def _fold_metrics(self, metrics) -> None:
+        """The ``uvm_peer_*`` families, read from :attr:`peer_stats` (each
+        device's engine folds its own families into the shared registry)."""
+        stats = self.peer_stats
+        pages = metrics.counter(
+            "uvm_peer_pages_total", "Pages moved between devices", labels=("mode",)
+        )
+        usec = metrics.counter(
+            "uvm_peer_time_usec_total",
+            "Simulated time spent on cross-device migration",
+            labels=("mode",),
+        )
+        for mode, num_pages, mode_usec in (
+            ("peer", stats.peer_pages, stats.peer_usec),
+            ("bounce", stats.bounce_pages, stats.bounce_usec),
+        ):
+            if num_pages:
+                pages.labels(mode).inc(num_pages)
+                usec.labels(mode).inc(mode_usec)
 
     def metrics_snapshot(self) -> dict:
         """Merged metrics across every device (they share one registry)."""

@@ -6,21 +6,27 @@ instruments the fault-path analysis needs:
 * :class:`~repro.obs.flight.FlightRecorder` — the run's one event log, a
   ring of ``(t, kind, args)`` events (unbounded when tracing);
 * :class:`~repro.obs.metrics.MetricsRegistry` — run-level counters, gauges,
-  and histograms with labeled series (snapshot dict / Prometheus text);
-  families the batch log already holds are folded from it at read time;
+  and histograms with labeled series (snapshot dict / Prometheus text).
+  Nothing counts into it on the simulated path: every family is folded,
+  whenever the registry is read, from the batch log and the plain counters
+  of the components where the events happen;
 * :class:`~repro.obs.chrome_trace.ChromeTrace` — the run as a
   Perfetto/``chrome://tracing`` timeline, rendered from the event log and
   the batch log whenever it is read;
 * :class:`~repro.obs.sinks.NdjsonSink` — structured per-batch / per-event
   log lines (the paper's "system log", machine-readable).
 
-Enablement comes from :class:`~repro.config.ObsConfig`; every instrument is
-independently switchable and near-zero-cost when off.  A checkpoint stores
-:meth:`Observability.mark` and a restore calls :meth:`Observability.rewind`,
-so the event log and the sink both forget the batches a recovery replays.
-Multi-GPU systems share one ``Observability`` across engines and give each
-device a scoped view (:meth:`Observability.scoped`) so its trace tracks
-land in a separate process group.
+Enablement comes from :class:`~repro.config.ObsConfig`: the event log, the
+Chrome trace and the sink are switchable and near-zero-cost when off; the
+metrics cost nothing until read, so they are always there.  A checkpoint
+stores :meth:`Observability.mark` and a restore calls
+:meth:`Observability.rewind`, so the event log and the sink both forget the
+batches a recovery replays, and a metric family rewinds exactly when the
+counter it folds is checkpointed state.  Multi-GPU systems share one
+registry, Chrome trace and sink across engines and give each device a
+scoped view (:meth:`Observability.scoped`) with its own event log, so its
+trace tracks land in a separate process group and its restores rewind only
+its own events.
 
 The sim-time phase split is no instrument of its own: every
 :class:`~repro.core.batch_record.BatchRecord` carries its ``time_*`` timers
@@ -61,7 +67,6 @@ from .metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    NULL_INSTRUMENT,
 )
 from .sinks import NdjsonSink, read_ndjson
 
@@ -79,7 +84,7 @@ class Observability:
         self.clock = clock
         self.pid_base = pid_base
         self.label = label
-        self.metrics = MetricsRegistry(enabled=config.metrics)
+        self.metrics = MetricsRegistry()
         self.chrome = ChromeTrace(enabled=config.chrome_trace)
         self.sink: Optional[NdjsonSink] = (
             NdjsonSink(config.ndjson_path) if config.ndjson_path else None
@@ -96,10 +101,12 @@ class Observability:
     # ------------------------------------------------------------- scoping
 
     def scoped(self, pid_base: int, label: str) -> "Observability":
-        """A per-device view sharing every instrument but with offset trace
-        pids, so multi-GPU devices render as separate process groups.  A
-        tracing recorder is per device, so the trace renders each device's
-        events on its own tracks."""
+        """A per-device view sharing the registry, the Chrome trace and the
+        sink, with offset trace pids, so multi-GPU devices render as
+        separate process groups.  The view logs into its own recorder of
+        this layer's kind (:meth:`~repro.obs.flight.FlightRecorder.fresh`),
+        so the trace renders each device's events on its own tracks and a
+        device's restore rewinds only its own events."""
         view = object.__new__(Observability)
         view.config = self.config
         view.clock = self.clock
@@ -108,20 +115,12 @@ class Observability:
         view.metrics = self.metrics
         view.chrome = self.chrome
         view.sink = self.sink
-        view.flight = (
-            FlightRecorder(self.clock, None, sink=self.flight.sink)
-            if self.flight.tracing
-            else self.flight
-        )
+        view.flight = self.flight.fresh()
         return view
 
     def pid(self, subsystem_pid: int) -> int:
         """Trace pid for a subsystem constant, offset for this device."""
         return self.pid_base + subsystem_pid
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.metrics.enabled or self.chrome.enabled or self.sink is not None
 
     # ------------------------------------------------------------ rewinding
 
@@ -156,7 +155,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "NULL_INSTRUMENT",
     "DEFAULT_TIME_BUCKETS_USEC",
     "DEFAULT_COUNT_BUCKETS",
     "FlightRecorder",

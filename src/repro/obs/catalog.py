@@ -1,8 +1,8 @@
 """Declarative catalog of every metric family the simulator emits.
 
-The registry API registers families lazily at call sites, which is
-ergonomic but drift-prone: rename a family at its one registration site
-and every dashboard, reconciliation identity, and cross-run diff silently
+The registry API registers families lazily in the folds that read them,
+which is ergonomic but drift-prone: rename a family in its fold and every
+dashboard, reconciliation identity, and cross-run diff silently
 loses the series.  This module is the single declarative source of truth,
 checked by running the simulator:
 
@@ -16,8 +16,9 @@ checked by running the simulator:
   the entries below, so the catalog can drift from reality in neither
   direction.
 
-When adding a metric: register it at the call site, declare it here with
-a unit, and make sure one of the coverage runs emits it.
+When adding a metric: keep a counter where the event happens, register
+the family in its owner's fold, declare it here with a unit, and make sure
+one of the coverage runs emits it.
 """
 
 from __future__ import annotations

@@ -70,6 +70,12 @@ class FlightRecorder:
         if self.sink is not None:
             self.sink.write_event(event)
 
+    def fresh(self) -> "FlightRecorder":
+        """An empty recorder of this one's kind: a ring of the same
+        capacity, or a tracing recorder teeing into the same sink (a
+        multi-GPU device's log, see :meth:`repro.obs.Observability.scoped`)."""
+        return FlightRecorder(self.clock, self.capacity, sink=self.sink)
+
     def rewind(self, appended: int) -> None:
         """Drop the events recorded since :attr:`appended` read ``appended``
         (those still in the ring); a checkpoint restore calls this."""
@@ -147,6 +153,9 @@ class _NullFlightRecorder:
 
     def record(self, kind: str, *args) -> None:
         pass
+
+    def fresh(self) -> "_NullFlightRecorder":
+        return self
 
     def rewind(self, appended: int) -> None:
         pass

@@ -14,10 +14,7 @@ Design goals:
   tuple, Prometheus-style (``uvm_pages_total{op="evicted"}``);
 * **machine-readable export** — :meth:`MetricsRegistry.snapshot` returns a
   plain dict; :meth:`MetricsRegistry.to_prometheus` renders the
-  Prometheus text exposition format for cross-run scraping/diffing;
-* **ledger-derived families** — a family a ledger already holds (the
-  batch log) is rebuilt from it at every read by a fold registered with
-  :meth:`MetricsRegistry.add_fold`, so it rewinds with the ledger.
+  Prometheus text exposition format for cross-run scraping/diffing.
 """
 
 from __future__ import annotations
@@ -66,13 +63,14 @@ class Counter:
 
 
 class Gauge:
-    """Instantaneous value that can move in either direction."""
+    """Instantaneous value that can move in either direction (it reads as
+    the type it was set to: a count stays an int)."""
 
     __slots__ = ("value",)
     kind = "gauge"
 
     def __init__(self) -> None:
-        self.value = 0.0
+        self.value = 0
 
     def set(self, value: float) -> None:
         self.value = value
@@ -153,30 +151,6 @@ class Histogram:
         return {f"p{round(q * 100):d}": self.quantile(q) for q in qs}
 
 
-class _NullInstrument:
-    """Shared no-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def labels(self, *values: str) -> "_NullInstrument":
-        return self
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricFamily:
     """All series of one metric name (one per label-value tuple)."""
 
@@ -253,20 +227,18 @@ class MetricsRegistry:
     1.0
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
         self._folds: List[Callable[["MetricsRegistry"], None]] = []
 
     def add_fold(self, fold: Callable[["MetricsRegistry"], None]) -> None:
         """Register ``fold(registry)``: every read runs each fold against
         one fresh registry, so folds registering the same family add up
-        (multi-GPU drivers share a registry).  No-op when disabled."""
-        if self.enabled:
-            self._folds.append(fold)
+        (multi-GPU engines share a registry)."""
+        self._folds.append(fold)
 
     def _read(self) -> Dict[str, MetricFamily]:
-        """Every family, the derived ones rebuilt from their ledgers now."""
+        """Every family, the folded ones rebuilt from their counters now."""
         if not self._folds:
             return self._families
         derived = MetricsRegistry()
@@ -284,8 +256,6 @@ class MetricsRegistry:
         labels: Sequence[str],
         buckets: Optional[Sequence[float]] = None,
     ):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         family = self._families.get(name)
         if family is not None:
             if family.kind != kind:
@@ -298,7 +268,7 @@ class MetricsRegistry:
         return family
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()):
-        """Get or create a counter family (returns a null no-op when disabled)."""
+        """Get or create a counter family."""
         return self._register(name, "counter", help, labels)
 
     def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()):

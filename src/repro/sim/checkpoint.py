@@ -51,10 +51,11 @@ bundles and campaign cell files restore in a fresh process.
 Attachments are deliberately excluded: observability handles, the sanitizer,
 the injector object, and config/cost-model references stay with the live
 engine, so a restore rewinds the *simulated* world without disturbing the
-instrumentation around it; engine-side resilience counters never rewind.
-The metric families folded from the batch log and the Chrome trace rendered
-from the logs rewind with it, and the flight recorder and the NDJSON sink
-drop what they logged since the capture
+instrumentation around it; the engine's counters never rewind.  A metric
+family rewinds exactly when what it folds is captured here (the batch log,
+the copy-engine and driver counters, the injector's per-site counts), the
+Chrome trace rendered from the logs rewinds with them, and the flight
+recorder and the NDJSON sink drop what they logged since the capture
 (:meth:`~repro.obs.Observability.mark`).  The injector contributes its own
 :meth:`~repro.inject.FaultInjector.snapshot` (RNG stream states + counters),
 and the sanitizer is :meth:`~repro.check.sanitizer.Sanitizer.resync`'d after
@@ -86,7 +87,7 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 #: ``_flight`` is the flight recorder: the checkpoint stores its append
 #: count instead (in ``obs_mark``), and a restore rewinds the ring to it,
 #: so a recovered run's events equal a clean run's plus the crash seam.
-_SKIP_COMMON = frozenset({"_san", "_inj", "_obs", "config", "cost_model", "_flight"})
+_SKIP_COMMON = frozenset({"_san", "_inj", "config", "cost_model", "_flight"})
 #: Per-kind extra exclusions: references into other captured components,
 #: and the attributes :data:`_PARTS` pickles apart.
 _SKIP_EXTRA: Dict[str, frozenset] = {
@@ -98,7 +99,7 @@ _SKIP_EXTRA: Dict[str, frozenset] = {
 
 
 def _skipped(name: str, extra_skip: frozenset) -> bool:
-    return name in _SKIP_COMMON or name in extra_skip or name.startswith("_m_")
+    return name in _SKIP_COMMON or name in extra_skip
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,9 +120,8 @@ def _slot_getter(
 
 def _capture_obj(obj, extra_skip: frozenset = frozenset()) -> Tuple[tuple, tuple]:
     """``obj``'s capturable attributes as ``(names, values)``: slots (MRO
-    order) + instance dict, minus wiring attributes and cached metric
-    handles (``_m_*``).  Objects of one slotted class share one ``names``
-    tuple, which a pickle writes once."""
+    order) + instance dict, minus wiring attributes.  Objects of one slotted
+    class share one ``names`` tuple, which a pickle writes once."""
     names, get = _slot_getter(type(obj), extra_skip)
     try:
         values = get(obj)
@@ -230,6 +230,7 @@ _DRIVER_ATTRS = (
     "_current_batch_size",
     "async_unmap_backlog_usec",
     "_active_ce_id",
+    "degradations",
 )
 
 #: Engine attributes captured verbatim.

@@ -105,7 +105,8 @@ class LaunchProgress:
 
 @dataclass
 class EngineCounters:
-    """Resilience accounting for engine-side (non-batch) fault paths.
+    """The engine's own accounting: launches, rounds, crash bundles, and
+    resilience on the engine-side (non-batch) fault path.
 
     The CPU-touch D2H migration burst retries outside any driver batch, so
     its retries/failovers have no :class:`BatchRecord` to land in.  They
@@ -119,6 +120,12 @@ class EngineCounters:
     d2h_retries: int = 0
     d2h_failovers: int = 0
     d2h_backoff_usec: float = 0.0
+    #: Simulated wall time (µs) of each kernel launch that finished.
+    kernel_usec: List[float] = field(default_factory=list)
+    #: GPU fault-generation rounds of the launches that finished.
+    rounds: int = 0
+    #: Crash bundles written.
+    bundles: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -162,9 +169,6 @@ class Engine:
         self.host_cpu = HostCpu(config.host)
         self.dma = dma if dma is not None else DmaMapper(self.cost)
         self.rng = spawn_rng(config.seed, "engine")
-        if self.obs.any_enabled:
-            for ce in self.device.copy_engines:
-                ce.attach_obs(self.obs)
         #: UVMSan runtime invariant checker (null object when disabled, so
         #: the hot paths below pay a single attribute read at most).
         self.sanitizer = make_sanitizer(config.check, self.clock, self.obs)
@@ -177,7 +181,7 @@ class Engine:
         #: Fault injector (null object when chaos testing is off).  Real
         #: injectors are attached to each component so the disabled hot
         #: paths stay branch-free (``_inj is None`` guards, like UVMSan).
-        self.injector = make_injector(config.inject, config.seed, self.clock, self.obs)
+        self.injector = make_injector(config.inject, config.seed, self.clock)
         self._inject_on = self.injector.enabled
         if self._inject_on:
             self.device.fault_buffer.attach_injector(self.injector)
@@ -195,20 +199,8 @@ class Engine:
         #: Where the latest crash bundle landed (None until a crash writes
         #: one; see :meth:`_capture_bundle`).
         self.last_bundle = None
-        metrics = self.obs.metrics
-        self._m_kernels = metrics.counter("uvm_kernels_total", "Kernel launches run")
-        self._m_kernel_usec = metrics.histogram(
-            "uvm_kernel_time_usec", "Kernel wall time (simulated µs)"
-        )
-        self._m_rounds = metrics.counter(
-            "uvm_engine_rounds_total", "GPU fault-generation rounds"
-        )
-        self._m_bundles = metrics.counter(
-            "uvm_bundles_written_total", "Crash bundles written"
-        )
-        #: Engine-side resilience counters (no BatchRecord on these paths).
         self.counters = EngineCounters()
-        metrics.add_fold(self._fold_metrics)
+        self.obs.metrics.add_fold(self._fold_metrics)
         self.driver = UvmDriver(
             config=config,
             device=self.device,
@@ -352,8 +344,7 @@ class Engine:
             self._capture_bundle(exc)
             raise
         self.flight.record("launch.done", kernel.name, result.num_batches)
-        self._m_kernels.inc()
-        self._m_kernel_usec.observe(result.kernel_time_usec)
+        self.counters.kernel_usec.append(result.kernel_time_usec)
         return result
 
     def _launch(self, kernel: KernelLaunch) -> LaunchResult:
@@ -440,7 +431,7 @@ class Engine:
         p.done = True
         self.clock.advance_to(self._last_retire_at)
         self.sanitizer.check_system(self)
-        self._m_rounds.inc(p.guard_rounds)
+        self.counters.rounds += p.guard_rounds
         records = self.driver.log.records[p.first_record:]
         return LaunchResult(
             name=p.name,
@@ -454,9 +445,12 @@ class Engine:
     # -------------------------------------------------------------- metrics
 
     def _fold_metrics(self, metrics) -> None:
-        """Rebuild the metric families the batch log and :attr:`counters`
-        already hold; the registry runs this at every read, so a crash
-        recovery that rewinds the log rewinds these families with it."""
+        """Build this engine's metric families from the batch log and the
+        counters of the components where the events happen.  The registry
+        runs this at every read, so a family rewinds with a crash recovery
+        exactly when what it reads is checkpointed state (not so
+        :attr:`counters`, the injector's crash and recovery counts, and the
+        sanitizer's violations)."""
         records = self.driver.log.records
         batches = metrics.counter(
             "uvm_batches_total", "Batches through the servicing path", labels=("kind",)
@@ -515,15 +509,68 @@ class Engine:
         retries.labels("ce").inc(
             sum(r.retries_transfer for r in records) + self.counters.d2h_retries
         )
-        failovers = metrics.counter(
-            "uvm_ce_failovers_total", "Copy-engine failovers after stuck bursts"
+        counters = self.counters
+
+        def total(name: str, text: str, count: int) -> None:
+            # A label-less counter's one series appears with its first event.
+            family = metrics.counter(name, text)
+            if count:
+                family.inc(count)
+
+        total(
+            "uvm_ce_failovers_total",
+            "Copy-engine failovers after stuck bursts",
+            sum(r.ce_failovers for r in records) + counters.d2h_failovers,
         )
-        num_failovers = (
-            sum(r.ce_failovers for r in records) + self.counters.d2h_failovers
+        total("uvm_kernels_total", "Kernel launches run", len(counters.kernel_usec))
+        total("uvm_engine_rounds_total", "GPU fault-generation rounds", counters.rounds)
+        total("uvm_bundles_written_total", "Crash bundles written", counters.bundles)
+        kernel_usec = metrics.histogram(
+            "uvm_kernel_time_usec", "Kernel wall time (simulated µs)"
         )
-        if num_failovers:
-            # Label-less: its one series appears with the first failover.
-            failovers.inc(num_failovers)
+        for usec in counters.kernel_usec:
+            kernel_usec.observe(usec)
+        ce_bytes = metrics.counter(
+            "uvm_ce_bytes_total", "Bytes moved by the copy engines", labels=("dir",)
+        )
+        ce_bursts = metrics.counter(
+            "uvm_ce_bursts_total", "Copy-engine burst operations", labels=("dir",)
+        )
+        for ce in self.device.copy_engines:
+            for direction, bursts, nbytes in (
+                ("h2d", ce.bursts_h2d, ce.bytes_h2d),
+                ("d2h", ce.bursts_d2h, ce.bytes_d2h),
+            ):
+                if bursts:
+                    ce_bursts.labels(direction).inc(bursts)
+                    ce_bytes.labels(direction).inc(nbytes)
+        degrade = metrics.counter(
+            "uvm_degrade_total", "Graceful degradations on the fault path", labels=("kind",)
+        )
+        for kind, count in self.driver.degradations.items():
+            degrade.labels(kind).inc(count)
+        metrics.gauge(
+            "uvm_resident_vablocks", "GPU-allocated VABlocks tracked by the eviction policy"
+        ).inc(len(self.driver.eviction))
+        if self.injector.enabled:
+            injected = metrics.counter(
+                "uvm_injected_total", "Injected faults by site", labels=("site",)
+            )
+            for site, count in sorted(self.injector.fired_by_site().items()):
+                injected.labels(site).inc(count)
+            total(
+                "uvm_crash_recoveries_total",
+                "Injected crashes recovered from a checkpoint",
+                self.injector.recoveries,
+            )
+        if self.sanitizer.enabled:
+            violations = metrics.counter(
+                "uvm_san_violations_total",
+                "UVMSan invariant violations detected",
+                labels=("rule",),
+            )
+            for rule, count in self.sanitizer.violations_by_rule.items():
+                violations.labels(rule).inc(count)
 
     # ------------------------------------------------- checkpoint and crash
 
@@ -549,7 +596,7 @@ class Engine:
             self.last_bundle = write_bundle(
                 unique_bundle_dir(bundle_root, name), self, exc
             )
-            self._m_bundles.inc()
+            self.counters.bundles += 1
         except OSError:
             self.last_bundle = None
 

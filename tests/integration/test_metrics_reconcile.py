@@ -1,12 +1,13 @@
-"""Metrics totals reconcile exactly with the per-batch + engine ledgers.
+"""Metrics totals reconcile exactly with the ledgers and counters they read.
 
-Batch, fault, page, eviction, byte, host-OS, retry and failover families
-are folded from the batch log (and, for the CPU-touch D2H path, the EngineCounters)
-when the registry is read; degradations still count at their sites.
-Across every bundled chaos profile, several seeds, and runs whose injected
-crash replays batches from a checkpoint, metrics and ledgers must agree to
-the unit — a replay must rewind both, and a site-counted family must not
-drift from the record field it mirrors.
+Every family is folded, when the registry is read, from the batch log and
+the counters of the components where the events happen: the engine's
+``EngineCounters``, the copy engines, the driver's degradations, the
+eviction policy, the injector and the sanitizer.  Across every bundled
+chaos profile, several seeds, and runs whose injected crash replays
+batches from a checkpoint, metrics and ledgers must agree to the unit, and
+a crash recovery must be invisible in what the run reports except for the
+crash seam itself.
 """
 
 from collections import Counter
@@ -16,6 +17,9 @@ import pytest
 
 from repro.api import UvmSystem
 from repro.config import default_config
+from repro.errors import InjectedCrash
+from repro.multigpu import MultiGpuSystem
+from repro.gpu.warp import KernelLaunch, Phase, WarpProgram
 from repro.units import MB
 from repro.workloads import WORKLOAD_REGISTRY, RegularStream
 
@@ -54,12 +58,12 @@ def run_profile(profile, seed):
     return system
 
 
-def run_crash_at_6(seed, trace=False):
+def run_crash_at_6(seed, trace=False, crash=True):
     """A crash at batch 6 restores the batch-4 checkpoint, so batches 5 and
-    6 run twice."""
+    6 run twice (``crash=False``: the same run without the crash)."""
     cfg = small_stream_config(seed)
     cfg.inject.enabled = True
-    cfg.inject.sites = {"engine.crash": {"at_batch": 6}}
+    cfg.inject.sites = {"engine.crash": {"at_batch": 6}} if crash else {}
     cfg.inject.checkpoint_every = 4
     cfg.validate()
     system = UvmSystem(cfg, trace=trace)
@@ -161,7 +165,22 @@ def assert_reconciles(system):
     assert metric_value(snap, "uvm_degrade_total", kind="dma-defer") + metric_value(
         snap, "uvm_degrade_total", kind="transfer-defer"
     ) == total("blocks_deferred")
+    engines = engine.device.copy_engines
+    for direction in ("h2d", "d2h"):
+        assert metric_value(snap, "uvm_ce_bytes_total", dir=direction) == sum(
+            getattr(ce, "bytes_" + direction) for ce in engines
+        )
+        assert metric_value(snap, "uvm_ce_bursts_total", dir=direction) == sum(
+            getattr(ce, "bursts_" + direction) for ce in engines
+        )
+    summary = system.injector.summary()
+    for site, counts in summary["sites"].items():
+        assert metric_value(snap, "uvm_injected_total", site=site) == counts["fired"]
+    assert metric_value(snap, "uvm_crash_recoveries_total") == summary["recoveries"]
     assert system.sanitizer.total_violations == 0
+    assert sum(
+        s["value"] for s in snap.get("uvm_san_violations_total", {}).get("series", ())
+    ) == 0
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.stem)
@@ -193,6 +212,62 @@ def test_replayed_run_reconciles(run, seed):
     system = run(seed)
     assert system.injector.summary()["recoveries"] == 1
     assert_reconciles(system)
+
+
+CRASH_SEAM = {"uvm_injected_total": {"site": "engine.crash"}, "uvm_crash_recoveries_total": {}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recovered_run_reports_the_crash_free_run(seed):
+    """A recovery is invisible in the metrics except for the crash seam:
+    the replayed batches' bursts, injections and degradations count once."""
+    crashed = run_crash_at_6(seed).metrics_snapshot()
+    clean = run_crash_at_6(seed, crash=False).metrics_snapshot()
+    for name, labels in CRASH_SEAM.items():
+        (seam,) = [s for s in crashed[name]["series"] if s["labels"] == labels]
+        assert seam["value"] == 1.0
+        crashed[name]["series"].remove(seam)
+    assert crashed == clean
+
+
+@pytest.mark.parametrize("recover", [True, False], ids=["recovered", "no-recovery"])
+def test_injected_crash_counts_once(recover):
+    """The restore that recovers from the crash rewinds the per-site counts
+    to before it; the crash itself still counts, once, on both paths."""
+    cfg = small_stream_config(0)
+    cfg.inject.enabled = True
+    cfg.inject.sites = {"engine.crash": {"at_batch": 6}}
+    cfg.inject.checkpoint_every = 4
+    cfg.inject.crash_recovery = recover
+    system = UvmSystem(cfg)
+    if recover:
+        RegularStream().run(system)
+    else:
+        with pytest.raises(InjectedCrash):
+            RegularStream().run(system)
+    summary = system.injector.summary()
+    assert summary["crashes"] == summary["sites"]["engine.crash"]["fired"] == 1
+    assert summary["fired_total"] == 1
+    assert summary["recoveries"] == int(recover)
+    snap = system.metrics_snapshot()
+    assert metric_value(snap, "uvm_injected_total", site="engine.crash") == 1
+    assert metric_value(snap, "uvm_crash_recoveries_total") == int(recover)
+
+
+def test_resident_vablocks_sum_over_devices():
+    cfg = default_config()
+    cfg.gpu.memory_bytes = 16 * MB
+    mg = MultiGpuSystem(num_devices=2, config=cfg)
+    alloc = mg.managed_alloc(8 * MB)
+
+    def sweep(start, stop):
+        return KernelLaunch("sweep", [WarpProgram([Phase.of(list(alloc.pages(start, stop)))])])
+
+    mg.launch(0, sweep(0, 2048))
+    mg.launch(1, sweep(0, 512))
+    resident = [len(handle.driver.eviction) for handle in mg.devices]
+    assert resident[0] != resident[1] and min(resident) > 0
+    assert metric_value(mg.metrics_snapshot(), "uvm_resident_vablocks") == sum(resident)
 
 
 def test_replayed_trace_is_the_clean_trace_plus_the_crash_seam():

@@ -159,10 +159,9 @@ class TestScheduleDeterminism:
 
 
 #: Attributes that are wiring or diagnostics rather than simulation state,
-#: so a restore leaves them as they are.  Cached metric handles (``_m_*``)
-#: are wiring too.
+#: so a restore leaves them as they are.
 _NOT_STATE_GROUPS = {
-    ("obs", "_obs"): "observability layer; its ledger families fold from the log",
+    ("obs",): "observability layer; its metric families fold from the state",
     ("flight", "_flight"): "event log: a restore rewinds it to the capture's count",
     ("sanitizer", "san", "_san"): "UVMSan is resynced after a restore, not rewound",
     ("injector", "inj", "_inj"): "compared through snapshot() and its spawned sites",
@@ -184,10 +183,7 @@ def state_names(obj):
     for klass in type(obj).__mro__:
         names += [n for n in getattr(klass, "__slots__", ()) if n not in names]
     names += [n for n in getattr(obj, "__dict__", {}) if n not in names]
-    return [
-        n for n in names
-        if n not in NOT_STATE and not n.startswith("_m_") and hasattr(obj, n)
-    ]
+    return [n for n in names if n not in NOT_STATE and hasattr(obj, n)]
 
 
 def state_components(engine):

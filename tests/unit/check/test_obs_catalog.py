@@ -160,7 +160,6 @@ def metered_system():
     cfg = default_config()
     cfg.gpu.memory_bytes = 32 * MB
     cfg.seed = 7
-    cfg.obs.metrics = True
     system = UvmSystem(cfg)
     StreamTriad(nbytes=4 * MB).run(system)
     return system

@@ -11,7 +11,6 @@ from repro.errors import ConfigError
 from repro.obs import (
     ChromeTrace,
     MetricsRegistry,
-    NULL_INSTRUMENT,
     NdjsonSink,
     Observability,
     PID_DRIVER,
@@ -96,15 +95,27 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             reg.gauge("x")
 
-    def test_disabled_registry_hands_out_null_instrument(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("x", labels=("op",))
-        assert c is NULL_INSTRUMENT
-        assert c.labels("anything", "arity", "ignored") is c
-        c.inc()
-        c.set(5)
-        c.observe(1.0)
-        assert reg.snapshot() == {}
+    def test_folds_read_their_counters_at_every_read(self):
+        """A folded family holds nothing between reads: each read rebuilds
+        it from the counters, and folds of one family add up."""
+        counts = [{"h2d": 2}, {"h2d": 1, "d2h": 4}]
+        reg = MetricsRegistry()
+        for owned in counts:
+            def fold(metrics, owned=owned):
+                family = metrics.counter("uvm_x_total", "x", labels=("dir",))
+                for direction, n in owned.items():
+                    family.labels(direction).inc(n)
+            reg.add_fold(fold)
+
+        def values():
+            return {
+                s["labels"]["dir"]: s["value"]
+                for s in reg.snapshot()["uvm_x_total"]["series"]
+            }
+
+        assert values() == {"h2d": 3.0, "d2h": 4.0}
+        counts[0]["h2d"] = 0  # a restore rewinds an owner's counter
+        assert values() == {"h2d": 1.0, "d2h": 4.0}
 
     def test_snapshot_is_json_serializable(self):
         reg = MetricsRegistry()
@@ -255,14 +266,9 @@ class TestObservabilityFacade:
         assert view.pid(PID_DRIVER) == 10 + PID_DRIVER
         assert obs.pid(PID_DRIVER) == PID_DRIVER
 
-    def test_any_enabled_reflects_config(self):
-        assert Observability(ObsConfig(), SimClock()).any_enabled
-        off = Observability(ObsConfig().disabled(), SimClock())
-        assert not off.any_enabled
-
     def test_disabled_config_validate(self):
         cfg = ObsConfig().disabled()
-        assert not (cfg.metrics or cfg.chrome_trace)
+        assert not cfg.chrome_trace
         assert cfg.ndjson_path is None
         cfg.validate()
 

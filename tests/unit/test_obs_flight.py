@@ -154,10 +154,35 @@ class TestObsConfigFlightKnobs:
         obs = Observability(ObsConfig(flight_recorder=False), SimClock())
         assert obs.flight is NULL_FLIGHT
 
-    def test_scoped_view_shares_the_flight(self):
-        obs = Observability(ObsConfig(), SimClock())
+    @pytest.mark.parametrize("kind", ["ring", "tracing", "off"])
+    def test_scoped_view_has_own_recorder(self, kind, tmp_path):
+        config = ObsConfig(flight_recorder=kind != "off")
+        if kind == "tracing":
+            config.ndjson_path = str(tmp_path / "events.ndjson")
+        obs = Observability(config, SimClock(), trace=kind == "tracing")
+        obs.flight.record("launch", "k")
         view = obs.scoped(1000, "gpu1")
-        assert view.flight is obs.flight
+        if kind == "off":
+            assert view.flight is NULL_FLIGHT
+            return
+        assert view.flight is not obs.flight
+        assert len(view.flight) == 0
+        assert view.flight.capacity == obs.flight.capacity
+        assert view.flight.sink is obs.flight.sink
+        assert (view.flight.sink is not None) == (kind == "tracing")
+        obs.close()
+
+    def test_one_device_rewind_keeps_the_other_devices_events(self):
+        obs = Observability(ObsConfig(), SimClock())
+        gpu0, gpu1 = obs.scoped(0, "GPU0"), obs.scoped(10, "GPU1")
+        gpu0.flight.record("batch.open", 1)
+        mark = gpu0.mark()
+        gpu1.flight.record("batch.open", 1)
+        gpu0.flight.record("batch.open", 2)
+        gpu1.flight.record("batch.open", 2)
+        gpu0.rewind(mark)
+        assert [e[2] for e in gpu0.flight] == [(1,)]
+        assert [e[2] for e in gpu1.flight] == [(1,), (2,)]
 
     def test_flight_cap_validated(self):
         with pytest.raises(ConfigError):
