@@ -264,14 +264,12 @@ class _JobSlot:
         return self.base_attempts + self.run_attempts
 
 
-#: The fleet's metric families: event kind -> (name, help, label names).
+#: The fleet's metric families: event kind -> (name, label names).
 _FLEET_METRICS = {
-    "retries": (
-        "uvm_fleet_retries_total", "Fleet-level job retries by failure class", ("class",)
-    ),
-    "kills": ("uvm_fleet_kills_total", "Worker kill escalations by signal", ("signal",)),
-    "resumes": ("uvm_fleet_resumes_total", "Jobs resumed from an engine checkpoint", ()),
-    "ledger_writes": ("uvm_fleet_ledger_writes_total", "Run-ledger mutations committed", ()),
+    "retries": ("uvm_fleet_retries_total", ("class",)),
+    "kills": ("uvm_fleet_kills_total", ("signal",)),
+    "resumes": ("uvm_fleet_resumes_total", ()),
+    "ledger_writes": ("uvm_fleet_ledger_writes_total", ()),
 }
 
 
@@ -332,8 +330,8 @@ class FleetCoordinator:
         """The ``uvm_fleet_*`` families (declared, with units, in
         :mod:`repro.obs.catalog`), read from :attr:`counts`."""
         families = {
-            kind: metrics.counter(name, text, labels=labels)
-            for kind, (name, text, labels) in _FLEET_METRICS.items()
+            kind: metrics.counter(name, labels=labels)
+            for kind, (name, labels) in _FLEET_METRICS.items()
         }
         for (kind, labels), count in sorted(self.counts.items()):
             if kind in families:

@@ -4,10 +4,10 @@ The reproduction replaces the paper's instrumented driver with a
 deterministic simulator, so its trustworthiness rests on the simulated
 invariants actually holding on every run: the 56-outstanding-fault µTLB cap
 (§3.2, Fig 3), fault-buffer drop-on-overflow accounting (§2.1, footnote 1),
-the VABlock allocate/evict state machine (§2.2/§5.1), residency agreement
-between driver state and the GPU page table, copy-engine byte conservation,
-and exact reconciliation of each :class:`BatchRecord`'s component timers
-against the simulated clock (§3.1's per-batch timers).  UVMSan asserts all
+the VABlock allocate/evict state machine (§2.2/§5.1), every GPU page-table
+mapping lying in a registered VABlock's valid range, copy-engine byte
+conservation, and exact reconciliation of each :class:`BatchRecord`'s
+component timers against the simulated clock (§3.1's per-batch timers).  UVMSan asserts all
 of them *while the simulation runs*, so a refactor that silently breaks
 reproduction fidelity fails loudly instead of producing plausible numbers.
 
@@ -19,11 +19,12 @@ check, so a regular run pays nothing.  The sanitizer only ever *reads*
 simulator state: the simulated timeline is bit-identical with it on or off.
 
 The VABlock rules cost what a batch changed: the driver reports every
-block whose chunk or page sets it changes, a batch end checks only those
-blocks, and a :class:`BlockLedger` carries the global identities (chunks in
-use, pages in the page table) from one batch to the next.  A full scan of
-every block runs every :data:`FULL_SCAN_EVERY` batches, at the end of each
-launch and after a checkpoint restore.
+block whose chunk or mappings it changes, a batch end checks only those
+blocks, and a :class:`BlockLedger` carries the chunks-in-use identity from
+one batch to the next.  A full scan of every block — which also finds
+page-table pages that no registered block owns — runs every
+:data:`FULL_SCAN_EVERY` batches, at the end of each launch and after a
+checkpoint restore.
 
 Violations raise :class:`repro.errors.InvariantViolation` with clock/batch
 context ("raise" mode) or accumulate on :attr:`Sanitizer.violations`
@@ -35,9 +36,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import InvariantViolation
-from ..units import PAGE_SIZE
-from ..core.vablock import VABlockPhase, VABlockState, legal_transition
+from ..units import PAGE_SIZE, vablock_of_page
+from ..core.vablock import VABlockPhase, VABlockState, legal_transition, phase_of
 
 #: Absolute + relative float tolerance for timer reconciliation: component
 #: costs are summed in a different order by the clock than by
@@ -54,18 +57,16 @@ Finding = Tuple[str, str, Optional[int]]
 
 
 class BlockLedger:
-    """Running chunk and page accounting over one driver's VABlocks.
+    """Running chunk accounting over one driver's VABlocks.
 
     :meth:`check` runs the per-block rules on some blocks and re-accounts
-    each: the chunk it holds (and the chunk → block map the shared-chunk
-    rule needs) and how many of its tracked pages — resident or
-    remote-mapped — the GPU page table maps.  :meth:`identities` then
-    compares the running totals against the chunk allocator and the page
-    table.  Re-checking only the blocks that changed therefore keeps both
-    global identities exact without walking every block.
+    the chunk each holds (and the chunk → block map the shared-chunk rule
+    needs).  :meth:`identities` then compares the allocated blocks against
+    the chunk allocator.  Re-checking only the blocks that changed therefore
+    keeps the identity exact without walking every block.
     """
 
-    __slots__ = ("chunk_of", "owner_of", "mapped_of", "mapped_total")
+    __slots__ = ("chunk_of", "owner_of")
 
     def __init__(self) -> None:
         self.clear()
@@ -75,11 +76,8 @@ class BlockLedger:
         self.chunk_of: Dict[int, int] = {}
         #: Chunk → the block id first seen holding it.
         self.owner_of: Dict[int, int] = {}
-        #: Block id → its tracked pages the page table maps.
-        self.mapped_of: Dict[int, int] = {}
-        self.mapped_total = 0
 
-    def check(self, blocks, pt_resident, phases=None) -> List[Finding]:
+    def check(self, blocks, page_table, phases=None) -> List[Finding]:
         """Per-block rules for ``blocks``, re-accounting each.  ``phases``
         (block id → last phase seen) adds the transition rule and is
         updated."""
@@ -93,16 +91,14 @@ class BlockLedger:
                 del owner_of[old_chunk]
         findings: List[Finding] = []
         for block in blocks:
-            self._check_block(block, pt_resident, phases, findings)
+            self._check_block(block, page_table, phases, findings)
         return findings
 
-    def _check_block(self, block, pt_resident, phases, findings) -> None:
+    def _check_block(self, block, page_table, phases, findings) -> None:
         block_id = block.block_id
-        resident = block.resident_pages
-        remote = block.remote_pages
         chunk = block.gpu_chunk
         if phases is not None:
-            phase = block.phase
+            phase = phase_of(block, page_table)
             old = phases.get(block_id, VABlockPhase.REGISTERED)
             if not legal_transition(old, phase):
                 findings.append((
@@ -112,22 +108,25 @@ class BlockLedger:
                     block_id,
                 ))
             phases[block_id] = phase
-        if not resident <= block.valid_pages:
-            stray = next(iter(resident - block.valid_pages))
+        first = block.first_page
+        invalid = (first + np.flatnonzero(~block.valid_pages)).tolist()
+        stray = page_table.resident.intersection(invalid)
+        if stray:
             findings.append((
                 "residency",
-                f"block {block_id} has resident page {stray} outside its "
+                f"block {block_id} has mapped page {min(stray)} outside its "
                 "valid range",
                 block_id,
             ))
-        if chunk is None and resident:
-            findings.append((
-                "vablock-state",
-                f"block {block_id} has {len(resident)} resident pages but no "
-                "physical chunk",
-                block_id,
-            ))
-        if chunk is not None:
+        if chunk is None:
+            if page_table.has_pages(block_id):
+                findings.append((
+                    "vablock-state",
+                    f"block {block_id} has {page_table.count_of(block_id)} "
+                    "resident pages but no physical chunk",
+                    block_id,
+                ))
+        else:
             self.chunk_of[block_id] = chunk
             owner = self.owner_of.setdefault(chunk, block_id)
             if owner != block_id:
@@ -137,75 +136,42 @@ class BlockLedger:
                     f"{chunk}",
                     block_id,
                 ))
-        mapped = 0
-        for pages in (resident, remote):
-            if pages <= pt_resident:
-                mapped += len(pages)
-                continue
-            missing = pages - pt_resident
-            mapped += len(pages) - len(missing)
-            findings.append((
-                "residency",
-                f"page {next(iter(missing))} tracked as resident by block "
-                f"{block_id} but absent from the GPU page table "
-                f"({len(missing)} total)",
-                block_id,
-            ))
-        if remote:
-            double = resident & remote
-            if double:
-                mapped -= len(double & pt_resident)
-                findings.append((
-                    "residency",
-                    f"block {block_id} page {next(iter(double))} is both "
-                    "migrated and remote-mapped",
-                    block_id,
-                ))
-        self.mapped_total += mapped - self.mapped_of.get(block_id, 0)
-        self.mapped_of[block_id] = mapped
 
     def identities(self, device) -> List[Finding]:
-        """Allocated blocks against chunks in use, and mapped tracked pages
-        against the page table."""
-        findings: List[Finding] = []
+        """Allocated blocks against chunks in use."""
         used = device.chunks.used_chunks
-        if len(self.chunk_of) != used:
-            findings.append((
-                "memory",
-                f"{len(self.chunk_of)} GPU-allocated blocks vs {used} chunks "
-                "in use",
-                None,
-            ))
-        gap = len(device.page_table.resident) - self.mapped_total
-        if gap > 0:
-            findings.append((
-                "residency",
-                f"{gap} pages mapped in the GPU page table but tracked by no "
-                "VABlock",
-                None,
-            ))
-        elif gap < 0:
-            findings.append((
-                "residency",
-                f"{-gap} pages tracked by VABlocks left the GPU page table "
-                "since their blocks were last checked",
-                None,
-            ))
-        return findings
+        if len(self.chunk_of) == used:
+            return []
+        return [(
+            "memory",
+            f"{len(self.chunk_of)} GPU-allocated blocks vs {used} chunks in use",
+            None,
+        )]
 
 
 def scan_blocks(
     driver, phases=None, ledger: Optional[BlockLedger] = None
 ) -> List[Finding]:
-    """Full VABlock scan: the per-block rules on every block, then the
-    global identities.  ``ledger`` (a fresh one by default) is rebuilt from
-    scratch; ``phases`` is as for :meth:`BlockLedger.check`."""
+    """Full VABlock scan: the per-block rules on every block, the page-table
+    pages no registered block owns, then the global identities.
+    ``ledger`` (a fresh one by default) is rebuilt from scratch; ``phases``
+    is as for :meth:`BlockLedger.check`."""
     if ledger is None:
         ledger = BlockLedger()
     ledger.clear()
-    findings = ledger.check(
-        driver.vablocks.blocks(), driver.device.page_table.resident, phases
+    page_table = driver.device.page_table
+    blocks = driver.vablocks.blocks()
+    findings = ledger.check(blocks, page_table, phases)
+    unowned = set(map(vablock_of_page, page_table.resident)).difference(
+        block.block_id for block in blocks
     )
+    if unowned:
+        findings.append((
+            "residency",
+            f"VABlock {min(unowned)} has pages mapped in the GPU page table "
+            f"but is not registered ({len(unowned)} such blocks)",
+            None,
+        ))
     findings.extend(ledger.identities(driver.device))
     return findings
 
@@ -228,10 +194,10 @@ class NullSanitizer:
     def on_batch_abort(self, driver, record) -> None:
         pass
 
-    def on_block_allocated(self, block) -> None:
+    def on_block_allocated(self, block, page_table) -> None:
         pass
 
-    def on_block_evicted(self, block) -> None:
+    def on_block_evicted(self, block, page_table) -> None:
         pass
 
     def on_block_touched(self, block) -> None:
@@ -425,7 +391,7 @@ class Sanitizer:
 
     # ---------------------------------------------------------- block events
 
-    def on_block_allocated(self, block) -> None:
+    def on_block_allocated(self, block, page_table) -> None:
         """A VABlock just received a physical chunk (§5.1 allocate edge)."""
         old = self._phases.get(block.block_id, VABlockPhase.REGISTERED)
         if old is not VABlockPhase.REGISTERED:
@@ -445,11 +411,12 @@ class Sanitizer:
                 f"block {block.block_id} reported allocated without a chunk",
                 block=block.block_id,
             )
-        if block.resident_pages:
+        if page_table.has_pages(block.block_id):
             self._violate(
                 "vablock-state",
                 f"block {block.block_id} allocated a fresh chunk while "
-                f"{len(block.resident_pages)} pages were already resident",
+                f"{page_table.count_of(block.block_id)} pages were already "
+                "resident",
                 block=block.block_id,
             )
         if block.alloc_stamp <= self._max_stamp:
@@ -465,7 +432,7 @@ class Sanitizer:
         self._phases[block.block_id] = VABlockPhase.ALLOCATED
         self._touched[block.block_id] = block
 
-    def on_block_evicted(self, block) -> None:
+    def on_block_evicted(self, block, page_table) -> None:
         """A VABlock just lost its chunk (§5.1 evict edge)."""
         if block.gpu_chunk is not None:
             self._violate(
@@ -474,11 +441,11 @@ class Sanitizer:
                 f"{block.gpu_chunk}",
                 block=block.block_id,
             )
-        if block.resident_pages:
+        if page_table.has_pages(block.block_id):
             self._violate(
                 "vablock-state",
                 f"block {block.block_id} evicted with "
-                f"{len(block.resident_pages)} pages still resident",
+                f"{page_table.count_of(block.block_id)} pages still resident",
                 block=block.block_id,
             )
         if block.evict_count < 1:
@@ -492,8 +459,8 @@ class Sanitizer:
         self._touched[block.block_id] = block
 
     def on_block_touched(self, block) -> None:
-        """``block``'s resident or remote-mapped pages changed; it is
-        checked at the next batch end."""
+        """The driver mapped pages of ``block``; it is checked at the next
+        batch end."""
         self._touched[block.block_id] = block
 
     # --------------------------------------------------------- batch bounds
@@ -725,7 +692,7 @@ class Sanitizer:
         touched = self._touched
         if touched:
             self._report(self._ledger.check(
-                touched.values(), driver.device.page_table.resident, self._phases
+                touched.values(), driver.device.page_table, self._phases
             ))
             self.blocks_checked += len(touched)
             touched.clear()
@@ -784,8 +751,10 @@ class Sanitizer:
         self._last_clock = engine.clock.now
         self._batch_id = None
         self._last_batch_id = driver._batch_id - 1
+        page_table = driver.device.page_table
         self._phases = {
-            block.block_id: block.phase for block in driver.vablocks.blocks()
+            block.block_id: phase_of(block, page_table)
+            for block in driver.vablocks.blocks()
         }
         self._max_stamp = driver.vablocks._stamp
         self._ce_h2d0 = sum(ce.bytes_h2d for ce in driver.device.copy_engines)

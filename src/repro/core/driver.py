@@ -177,12 +177,11 @@ class UvmDriver:
         #: Unmap work deferred off the fault path (async-unmap ablation).
         self.async_unmap_backlog_usec = 0.0
         #: Graceful degradations on the fault path, by kind (the
-        #: ``uvm_degrade_total`` family).  Checkpointed state, so a restore
-        #: rewinds it with the batch log.
+        #: ``uvm_degrade_total`` family; its ``prefetch-fallback`` series
+        #: folds from ``BatchRecord.prefetch_fallbacks`` instead).
+        #: Checkpointed state, so a restore rewinds it with the batch log.
         self.degradations: Dict[str, int] = dict.fromkeys(
-            ("accessed-by-skip", "dma-defer", "transfer-defer", "prefetch-fallback",
-             "scope-skip"),
-            0,
+            ("accessed-by-skip", "dma-defer", "transfer-defer", "scope-skip"), 0
         )
         #: Flight recorder (bounded ring of recent events; null object when
         #: off, so the per-batch paths call it unconditionally).
@@ -311,35 +310,10 @@ class UvmDriver:
         pt_cost = self.cost.pagetable_cost(len(new_pages))
         self.clock.advance(pt_cost)
         record.time_pagetable = pt_cost
-        self.device.page_table.map_pages(new_pages)
-        # One grouping pass (new_pages is sorted, so blocks come out in
-        # ascending order) instead of a per-block rescan of every page.
-        by_block: Dict[int, List[int]] = {}
-        for page in new_pages:
-            by_block.setdefault(vablock_of_page(page), []).append(page)
-        for block_id, block_pages in by_block.items():
+        self.device.page_table.map_remote(new_pages)
+        for block_id in sorted({vablock_of_page(p) for p in new_pages}):
             if block_id in self.vablocks:
-                block = self.vablocks.get(block_id)
-                block.remote_pages.update(block_pages)
-                self.san.on_block_touched(block)
-
-    def discard_resident(self, pages: List[int]) -> None:
-        """Drop sorted ``pages`` from their VABlocks' GPU residency after
-        the caller unmapped them from the page table (CPU-touch and peer
-        migrations)."""
-        block = None
-        for page in pages:
-            if block is None or page not in block.valid_pages:
-                block = self.vablocks.get_for_page(page)
-                self.san.on_block_touched(block)
-            block.resident_pages.discard(page)
-
-    def is_remote_mapped(self, page: int) -> bool:
-        """True when ``page`` is direct-mapped (accessed-by), not migrated."""
-        block_id = vablock_of_page(page)
-        if block_id not in self.vablocks:
-            return False
-        return page in self.vablocks.get(block_id).remote_pages
+                self.san.on_block_touched(self.vablocks.get(block_id))
 
     # -------------------------------------------------------------- policy
 
@@ -636,7 +610,8 @@ class UvmDriver:
             )
         self._charge(self.cost.vablock_base_usec, "time_block_base")
 
-        faulted = [p for p in work.pages if p not in block.resident_pages]
+        resident = self.device.page_table.resident
+        faulted = [p for p in work.pages if p not in resident]
         if not work.hinted:
             # Per-unique-page fault servicing (VMA/policy/service
             # bookkeeping); prefetched pages ride along in bulk and skip
@@ -666,13 +641,13 @@ class UvmDriver:
             record.blocks_allocated += 1
             self._charge(self.cost.chunk_alloc_usec, "time_alloc")
             self.eviction.on_gpu_allocated(block.block_id)
-            self.san.on_block_allocated(block)
+            self.san.on_block_allocated(block, self.device.page_table)
         else:
             self.eviction.on_fault_service(block.block_id)
 
         # (b) compulsory DMA state (once per block lifetime).
         if not block.dma_initialized:
-            result = self._dma_map_with_retry(sorted(block.valid_pages), record)
+            result = self._dma_map_with_retry(block.valid_page_ids(), record)
             if result is None:
                 # Degrade: DMA state could not be created this batch.  Defer
                 # the block — its faults drop at the flush and reissue, and
@@ -690,7 +665,7 @@ class UvmDriver:
         # (c) prefetch expansion (reactive only: hints specify exact ranges).
         prefetched: Set[int] = set()
         if self.config.driver.prefetch_enabled and faulted and not work.hinted:
-            prefetched = self.prefetcher.expand(block, faulted)
+            prefetched = self.prefetcher.expand(block, faulted, self.device.page_table)
             self._charge(
                 self.cost.prefetch_decision_cost(REGIONS_PER_VABLOCK),
                 "time_prefetch_decide",
@@ -714,7 +689,7 @@ class UvmDriver:
             block.read_mostly = False
         mapped = self.host_vm.mapped_pages_of(block.block_id)
         if mapped and (not block.read_mostly or collapse):
-            stats = self.host_vm.unmap_range(block.valid_pages)
+            stats = self.host_vm.unmap_range(block.valid_page_ids())
             if self.config.driver.async_unmap:
                 # Ablation: charge off the fault path.
                 self._off_path.append(len(self._charge_usecs))
@@ -758,7 +733,6 @@ class UvmDriver:
                 # fall back to demand paging — retry with only the pages
                 # that actually faulted.
                 record.prefetch_fallbacks += 1
-                self.degradations["prefetch-fallback"] += 1
                 prefetched = set()
                 target = sorted(faulted)
                 transfer_pages = [p for p in target if self.host_vm.has_valid_data(p)]
@@ -777,7 +751,6 @@ class UvmDriver:
         # (g) page-table update.
         self._charge(self.cost.pagetable_cost(len(target)), "time_pagetable")
         self.device.page_table.map_pages(target)
-        block.resident_pages.update(target)
         self.san.on_block_touched(block)
         if not block.read_mostly:
             # GPU takes ownership: host copies go stale and eviction must
@@ -798,7 +771,7 @@ class UvmDriver:
         restart)."""
         victim_id = self.eviction.require_victim(exclude)
         victim = self.vablocks.get(victim_id)
-        pages = sorted(victim.resident_pages)
+        pages = self.device.page_table.pages_of(victim_id)
         # The Chrome trace places the eviction by these two marks and the
         # write-back's time_transfer_d2h mark.
         self._charge(self.cost.evict_restart_usec, "time_eviction")
@@ -819,10 +792,9 @@ class UvmDriver:
             record.evictions_unmap_free += 1
         self.device.chunks.free(victim.gpu_chunk)
         victim.gpu_chunk = None
-        victim.resident_pages = set()
         victim.evict_count += 1
         self.eviction.on_evicted(victim_id)
-        self.san.on_block_evicted(victim)
+        self.san.on_block_evicted(victim, self.device.page_table)
         record.evictions += 1
         record.pages_evicted += len(pages)
         outcome.evicted_pages.extend(pages)
@@ -841,7 +813,8 @@ class UvmDriver:
         """Enlarged prefetch scope (§6 ablation): when a block goes fully
         dense, mirror the fetch into already-GPU-allocated neighbour blocks
         (each neighbour pays its own population/transfer/page-table costs)."""
-        covered = len(faulted) + len(prefetched) + len(block.resident_pages)
+        page_table = self.device.page_table
+        covered = len(faulted) + len(prefetched) + page_table.count_of(block.block_id)
         if covered < block.num_valid_pages:
             return
         for nbr_id in self.prefetcher.neighbour_blocks(block.block_id):
@@ -859,11 +832,9 @@ class UvmDriver:
                 record.blocks_allocated += 1
                 self._charge(self.cost.chunk_alloc_usec, "time_alloc")
                 self.eviction.on_gpu_allocated(nbr_id)
-                self.san.on_block_allocated(nbr)
+                self.san.on_block_allocated(nbr, page_table)
                 if not nbr.dma_initialized:
-                    result = self._dma_map_with_retry(
-                        sorted(nbr.valid_pages), record
-                    )
+                    result = self._dma_map_with_retry(nbr.valid_page_ids(), record)
                     if result is None:
                         # Speculative neighbour: just skip it this batch.
                         self.degradations["scope-skip"] += 1
@@ -874,11 +845,12 @@ class UvmDriver:
                     record.dma_mappings_created += result.new_mappings
                     record.radix_nodes_allocated += result.new_nodes
                     record.radix_slab_refills += result.slab_refills
-            target = sorted(p for p in nbr.valid_pages if p not in nbr.resident_pages)
+            valid = nbr.valid_page_ids()
+            target = [p for p in valid if p not in page_table.resident]
             if not target:
                 continue
             if self.host_vm.mapped_pages_of(nbr_id):
-                stats = self.host_vm.unmap_range(nbr.valid_pages)
+                stats = self.host_vm.unmap_range(valid)
                 self._charge(
                     self.cost.unmap_cost(stats.pages_unmapped, stats.distinct_threads),
                     "time_unmap",
@@ -902,8 +874,7 @@ class UvmDriver:
                 record.pages_migrated_h2d += len(transfer)
                 record.bytes_h2d += len(transfer) * 4096
             self._charge(self.cost.pagetable_cost(len(target)), "time_pagetable")
-            self.device.page_table.map_pages(target)
-            nbr.resident_pages.update(target)
+            page_table.map_pages(target)
             self.san.on_block_touched(nbr)
             self.host_vm.invalidate(target)
             record.pages_prefetched += len(target)

@@ -24,11 +24,11 @@ neighbour blocks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set
 
 import numpy as np
 
-from ..units import PAGES_PER_REGION, PAGES_PER_VABLOCK, REGIONS_PER_VABLOCK
+from ..units import PAGES_PER_REGION, PAGES_PER_VABLOCK
 from .residency import region_upgrade
 from .vablock import VABlockState
 
@@ -36,10 +36,11 @@ from .vablock import VABlockState
 class PrefetcherBase:
     """Interface for within-block prefetch policies.
 
-    ``expand(block, faulted_pages)`` returns extra *global* page ids to
-    migrate along with the faults — always confined to the block's valid
-    pages (the UVM prefetcher's hard scope limit, §5.2), except through the
-    explicit ``scope_blocks`` ablation.
+    ``expand(block, faulted_pages, page_table)`` returns extra *global* page
+    ids to migrate along with the faults — always confined to the block's
+    valid pages (the UVM prefetcher's hard scope limit, §5.2) and never a
+    page ``page_table`` already maps, except through the explicit
+    ``scope_blocks`` ablation.
     """
 
     name = "base"
@@ -47,7 +48,9 @@ class PrefetcherBase:
     def __init__(self, scope_blocks: int = 1) -> None:
         self.scope_blocks = scope_blocks
 
-    def expand(self, block: VABlockState, faulted_pages: Iterable[int]) -> Set[int]:
+    def expand(
+        self, block: VABlockState, faulted_pages: Iterable[int], page_table
+    ) -> Set[int]:
         raise NotImplementedError
 
     def neighbour_blocks(self, block_id: int) -> List[int]:
@@ -67,56 +70,30 @@ class DensityPrefetcher(PrefetcherBase):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
         self.threshold = threshold
-        #: Tree levels above the region leaves: 32 regions → 6 levels.
-        self._levels = int(np.log2(REGIONS_PER_VABLOCK)) + 1
-        #: Per-block valid-page masks, keyed by block id and invalidated by
-        #: valid-page count (blocks are never deallocated and their valid
-        #: sets only grow, so a length match proves the mask is current).
-        self._valid_masks: Dict[int, Tuple[int, np.ndarray]] = {}
-        #: Bumped on every mask-cache fill (checkpoints re-pickle the cache
-        #: only when it moved).
-        self.version = 0
 
-    def _valid_mask(self, block: VABlockState, first: int) -> np.ndarray:
-        cached = self._valid_masks.get(block.block_id)
-        num_valid = len(block.valid_pages)
-        if cached is not None and cached[0] == num_valid:
-            return cached[1]
-        mask = np.zeros(PAGES_PER_VABLOCK, dtype=bool)
-        mask[
-            np.fromiter(block.valid_pages, dtype=np.int64, count=num_valid) - first
-        ] = True
-        self._valid_masks[block.block_id] = (num_valid, mask)
-        self.version += 1
-        return mask
-
-    def expand(self, block: VABlockState, faulted_pages: Iterable[int]) -> Set[int]:
+    def expand(
+        self, block: VABlockState, faulted_pages: Iterable[int], page_table
+    ) -> Set[int]:
         """Pages to migrate for ``block`` beyond the faulted set.
 
         Returns *global* page ids: the 64 KiB upgrades plus every page of
         each subtree whose density crosses the threshold, intersected with
-        the block's valid pages and minus already-resident pages and the
-        faulted pages themselves.
+        the block's valid pages and minus the pages ``page_table`` maps and
+        the faulted pages themselves.
         """
         first = block.first_page
         faulted = set(faulted_pages)
         if not faulted:
             return set()
 
-        # Density counts migration *evidence*: resident pages, faulted
+        # Density counts migration *evidence*: mapped pages, faulted
         # pages, and their unconditional 64 KiB upgrades (§2.2) — those
         # pages genuinely migrate.  Promoted subtrees do NOT feed back into
         # density: with strictly-greater comparison a promoted child is
         # exactly half its parent, so self-feedback would cascade a single
         # fault in an empty block to the full 2 MiB.
-        density_mask = np.zeros(PAGES_PER_VABLOCK, dtype=bool)
-        resident = block.resident_pages
-        res_off = None
-        if resident:
-            res_off = (
-                np.fromiter(resident, dtype=np.int64, count=len(resident)) - first
-            )
-            density_mask[res_off] = True
+        mapped = page_table.mask_of(block.block_id)
+        density_mask = mapped.copy()
         fault_off = np.fromiter(faulted, dtype=np.int64, count=len(faulted)) - first
         # Unconditional 64 KiB upgrade (§2.2), vectorized: every region
         # containing a faulted page contributes all of its pages.
@@ -125,8 +102,8 @@ class DensityPrefetcher(PrefetcherBase):
             (region_bases[:, None] + np.arange(PAGES_PER_REGION)).ravel()
         ] = True
 
-        # Valid mask (tail blocks are partial), cached per block.
-        valid = self._valid_mask(block, first)
+        # Valid mask (tail blocks are partial).
+        valid = block.valid_pages
         density_mask &= valid
 
         fetch = density_mask.copy()
@@ -148,9 +125,8 @@ class DensityPrefetcher(PrefetcherBase):
             fetch |= expand_mask
             span *= 2
 
-        # Exclude already-resident pages and the faulted set itself.
-        if res_off is not None:
-            fetch[res_off] = False
+        # Exclude already-mapped pages and the faulted set itself.
+        fetch &= ~mapped
         fetch[fault_off] = False
         return set((first + np.nonzero(fetch)[0]).tolist())
 
@@ -164,7 +140,9 @@ class RegionOnlyPrefetcher(PrefetcherBase):
 
     name = "region-only"
 
-    def expand(self, block: VABlockState, faulted_pages: Iterable[int]) -> Set[int]:
+    def expand(
+        self, block: VABlockState, faulted_pages: Iterable[int], page_table
+    ) -> Set[int]:
         faulted = set(faulted_pages)
         if not faulted:
             return set()
@@ -174,8 +152,8 @@ class RegionOnlyPrefetcher(PrefetcherBase):
         for off in upgraded:
             page = first + off
             if (
-                page in block.valid_pages
-                and page not in block.resident_pages
+                block.valid_pages[off]
+                and page not in page_table.resident
                 and page not in faulted
             ):
                 out.add(page)
@@ -198,14 +176,18 @@ class SequentialPrefetcher(PrefetcherBase):
             raise ValueError("distance must be positive")
         self.distance = distance
 
-    def expand(self, block: VABlockState, faulted_pages: Iterable[int]) -> Set[int]:
+    def expand(
+        self, block: VABlockState, faulted_pages: Iterable[int], page_table
+    ) -> Set[int]:
         faulted = set(faulted_pages)
+        first = block.first_page
+        end = first + PAGES_PER_VABLOCK
         out: Set[int] = set()
         for page in faulted:
-            for nxt in range(page + 1, page + 1 + self.distance):
+            for nxt in range(page + 1, min(page + 1 + self.distance, end)):
                 if (
-                    nxt in block.valid_pages
-                    and nxt not in block.resident_pages
+                    block.valid_pages[nxt - first]
+                    and nxt not in page_table.resident
                     and nxt not in faulted
                 ):
                     out.add(nxt)
@@ -217,14 +199,16 @@ class FullBlockPrefetcher(PrefetcherBase):
 
     name = "full-block"
 
-    def expand(self, block: VABlockState, faulted_pages: Iterable[int]) -> Set[int]:
+    def expand(
+        self, block: VABlockState, faulted_pages: Iterable[int], page_table
+    ) -> Set[int]:
         faulted = set(faulted_pages)
         if not faulted:
             return set()
         return {
             p
-            for p in block.valid_pages
-            if p not in block.resident_pages and p not in faulted
+            for p in block.valid_page_ids()
+            if p not in page_table.resident and p not in faulted
         }
 
 

@@ -11,11 +11,9 @@ pages migrate.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
-import numpy as np
-
-from ..units import PAGES_PER_REGION, PAGES_PER_VABLOCK, REGIONS_PER_VABLOCK
+from ..units import PAGES_PER_REGION
 
 
 def region_upgrade(page_offsets: Iterable[int]) -> Set[int]:
@@ -31,21 +29,3 @@ def region_upgrade(page_offsets: Iterable[int]) -> Set[int]:
         base = (off // PAGES_PER_REGION) * PAGES_PER_REGION
         out.update(range(base, base + PAGES_PER_REGION))
     return out
-
-
-def occupancy_vector(page_offsets: Iterable[int]) -> np.ndarray:
-    """Boolean occupancy over the 512 page slots of a VABlock."""
-    occ = np.zeros(PAGES_PER_VABLOCK, dtype=bool)
-    for off in page_offsets:
-        occ[off] = True
-    return occ
-
-
-def region_ids(page_offsets: Iterable[int]) -> Set[int]:
-    """Distinct 64 KiB region indexes (0..31) covering the offsets."""
-    return {off // PAGES_PER_REGION for off in page_offsets}
-
-
-def regions_touched(occ: np.ndarray) -> int:
-    """Number of regions with at least one occupied page."""
-    return int(occ.reshape(REGIONS_PER_VABLOCK, PAGES_PER_REGION).any(axis=1).sum())

@@ -9,20 +9,27 @@ is required, UVM evicts allocations at the VABlock granularity." (paper §2.2)
 Each :class:`VABlockState` tracks exactly the per-block facts the paper's
 cost analysis turns on:
 
+* ``valid_pages`` — a 512-entry bool mask of the pages a managed
+  allocation covers (a tail block may be partial), built at registration.
 * ``gpu_chunk`` — the 2 MiB physical chunk backing the block (None when not
   device-resident; set on first fault, cleared by eviction).
-* ``resident_pages`` — pages currently mapped on the GPU.
 * ``dma_initialized`` — whether the compulsory first-access DMA-state burst
   (per-page mappings + radix-tree inserts, §5.2) has been paid.
 * ``evict_count`` — how many times the block has been evicted (Fig 12/13
   stratify batches by this).
+
+Which of a block's pages are mapped on the GPU is not block state: the
+:class:`~repro.gpu.page_table.GpuPageTable` is the one residency store,
+and :func:`phase_of` reads a block's phase from its chunk plus the table.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import AllocationError
 from ..units import (
@@ -35,14 +42,15 @@ from ..units import (
 class VABlockPhase(enum.Enum):
     """Observable lifecycle phase of a VABlock (paper §2.2/§5.1).
 
-    The phase is *derived* from block state rather than stored, so it can
-    never drift from the fields it summarizes:
+    The phase is *derived* (:func:`phase_of`) from the block's chunk and
+    the GPU page table rather than stored, so it can never drift from the
+    state it summarizes:
 
     * ``REGISTERED`` — known to the driver, no physical chunk, no resident
       pages (fresh allocations, and blocks after eviction);
     * ``ALLOCATED`` — holds a 2 MiB device chunk but no pages are mapped
       yet (mid-service, or after the CPU pulled every page back);
-    * ``RESIDENT`` — holds a chunk with one or more GPU-mapped pages.
+    * ``RESIDENT`` — holds a chunk with one or more migrated pages.
     """
 
     REGISTERED = "registered"
@@ -71,18 +79,25 @@ def legal_transition(old: VABlockPhase, new: VABlockPhase) -> bool:
     return old == new or (old, new) in LEGAL_PHASE_TRANSITIONS
 
 
-@dataclass
+def phase_of(block: "VABlockState", page_table) -> VABlockPhase:
+    """``block``'s :class:`VABlockPhase`, from its chunk and ``page_table``."""
+    if block.gpu_chunk is None:
+        return VABlockPhase.REGISTERED
+    if page_table.has_pages(block.block_id):
+        return VABlockPhase.RESIDENT
+    return VABlockPhase.ALLOCATED
+
+
+@dataclass(eq=False)
 class VABlockState:
     """Driver-side state for one 2 MiB VABlock."""
 
     block_id: int
-    #: Global page ids belonging to a managed allocation within this block
-    #: (a tail block may be partial).
-    valid_pages: Set[int]
+    #: Bool mask over the block's 512 pages: True where a managed
+    #: allocation covers the page (a tail block may be partial).
+    valid_pages: np.ndarray
     #: Physical chunk id on the device, or None.
     gpu_chunk: Optional[int] = None
-    #: Pages currently GPU-resident.
-    resident_pages: Set[int] = field(default_factory=set)
     #: Compulsory DMA/radix state created (once per block lifetime).
     dma_initialized: bool = False
     #: Number of times this block has been evicted.
@@ -93,9 +108,6 @@ class VABlockState:
     #: host mappings stay intact and host copies stay valid; a GPU write
     #: collapses the duplication (costing the deferred unmap).
     read_mostly: bool = False
-    #: Pages direct-mapped to the device (cudaMemAdviseSetAccessedBy):
-    #: accessed remotely over the interconnect, never faulted or migrated.
-    remote_pages: Set[int] = field(default_factory=set)
 
     @property
     def first_page(self) -> int:
@@ -103,20 +115,15 @@ class VABlockState:
 
     @property
     def num_valid_pages(self) -> int:
-        return len(self.valid_pages)
+        return int(np.count_nonzero(self.valid_pages))
+
+    def valid_page_ids(self) -> List[int]:
+        """The block's valid pages as global page ids, ascending."""
+        return (self.first_page + np.flatnonzero(self.valid_pages)).tolist()
 
     @property
     def is_gpu_allocated(self) -> bool:
         return self.gpu_chunk is not None
-
-    @property
-    def phase(self) -> VABlockPhase:
-        """Current :class:`VABlockPhase`, derived from chunk + residency."""
-        if self.gpu_chunk is None:
-            return VABlockPhase.REGISTERED
-        if self.resident_pages:
-            return VABlockPhase.RESIDENT
-        return VABlockPhase.ALLOCATED
 
     def page_offset(self, page: int) -> int:
         return page - self.first_page
@@ -156,23 +163,24 @@ class VABlockManager:
             block_first = first_page_of_vablock(block_id)
             block_end = block_first + PAGES_PER_VABLOCK
             span_end = min(end_page, block_end)
-            pages = set(range(page, span_end))
             state = self._blocks.get(block_id)
             if state is None:
-                state = VABlockState(block_id=block_id, valid_pages=pages)
+                state = VABlockState(
+                    block_id=block_id,
+                    valid_pages=np.zeros(PAGES_PER_VABLOCK, dtype=bool),
+                )
                 self._blocks[block_id] = state
                 created.append(state)
-            else:
-                state.valid_pages |= pages
+            state.valid_pages[page - block_first:span_end - block_first] = True
             page = span_end
         return created
 
-    def valid_pages_by_block(self) -> Dict[int, Set[int]]:
+    def valid_pages_by_block(self) -> Dict[int, np.ndarray]:
         """Every block's ``valid_pages``, by block id."""
         return {block_id: b.valid_pages for block_id, b in self._blocks.items()}
 
-    def set_valid_pages(self, pages_by_block: Dict[int, Set[int]]) -> None:
-        """Install :meth:`valid_pages_by_block`'s sets on the blocks."""
+    def set_valid_pages(self, pages_by_block: Dict[int, np.ndarray]) -> None:
+        """Install :meth:`valid_pages_by_block`'s masks on the blocks."""
         for block_id, pages in pages_by_block.items():
             self._blocks[block_id].valid_pages = pages
 
@@ -185,13 +193,7 @@ class VABlockManager:
     def blocks(self) -> Iterable[VABlockState]:
         return self._blocks.values()
 
-    def gpu_resident_blocks(self) -> List[VABlockState]:
-        return [b for b in self._blocks.values() if b.is_gpu_allocated]
-
     def next_stamp(self) -> int:
         """Monotonic stamp for GPU-allocation ordering (LRU)."""
         self._stamp += 1
         return self._stamp
-
-    def total_resident_pages(self) -> int:
-        return sum(len(b.resident_pages) for b in self._blocks.values())

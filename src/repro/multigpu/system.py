@@ -207,7 +207,6 @@ class MultiGpuSystem:
             return
         self.clock.advance(engine._d2h_with_retry(contiguous_runs(resident)))
         engine.device.page_table.unmap_pages(resident)
-        engine.driver.discard_resident(resident)
         self.host_vm.mark_valid(resident)
 
     def _migrate_between(self, src_id: int, dst_id: int, pages: List[int]) -> None:
@@ -229,9 +228,8 @@ class MultiGpuSystem:
         runs = contiguous_runs(resident)
         nbytes = len(resident) * PAGE_SIZE
 
-        # Release the source side (page tables, block residency).
+        # Release the source side's page table.
         src.device.page_table.unmap_pages(resident)
-        src.driver.discard_resident(resident)
         self.host_vm.mark_valid(resident)
 
         t_migrate = self.clock.now
@@ -285,14 +283,8 @@ class MultiGpuSystem:
         """The ``uvm_peer_*`` families, read from :attr:`peer_stats` (each
         device's engine folds its own families into the shared registry)."""
         stats = self.peer_stats
-        pages = metrics.counter(
-            "uvm_peer_pages_total", "Pages moved between devices", labels=("mode",)
-        )
-        usec = metrics.counter(
-            "uvm_peer_time_usec_total",
-            "Simulated time spent on cross-device migration",
-            labels=("mode",),
-        )
+        pages = metrics.counter("uvm_peer_pages_total", labels=("mode",))
+        usec = metrics.counter("uvm_peer_time_usec_total", labels=("mode",))
         for mode, num_pages, mode_usec in (
             ("peer", stats.peer_pages, stats.peer_usec),
             ("bounce", stats.bounce_pages, stats.bounce_usec),

@@ -7,9 +7,9 @@ run, complementing the per-batch :class:`~repro.core.batch_record.BatchRecord`.
 
 Design goals:
 
-* **near-zero cost when disabled** — a disabled registry hands out a shared
-  null instrument whose ``inc``/``set``/``observe`` are no-ops, so call
-  sites cache their handles once and never branch;
+* **one description per family** — a family's help text is its
+  :data:`~repro.obs.catalog.METRIC_CATALOG` entry, so the ``# HELP`` line
+  and the catalog cannot disagree;
 * **labeled series** — a family (one metric name) holds one child per label
   tuple, Prometheus-style (``uvm_pages_total{op="evicted"}``);
 * **machine-readable export** — :meth:`MetricsRegistry.snapshot` returns a
@@ -23,6 +23,7 @@ from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from .catalog import METRIC_CATALOG
 
 #: Default histogram buckets for microsecond durations (fault-path scale:
 #: tens of µs for small batches up to multi-ms eviction storms).
@@ -222,9 +223,11 @@ class MetricsRegistry:
     """Registry of metric families; the run's aggregate instrument panel.
 
     >>> reg = MetricsRegistry()
-    >>> reg.counter("uvm_batches_total", "Batches serviced").inc()
+    >>> reg.counter("uvm_batches_total", labels=("kind",)).labels("fault").inc()
     >>> reg.snapshot()["uvm_batches_total"]["series"][0]["value"]
     1.0
+    >>> reg.snapshot()["uvm_batches_total"]["help"]
+    'Batches through the servicing path'
     """
 
     def __init__(self) -> None:
@@ -252,10 +255,11 @@ class MetricsRegistry:
         self,
         name: str,
         kind: str,
-        help: str,
         labels: Sequence[str],
         buckets: Optional[Sequence[float]] = None,
     ):
+        """Get or create family ``name``; its help text is its catalog
+        entry's (empty for an undeclared name)."""
         family = self._families.get(name)
         if family is not None:
             if family.kind != kind:
@@ -263,25 +267,25 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {family.kind}"
                 )
             return family
+        help = METRIC_CATALOG.get(name, {}).get("help", "")
         family = MetricFamily(name, kind, help, labels, buckets)
         self._families[name] = family
         return family
 
-    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()):
+    def counter(self, name: str, labels: Sequence[str] = ()):
         """Get or create a counter family."""
-        return self._register(name, "counter", help, labels)
+        return self._register(name, "counter", labels)
 
-    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()):
-        return self._register(name, "gauge", help, labels)
+    def gauge(self, name: str, labels: Sequence[str] = ()):
+        return self._register(name, "gauge", labels)
 
     def histogram(
         self,
         name: str,
-        help: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_TIME_BUCKETS_USEC,
     ):
-        return self._register(name, "histogram", help, labels, buckets)
+        return self._register(name, "histogram", labels, buckets)
 
     # --------------------------------------------------------------- export
 

@@ -5,7 +5,9 @@
 stream as its block's generator state plus a cursor), fault buffer, µTLBs,
 SM/warp scheduling state, page table, chunk allocator, copy-engine counters,
 host VM/DMA state, the driver's VABlock manager and batch log, and the
-in-flight launch progress.  A capture costs what changed since the one
+in-flight launch progress.  Residency is captured once: the GPU page
+table's page sets are the only record of which pages are mapped, and no
+VABlock holds a copy.  A capture costs what changed since the one
 before it.  A checkpoint holds:
 
 * the **programs** of the current launch (``Engine._programs``), by
@@ -15,10 +17,9 @@ before it.  A checkpoint holds:
   only for :meth:`~EngineCheckpoint.to_bytes`;
 * the **part pickles** — state that is large and rarely written, each
   pickled on its own (:data:`_PARTS`): the DMA reverse radix tree, the host
-  VM's first-touch map, every VABlock's valid pages, and the density
-  prefetcher's mask cache.  Each part's owner bumps a ``version`` counter
-  on every write to it, and a capture reuses the previous capture's bytes
-  for each part whose version held;
+  VM's first-touch map and every VABlock's valid-page mask.  Each part's
+  owner bumps a ``version`` counter on every write to it, and a capture
+  reuses the previous capture's bytes for each part whose version held;
 * the **state pickle** — everything else, made on each capture.  It names
   a launch program by its index in the program table (through the
   pickler's ``dispatch_table``), so a capture's cost tracks the live
@@ -94,7 +95,6 @@ _SKIP_EXTRA: Dict[str, frozenset] = {
     "gmmu": frozenset({"buffer"}),
     "dma": frozenset({"reverse"}),
     "host_vm": frozenset({"touch_thread"}),
-    "prefetcher": frozenset({"_valid_masks"}),
 }
 
 
@@ -157,10 +157,9 @@ def _restore_many(objs: Sequence, state: Tuple[tuple, List[tuple]]) -> None:
 class _Part(NamedTuple):
     """Component state that is large and rarely changes, pickled on its own.
 
-    ``owner(engine)`` is the component holding it, or None when the engine's
-    component has no such state; the owner's ``version`` counter is bumped
-    by every write to the part, so a capture re-pickles the part only when
-    the version moved since the previous capture."""
+    ``owner(engine)`` is the component holding it; the owner's ``version``
+    counter is bumped by every write to the part, so a capture re-pickles
+    the part only when the version moved since the previous capture."""
 
     owner: Callable[[object], object]
     get: Callable[[object], object]
@@ -175,11 +174,6 @@ def _attr_part(owner: Callable[[object], object], name: str) -> _Part:
     )
 
 
-def _density_prefetcher(engine):
-    prefetcher = engine.driver.prefetcher
-    return prefetcher if hasattr(prefetcher, "_valid_masks") else None
-
-
 #: The parts a checkpoint pickles apart from its state pickle, by name.
 #: Each shares no object with the state or with another part.
 _PARTS: Dict[str, _Part] = {
@@ -187,14 +181,12 @@ _PARTS: Dict[str, _Part] = {
     "dma.reverse": _attr_part(operator.attrgetter("dma"), "reverse"),
     # First-touch thread of each host page: written by fresh CPU touches.
     "host_vm.touch_thread": _attr_part(operator.attrgetter("host_vm"), "touch_thread"),
-    # Every VABlock's valid pages: written by allocation registration.
+    # Every VABlock's valid-page mask: written by allocation registration.
     "vablocks.valid_pages": _Part(
         operator.attrgetter("driver.vablocks"),
         lambda vablocks: vablocks.valid_pages_by_block(),
         lambda vablocks, pages: vablocks.set_valid_pages(pages),
     ),
-    # The density prefetcher's valid-page mask cache: written on a miss.
-    "prefetcher.valid_masks": _attr_part(_density_prefetcher, "_valid_masks"),
 }
 
 #: A part's name -> (its owner's version at the pickle, the pickle).
@@ -207,8 +199,6 @@ def _pickle_parts(engine, previous: PartPickles) -> PartPickles:
     parts: PartPickles = {}
     for name, part in _PARTS.items():
         owner = part.owner(engine)
-        if owner is None:
-            continue
         entry = previous.get(name)
         if entry is None or entry[0] != owner.version:
             entry = (owner.version, pickle.dumps(part.get(owner), protocol=_PROTOCOL))
@@ -274,7 +264,6 @@ def _build_state(engine) -> dict:
         "vablocks": driver.vablocks,
         "driver": {name: getattr(driver, name) for name in _DRIVER_ATTRS},
         "eviction": _capture_obj(driver.eviction),
-        "prefetcher": _capture_obj(driver.prefetcher, _SKIP_EXTRA["prefetcher"]),
         "injector": engine.injector.snapshot(),
     }
 
@@ -433,7 +422,6 @@ class EngineCheckpoint:
         for name in _DRIVER_ATTRS:
             setattr(driver, name, state["driver"][name])
         _restore_obj(driver.eviction, state["eviction"])
-        _restore_obj(driver.prefetcher, state["prefetcher"])
         for name, (_, blob) in self._parts.items():
             part = _PARTS[name]
             part.put(part.owner(engine), pickle.loads(blob))

@@ -269,17 +269,16 @@ class Engine:
         if thread_of is None:
             thread_of = lambda page: 0
         try:
-            is_remote = self.driver.is_remote_mapped
+            page_table = self.device.page_table
             resident = [
                 p
                 for p in pages
-                if self.device.page_table.is_resident(p) and not is_remote(p)
+                if p in page_table.resident and p not in page_table.remote
             ]
             if resident:
                 resident.sort()
                 self.clock.advance(self._d2h_with_retry(contiguous_runs(resident)))
-                self.device.page_table.unmap_pages(resident)
-                self.driver.discard_resident(resident)
+                page_table.unmap_pages(resident)
                 self.host_vm.mark_valid(resident)
             self.host_vm.cpu_touch(pages, thread_of)
             self.clock.advance(self.host_cpu.touch_cost_usec(len(pages)))
@@ -452,57 +451,37 @@ class Engine:
         :attr:`counters`, the injector's crash and recovery counts, and the
         sanitizer's violations)."""
         records = self.driver.log.records
-        batches = metrics.counter(
-            "uvm_batches_total", "Batches through the servicing path", labels=("kind",)
-        )
+        batches = metrics.counter("uvm_batches_total", labels=("kind",))
         hinted = sum(1 for r in records if r.hinted)
         batches.labels("fault").inc(len(records) - hinted)
         batches.labels("hinted").inc(hinted)
-        faults = metrics.counter(
-            "uvm_faults_total", "Faults fetched from the HW buffer", labels=("kind",)
-        )
+        faults = metrics.counter("uvm_faults_total", labels=("kind",))
         faults.labels("raw").inc(sum(r.num_faults_raw for r in records))
         faults.labels("unique").inc(sum(r.num_faults_unique for r in records))
         faults.labels("duplicate").inc(sum(r.duplicate_count for r in records))
         faults.labels("dropped").inc(sum(r.dropped_at_flush for r in records))
-        pages = metrics.counter(
-            "uvm_pages_total", "Pages handled on the fault path", labels=("op",)
-        )
+        pages = metrics.counter("uvm_pages_total", labels=("op",))
         pages.labels("migrated_h2d").inc(sum(r.pages_migrated_h2d for r in records))
         pages.labels("populated").inc(sum(r.pages_populated for r in records))
         pages.labels("prefetched").inc(sum(r.pages_prefetched for r in records))
         pages.labels("unmapped").inc(sum(r.pages_unmapped for r in records))
         pages.labels("evicted").inc(sum(r.pages_evicted for r in records))
-        metrics.counter(
-            "uvm_evictions_total",
-            "VABlocks evicted from device memory",
-            labels=("policy",),
-        ).labels(self.driver.eviction.name).inc(sum(r.evictions for r in records))
-        moved = metrics.counter(
-            "uvm_bytes_total", "Bytes migrated over the interconnect", labels=("dir",)
-        )
+        metrics.counter("uvm_evictions_total", labels=("policy",)).labels(
+            self.driver.eviction.name
+        ).inc(sum(r.evictions for r in records))
+        moved = metrics.counter("uvm_bytes_total", labels=("dir",))
         moved.labels("h2d").inc(sum(r.bytes_h2d for r in records))
         moved.labels("d2h").inc(sum(r.bytes_d2h for r in records))
-        hostos = metrics.counter(
-            "uvm_hostos_total", "Host-OS operations on the fault path", labels=("op",)
-        )
+        hostos = metrics.counter("uvm_hostos_total", labels=("op",))
         hostos.labels("unmap_calls").inc(sum(r.unmap_calls for r in records))
         hostos.labels("dma_mappings").inc(sum(r.dma_mappings_created for r in records))
         hostos.labels("radix_nodes").inc(sum(r.radix_nodes_allocated for r in records))
-        batch_usec = metrics.histogram(
-            "uvm_batch_service_usec", "Batch servicing time (simulated µs)"
-        )
-        batch_faults = metrics.histogram(
-            "uvm_batch_faults", "Raw faults per batch", buckets=DEFAULT_COUNT_BUCKETS
-        )
+        batch_usec = metrics.histogram("uvm_batch_service_usec")
+        batch_faults = metrics.histogram("uvm_batch_faults", buckets=DEFAULT_COUNT_BUCKETS)
         for r in records:
             batch_usec.observe(r.duration)
             batch_faults.observe(r.num_faults_raw)
-        retries = metrics.counter(
-            "uvm_retries_total",
-            "Driver retries after transient fault-path failures",
-            labels=("site",),
-        )
+        retries = metrics.counter("uvm_retries_total", labels=("site",))
         retries.labels("dma").inc(sum(r.retries_dma for r in records))
         retries.labels("populate").inc(sum(r.retries_populate for r in records))
         # The ce site counts in-batch transfer retries and CPU-touch D2H ones.
@@ -511,31 +490,24 @@ class Engine:
         )
         counters = self.counters
 
-        def total(name: str, text: str, count: int) -> None:
+        def total(name: str, count: int) -> None:
             # A label-less counter's one series appears with its first event.
-            family = metrics.counter(name, text)
+            family = metrics.counter(name)
             if count:
                 family.inc(count)
 
         total(
             "uvm_ce_failovers_total",
-            "Copy-engine failovers after stuck bursts",
             sum(r.ce_failovers for r in records) + counters.d2h_failovers,
         )
-        total("uvm_kernels_total", "Kernel launches run", len(counters.kernel_usec))
-        total("uvm_engine_rounds_total", "GPU fault-generation rounds", counters.rounds)
-        total("uvm_bundles_written_total", "Crash bundles written", counters.bundles)
-        kernel_usec = metrics.histogram(
-            "uvm_kernel_time_usec", "Kernel wall time (simulated µs)"
-        )
+        total("uvm_kernels_total", len(counters.kernel_usec))
+        total("uvm_engine_rounds_total", counters.rounds)
+        total("uvm_bundles_written_total", counters.bundles)
+        kernel_usec = metrics.histogram("uvm_kernel_time_usec")
         for usec in counters.kernel_usec:
             kernel_usec.observe(usec)
-        ce_bytes = metrics.counter(
-            "uvm_ce_bytes_total", "Bytes moved by the copy engines", labels=("dir",)
-        )
-        ce_bursts = metrics.counter(
-            "uvm_ce_bursts_total", "Copy-engine burst operations", labels=("dir",)
-        )
+        ce_bytes = metrics.counter("uvm_ce_bytes_total", labels=("dir",))
+        ce_bursts = metrics.counter("uvm_ce_bursts_total", labels=("dir",))
         for ce in self.device.copy_engines:
             for direction, bursts, nbytes in (
                 ("h2d", ce.bursts_h2d, ce.bytes_h2d),
@@ -544,31 +516,18 @@ class Engine:
                 if bursts:
                     ce_bursts.labels(direction).inc(bursts)
                     ce_bytes.labels(direction).inc(nbytes)
-        degrade = metrics.counter(
-            "uvm_degrade_total", "Graceful degradations on the fault path", labels=("kind",)
-        )
+        degrade = metrics.counter("uvm_degrade_total", labels=("kind",))
+        degrade.labels("prefetch-fallback").inc(sum(r.prefetch_fallbacks for r in records))
         for kind, count in self.driver.degradations.items():
             degrade.labels(kind).inc(count)
-        metrics.gauge(
-            "uvm_resident_vablocks", "GPU-allocated VABlocks tracked by the eviction policy"
-        ).inc(len(self.driver.eviction))
+        metrics.gauge("uvm_resident_vablocks").inc(len(self.driver.eviction))
         if self.injector.enabled:
-            injected = metrics.counter(
-                "uvm_injected_total", "Injected faults by site", labels=("site",)
-            )
+            injected = metrics.counter("uvm_injected_total", labels=("site",))
             for site, count in sorted(self.injector.fired_by_site().items()):
                 injected.labels(site).inc(count)
-            total(
-                "uvm_crash_recoveries_total",
-                "Injected crashes recovered from a checkpoint",
-                self.injector.recoveries,
-            )
+            total("uvm_crash_recoveries_total", self.injector.recoveries)
         if self.sanitizer.enabled:
-            violations = metrics.counter(
-                "uvm_san_violations_total",
-                "UVMSan invariant violations detected",
-                labels=("rule",),
-            )
+            violations = metrics.counter("uvm_san_violations_total", labels=("rule",))
             for rule, count in self.sanitizer.violations_by_rule.items():
                 violations.labels(rule).inc(count)
 

@@ -1,8 +1,8 @@
 """Run validation: invariant checks over a simulated system and its log.
 
 A production simulator needs a way to *prove a run made sense*.  This module
-checks the cross-cutting invariants the design guarantees — residency
-consistency between the driver's VABlock state and the GPU page table,
+checks the cross-cutting invariants the design guarantees — every GPU
+page-table mapping inside a registered VABlock's valid range,
 physical-memory accounting, fault conservation through the hardware buffer,
 and per-record timing sanity — and reports violations instead of silently
 producing plausible-looking numbers.
@@ -50,14 +50,16 @@ def _block_scan(system: UvmSystem, rule: str) -> List[Violation]:
 
 
 def check_residency_consistency(system: UvmSystem) -> List[Violation]:
-    """Driver block state and GPU page table must agree exactly."""
+    """Every GPU page-table page must lie in a registered VABlock's valid
+    range."""
     return _block_scan(system, "residency")
 
 
 def check_memory_accounting(system: UvmSystem) -> List[Violation]:
     """Chunk usage must equal allocated blocks; capacity must hold."""
     out = _block_scan(system, "memory")
-    migrated = system.engine.driver.vablocks.total_resident_pages()
+    page_table = system.engine.device.page_table
+    migrated = len(page_table.resident) - len(page_table.remote)
     capacity = system.config.gpu.memory_bytes // PAGE_SIZE
     if migrated > capacity:
         out.append(
@@ -100,9 +102,10 @@ def check_host_state(system: UvmSystem) -> List[Violation]:
     out: List[Violation] = []
     host_vm = system.engine.host_vm
     driver = system.engine.driver
+    page_table = system.engine.device.page_table
     for block in driver.vablocks.blocks():
         counted = host_vm.mapped_pages_of(block.block_id)
-        if counted != len(host_vm.mapped.intersection(block.valid_pages)):
+        if counted != len(host_vm.mapped.intersection(block.valid_page_ids())):
             out.append(
                 Violation(
                     "host-state",
@@ -112,7 +115,7 @@ def check_host_state(system: UvmSystem) -> List[Violation]:
             )
         if block.read_mostly:
             continue
-        overlap = host_vm.mapped & block.resident_pages
+        overlap = host_vm.mapped.intersection(page_table.pages_of(block.block_id))
         if overlap:
             sample = next(iter(overlap))
             out.append(

@@ -159,9 +159,6 @@ def assert_reconciles(system):
         metric_value(snap, "uvm_ce_failovers_total")
         == total("ce_failovers") + engine.counters.d2h_failovers
     )
-    assert metric_value(snap, "uvm_degrade_total", kind="prefetch-fallback") == total(
-        "prefetch_fallbacks"
-    )
     assert metric_value(snap, "uvm_degrade_total", kind="dma-defer") + metric_value(
         snap, "uvm_degrade_total", kind="transfer-defer"
     ) == total("blocks_deferred")

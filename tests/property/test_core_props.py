@@ -1,7 +1,10 @@
 """Property-based tests for core driver data structures: batch assembly,
-LRU eviction, fault buffer, prefetcher, and region arithmetic."""
+LRU eviction, fault buffer, prefetcher, the page table's per-VABlock reads,
+and region arithmetic."""
 
 from collections import Counter, OrderedDict
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +13,10 @@ from repro.core.batch import assemble_batch
 from repro.core.eviction import LruEvictionPolicy
 from repro.core.prefetch import DensityPrefetcher
 from repro.core.residency import region_upgrade
-from repro.core.vablock import VABlockState
 from repro.gpu.fault import AccessType, Fault, FaultArrays
 from repro.gpu.fault_buffer import FaultBuffer
+from repro.gpu.page_table import GpuPageTable
+from tests.blocks import make_block, page_table_with
 from tests.property.fault_oracle import write
 from repro.units import PAGES_PER_REGION, PAGES_PER_VABLOCK
 
@@ -147,21 +151,20 @@ class TestPrefetcherProps:
     )
     @settings(max_examples=50)
     def test_expansion_within_block_and_disjoint(self, fault_offsets, resident_offsets):
-        block = VABlockState(
-            block_id=0, valid_pages=set(range(PAGES_PER_VABLOCK))
-        )
-        block.resident_pages = set(resident_offsets)
+        block = make_block()
         faulted = [o for o in fault_offsets]
-        expanded = DensityPrefetcher().expand(block, faulted)
-        assert expanded <= block.valid_pages
+        page_table = page_table_with(resident_offsets)
+        expanded = DensityPrefetcher().expand(block, faulted, page_table)
+        assert expanded <= set(block.valid_page_ids())
         assert not (expanded & set(faulted))
-        assert not (expanded & block.resident_pages)
+        assert not (expanded & page_table.resident)
 
     @given(st.sets(st.integers(0, PAGES_PER_VABLOCK - 1), min_size=1, max_size=64))
     @settings(max_examples=50)
     def test_expansion_covers_region_upgrade(self, fault_offsets):
-        block = VABlockState(block_id=0, valid_pages=set(range(PAGES_PER_VABLOCK)))
-        expanded = DensityPrefetcher().expand(block, list(fault_offsets))
+        expanded = DensityPrefetcher().expand(
+            make_block(), list(fault_offsets), page_table_with()
+        )
         upgraded = region_upgrade(fault_offsets) - fault_offsets
         assert upgraded <= expanded
 
@@ -169,12 +172,45 @@ class TestPrefetcherProps:
     @settings(max_examples=30)
     def test_monotone_in_threshold(self, fault_offsets):
         """A laxer threshold never prefetches less."""
-        block = lambda: VABlockState(
-            block_id=0, valid_pages=set(range(PAGES_PER_VABLOCK))
-        )
-        strict = DensityPrefetcher(threshold=0.9).expand(block(), list(fault_offsets))
-        lax = DensityPrefetcher(threshold=0.3).expand(block(), list(fault_offsets))
+        faulted = list(fault_offsets)
+        strict = DensityPrefetcher(threshold=0.9).expand(make_block(), faulted, page_table_with())
+        lax = DensityPrefetcher(threshold=0.3).expand(make_block(), faulted, page_table_with())
         assert strict <= lax
+
+
+#: One page-table operation over the pages of three VABlocks: migrate
+#: (``map``), direct-map (``remote``) or ``unmap`` some pages.
+page_op_st = st.tuples(
+    st.sampled_from(("map", "remote", "unmap")),
+    st.lists(st.integers(0, 3 * PAGES_PER_VABLOCK - 1), max_size=40),
+)
+
+
+class TestPageTableReadProps:
+    @given(st.lists(page_op_st, max_size=20))
+    @settings(max_examples=60)
+    def test_block_reads_match_brute_force(self, ops):
+        pt = GpuPageTable()
+        for op, pages in ops:
+            if op == "map":
+                pt.map_pages(pages)
+            elif op == "remote":
+                # The driver direct-maps only pages the device does not map.
+                pt.map_remote([p for p in pages if p not in pt.resident])
+            else:
+                pt.unmap_pages(pages)
+        assert pt.remote <= pt.resident
+        for block_id in range(3):
+            first = block_id * PAGES_PER_VABLOCK
+            span = range(first, first + PAGES_PER_VABLOCK)
+            mapped = [p for p in span if p in pt.resident]
+            migrated = [p for p in mapped if p not in pt.remote]
+            assert pt.pages_of(block_id) == migrated
+            assert pt.count_of(block_id) == len(migrated)
+            assert pt.has_pages(block_id) == bool(migrated)
+            mask = pt.mask_of(block_id)
+            assert mask.dtype == bool and mask.shape == (PAGES_PER_VABLOCK,)
+            assert (first + np.flatnonzero(mask)).tolist() == mapped
 
 
 class TestRegionUpgradeProps:

@@ -203,7 +203,7 @@ class TestRuntimeAgreement:
 
     def test_validate_registry_catches_an_imposter(self, metered_system):
         registry = metered_system.metrics
-        registry.counter("uvm_imposter_total", "not in the catalog").inc()
+        registry.counter("uvm_imposter_total").inc()
         problems = validate_registry(registry)
         assert any("uvm_imposter_total" in p for p in problems)
 
@@ -212,6 +212,17 @@ class TestCatalogCoverage:
     def test_runs_emit_exactly_the_catalog(self, coverage_runs):
         problems = coverage_problems(coverage_runs)
         assert problems == [], "\n".join(problems)
+
+    def test_every_help_line_is_its_catalog_entry(self, coverage_runs):
+        for run in coverage_runs:
+            text = run.registry.to_prometheus()
+            helps = dict(
+                line[len("# HELP "):].split(" ", 1)
+                for line in text.splitlines()
+                if line.startswith("# HELP ")
+            )
+            for name in run.registry.snapshot():
+                assert helps.get(name) == METRIC_CATALOG[name]["help"], (run.label, name)
 
     def test_declared_but_unemitted_entry_fails(self, coverage_runs, monkeypatch):
         monkeypatch.setitem(
@@ -226,7 +237,7 @@ class TestCatalogCoverage:
 
     def test_emitted_but_undeclared_entry_fails(self, coverage_runs):
         system = UvmSystem(default_config())
-        system.metrics.counter("uvm_undeclared_total", "not in the catalog").inc()
+        system.metrics.counter("uvm_undeclared_total").inc()
         problems = coverage_problems(coverage_runs + [observed("mutant", system)])
         assert any(
             "uvm_undeclared_total" in p and "undeclared" in p for p in problems

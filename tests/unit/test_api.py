@@ -57,7 +57,7 @@ class TestManagedAlloc:
     def test_registered_with_driver(self, small_system):
         alloc = small_system.managed_alloc(PAGE_SIZE)
         block = small_system.driver.vablocks.get_for_page(alloc.page(0))
-        assert alloc.page(0) in block.valid_pages
+        assert alloc.page(0) in block.valid_page_ids()
 
 
 class TestHostTouch:

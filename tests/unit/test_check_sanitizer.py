@@ -9,7 +9,7 @@ import pytest
 from repro.api import UvmSystem
 from repro.check.sanitizer import NULL_SANITIZER, Sanitizer, make_sanitizer
 from repro.config import CheckConfig, default_config
-from repro.core.vablock import VABlockPhase, VABlockState, legal_transition
+from repro.core.vablock import VABlockPhase, legal_transition, phase_of
 from repro.errors import InvariantViolation
 from repro.gpu.fault_buffer import FaultBuffer
 from repro.gpu.utlb import UTlb
@@ -17,6 +17,7 @@ from repro.gpu.warp import KernelLaunch, Phase, WarpProgram
 from repro.sim.clock import SimClock
 from repro.units import MB, PAGE_SIZE, PAGES_PER_VABLOCK
 from repro.workloads import VecAddPageStride
+from tests.blocks import make_block, page_table_with
 from tests.property.fault_oracle import write, write_window
 
 
@@ -61,12 +62,15 @@ class TestPhaseMachine:
         assert legal_transition(VABlockPhase.RESIDENT, VABlockPhase.REGISTERED)
 
     def test_phase_derived_from_state(self):
-        block = VABlockState(block_id=0, valid_pages={0, 1})
-        assert block.phase is VABlockPhase.REGISTERED
+        block = make_block(valid_pages={0, 1})
+        page_table = page_table_with()
+        assert phase_of(block, page_table) is VABlockPhase.REGISTERED
         block.gpu_chunk = 3
-        assert block.phase is VABlockPhase.ALLOCATED
-        block.resident_pages = {0}
-        assert block.phase is VABlockPhase.RESIDENT
+        assert phase_of(block, page_table) is VABlockPhase.ALLOCATED
+        page_table.map_remote([1])
+        assert phase_of(block, page_table) is VABlockPhase.ALLOCATED
+        page_table.map_pages([0])
+        assert phase_of(block, page_table) is VABlockPhase.RESIDENT
 
 
 class TestUtlbRule:
@@ -159,56 +163,52 @@ class TestCopyEngineRule:
 
 class TestBlockEvents:
     def _block(self, block_id=0, chunk=1, stamp=1):
-        return VABlockState(
-            block_id=block_id, valid_pages={0, 1}, gpu_chunk=chunk,
-            alloc_stamp=stamp,
+        return make_block(
+            block_id, valid_pages={0, 1}, gpu_chunk=chunk, alloc_stamp=stamp,
         )
 
     def test_alloc_without_chunk_fires(self):
         san = make_san()
         block = self._block(chunk=None)
         with pytest.raises(InvariantViolation, match="without a chunk"):
-            san.on_block_allocated(block)
+            san.on_block_allocated(block, page_table_with())
 
     def test_alloc_with_resident_pages_fires(self):
         san = make_san()
-        block = self._block()
-        block.resident_pages = {0}
         with pytest.raises(InvariantViolation, match="already resident"):
-            san.on_block_allocated(block)
+            san.on_block_allocated(self._block(), page_table_with([0]))
 
     def test_stamp_must_be_monotonic(self):
         san = make_san()
-        san.on_block_allocated(self._block(block_id=0, stamp=5))
+        san.on_block_allocated(self._block(block_id=0, stamp=5), page_table_with())
         with pytest.raises(InvariantViolation, match="not monotonic"):
-            san.on_block_allocated(self._block(block_id=1, stamp=5))
+            san.on_block_allocated(self._block(block_id=1, stamp=5), page_table_with())
 
     def test_evict_with_chunk_still_held_fires(self):
         san = make_san()
         block = self._block()
         block.evict_count = 1
         with pytest.raises(InvariantViolation, match="still holds chunk"):
-            san.on_block_evicted(block)
+            san.on_block_evicted(block, page_table_with())
 
     def test_evict_with_resident_pages_fires(self):
         san = make_san()
         block = self._block(chunk=None)
-        block.resident_pages = {0}
         block.evict_count = 1
         with pytest.raises(InvariantViolation, match="still resident"):
-            san.on_block_evicted(block)
+            san.on_block_evicted(block, page_table_with([0]))
 
     def test_evict_without_count_fires(self):
         san = make_san()
         block = self._block(chunk=None)
         with pytest.raises(InvariantViolation, match="evict_count"):
-            san.on_block_evicted(block)
+            san.on_block_evicted(block, page_table_with())
 
     def test_double_allocation_is_illegal_transition(self):
         san = make_san()
-        san.on_block_allocated(self._block(stamp=1))
+        san.on_block_allocated(self._block(stamp=1), page_table_with())
         with pytest.raises(InvariantViolation, match="illegal transition"):
-            san.on_block_allocated(self._block(stamp=2))
+            san.on_block_allocated(self._block(stamp=2), page_table_with())
 
 
 class TestSystemScans:
@@ -220,8 +220,9 @@ class TestSystemScans:
         san._scan_blocks(system.engine.driver)
 
     def _resident_block(self, system):
+        page_table = system.engine.device.page_table
         for block in system.engine.driver.vablocks.blocks():
-            if block.resident_pages:
+            if page_table.has_pages(block.block_id):
                 return block
         raise AssertionError("run left no resident block to corrupt")
 
@@ -231,14 +232,6 @@ class TestSystemScans:
 
     def test_orphaned_page_table_entry(self, sanitized_system):
         sanitized_system.engine.device.page_table.map_pages([10_000_000])
-        self._scan(sanitized_system)
-        rules = {v.rule for v in sanitized_system.sanitizer.violations}
-        assert "residency" in rules
-
-    def test_tracked_page_missing_from_page_table(self, sanitized_system):
-        block = self._resident_block(sanitized_system)
-        page = next(iter(block.resident_pages))
-        sanitized_system.engine.device.page_table.unmap_pages([page])
         self._scan(sanitized_system)
         rules = {v.rule for v in sanitized_system.sanitizer.violations}
         assert "residency" in rules
@@ -254,8 +247,8 @@ class TestSystemScans:
 
     def test_resident_page_outside_valid_range(self, sanitized_system):
         block = self._resident_block(sanitized_system)
-        stray = max(block.valid_pages) + 1
-        block.resident_pages.add(stray)
+        stray = block.valid_page_ids()[-1] + 1
+        assert stray not in sanitized_system.engine.device.page_table.resident
         sanitized_system.engine.device.page_table.map_pages([stray])
         self._scan(sanitized_system)
         rules = {v.rule for v in sanitized_system.sanitizer.violations}
@@ -281,10 +274,7 @@ class TestSystemScans:
 # Each corruption is (precondition on the block, the corruption, the rule
 # it breaks, whether the violation names the block).  The sweeps below
 # never touch the last page of a VABlock, so a corruption may map that page
-# without a warp waiting on it; a page far past every allocation stands in
-# for a page no VABlock owns.
-
-_NO_BLOCK_PAGE = 10_000_000
+# without a warp waiting on it.
 
 
 def _lower_allocated(engine, block):
@@ -295,21 +285,13 @@ def _lower_allocated(engine, block):
     return None
 
 
-def _map_untracked_page(engine, block):
-    engine.device.page_table.map_pages([max(block.valid_pages)])
-
-
-def _unmap_tracked_page(engine, block):
-    engine.device.page_table.unmap_pages([min(block.resident_pages)])
-
-
 def _share_chunk(engine, block):
     block.gpu_chunk = _lower_allocated(engine, block).gpu_chunk
 
 
-def _stray_resident_page(engine, block):
-    block.resident_pages.add(_NO_BLOCK_PAGE)
-    engine.device.page_table.map_pages([_NO_BLOCK_PAGE])
+def _invalidate_mapped_page(engine, block):
+    page = engine.device.page_table.pages_of(block.block_id)[0]
+    block.valid_pages[page - block.first_page] = False
 
 
 def _drop_chunk(engine, block):
@@ -317,40 +299,28 @@ def _drop_chunk(engine, block):
     block.gpu_chunk = None
 
 
-def _remote_map_resident_page(engine, block):
-    block.remote_pages.add(min(block.resident_pages))
-
-
 def _jump_to_resident(engine, block):
-    page = max(block.valid_pages)
     block.gpu_chunk = engine.device.chunks.allocate()
-    block.resident_pages.add(page)
-    engine.device.page_table.map_pages([page])
+    engine.device.page_table.map_pages([block.valid_page_ids()[-1]])
 
 
-def _is_resident(engine, block):
-    return block.phase is VABlockPhase.RESIDENT
+def _phase_is(phase):
+    return lambda engine, block: phase_of(block, engine.device.page_table) is phase
+
+
+_is_resident = _phase_is(VABlockPhase.RESIDENT)
 
 
 CORRUPTIONS = {
-    "orphan-page-table-entry": (
-        lambda engine, block: max(block.valid_pages) not in block.resident_pages,
-        _map_untracked_page, "residency", False,
-    ),
-    "tracked-page-missing": (_is_resident, _unmap_tracked_page, "residency", True),
     "shared-chunk": (
         lambda engine, block: block.is_gpu_allocated
         and _lower_allocated(engine, block) is not None,
         _share_chunk, "memory", True,
     ),
-    "resident-outside-valid": (_is_resident, _stray_resident_page, "residency", True),
+    "resident-outside-valid": (_is_resident, _invalidate_mapped_page, "residency", True),
     "resident-without-chunk": (_is_resident, _drop_chunk, "vablock-state", True),
-    "resident-and-remote": (
-        _is_resident, _remote_map_resident_page, "residency", True,
-    ),
     "illegal-phase-jump": (
-        lambda engine, block: block.phase is VABlockPhase.REGISTERED,
-        _jump_to_resident, "vablock-state", True,
+        _phase_is(VABlockPhase.REGISTERED), _jump_to_resident, "vablock-state", True,
     ),
 }
 
@@ -542,8 +512,8 @@ class TestModesAndContext:
         assert not n.enabled
         n.on_batch_start(None, None)
         n.on_batch_end(None, None)
-        n.on_block_allocated(None)
-        n.on_block_evicted(None)
+        n.on_block_allocated(None, None)
+        n.on_block_evicted(None, None)
         n.on_block_touched(None)
         n.on_utlb(None)
         n.on_fault_buffer(None)

@@ -3,43 +3,34 @@
 import pytest
 
 from repro.core.prefetch import DensityPrefetcher
-from repro.core.vablock import VABlockState
 from repro.units import PAGES_PER_REGION, PAGES_PER_VABLOCK
+from tests.blocks import make_block, page_table_with
 
-
-def make_block(block_id=0, valid_pages=None, resident=None):
-    first = block_id * PAGES_PER_VABLOCK
-    if valid_pages is None:
-        valid_pages = set(range(first, first + PAGES_PER_VABLOCK))
-    state = VABlockState(block_id=block_id, valid_pages=valid_pages)
-    if resident:
-        state.resident_pages = set(resident)
-    return state
+EMPTY = page_table_with()
 
 
 class TestRegionUpgradeBehaviour:
     def test_single_fault_pulls_its_region(self):
         pf = DensityPrefetcher(threshold=0.5)
         block = make_block()
-        expanded = pf.expand(block, [0])
+        expanded = pf.expand(block, [0], EMPTY)
         # The 64 KiB upgrade covers the rest of the first region.
         assert expanded >= set(range(1, PAGES_PER_REGION))
 
     def test_expansion_excludes_faulted_pages(self):
         pf = DensityPrefetcher()
         block = make_block()
-        expanded = pf.expand(block, [3])
+        expanded = pf.expand(block, [3], EMPTY)
         assert 3 not in expanded
 
     def test_expansion_excludes_resident_pages(self):
         pf = DensityPrefetcher()
-        block = make_block(resident=[1, 2])
-        expanded = pf.expand(block, [0])
+        expanded = pf.expand(make_block(), [0], page_table_with([1, 2]))
         assert 1 not in expanded and 2 not in expanded
 
     def test_no_faults_no_expansion(self):
         pf = DensityPrefetcher()
-        assert pf.expand(make_block(), []) == set()
+        assert pf.expand(make_block(), [], EMPTY) == set()
 
 
 class TestDensityTree:
@@ -47,7 +38,7 @@ class TestDensityTree:
         """One fault in one region must not pull the whole block."""
         pf = DensityPrefetcher(threshold=0.51)
         block = make_block()
-        expanded = pf.expand(block, [0])
+        expanded = pf.expand(block, [0], EMPTY)
         # Only the first region (minus the faulted page).
         assert len(expanded) == PAGES_PER_REGION - 1
 
@@ -56,7 +47,7 @@ class TestDensityTree:
         otherwise a single upgraded region would cascade to the full block."""
         pf = DensityPrefetcher(threshold=0.5)
         block = make_block()
-        expanded = pf.expand(block, list(range(PAGES_PER_REGION)))
+        expanded = pf.expand(block, list(range(PAGES_PER_REGION)), EMPTY)
         assert not (set(range(PAGES_PER_REGION, 2 * PAGES_PER_REGION)) & expanded)
 
     def test_beyond_half_promotes_parent(self):
@@ -67,7 +58,7 @@ class TestDensityTree:
         # (16 + 16-upgraded) / 32 = 100 % evidence → promoted, and the
         # 4-region node has 32/64 = 50 % → not promoted.
         faults = list(range(PAGES_PER_REGION)) + [PAGES_PER_REGION]
-        expanded = pf.expand(block, faults)
+        expanded = pf.expand(block, faults, EMPTY)
         assert set(range(PAGES_PER_REGION + 1, 2 * PAGES_PER_REGION)) <= expanded
         assert not (set(range(2 * PAGES_PER_REGION, 4 * PAGES_PER_REGION)) & expanded)
 
@@ -77,13 +68,13 @@ class TestDensityTree:
         # Fault one page in 20 of 32 regions: upgrades give 62.5 % evidence
         # at the root → the whole block is flagged.
         faults = [r * PAGES_PER_REGION for r in range(20)]
-        expanded = pf.expand(block, faults)
+        expanded = pf.expand(block, faults, EMPTY)
         assert len(expanded) + len(faults) == PAGES_PER_VABLOCK
 
     def test_threshold_one_disables_tree_growth(self):
         pf = DensityPrefetcher(threshold=1.0)
         block = make_block()
-        expanded = pf.expand(block, [0])
+        expanded = pf.expand(block, [0], EMPTY)
         # Region upgrade fills region 0 → density 1.0 there promotes it,
         # but the half-empty parent never qualifies.
         assert len(expanded) == PAGES_PER_REGION - 1
@@ -93,8 +84,7 @@ class TestDensityTree:
         # Regions 0-1 resident; faulting region 2 upgrades it: the 4-region
         # node has 48/64 = 75 % evidence > 0.4 → regions 0-3 all flagged.
         resident = set(range(2 * PAGES_PER_REGION))
-        block = make_block(resident=resident)
-        expanded = pf.expand(block, [2 * PAGES_PER_REGION])
+        expanded = pf.expand(make_block(), [2 * PAGES_PER_REGION], page_table_with(resident))
         assert set(range(3 * PAGES_PER_REGION, 4 * PAGES_PER_REGION)) <= expanded
 
 
@@ -104,14 +94,15 @@ class TestPartialBlocks:
         pf = DensityPrefetcher(threshold=0.5)
         valid = set(range(40))  # tail block with 40 valid pages
         block = make_block(valid_pages=valid)
-        expanded = pf.expand(block, [0])
+        expanded = pf.expand(block, [0], EMPTY)
         assert expanded <= valid
+        assert expanded == set(range(1, PAGES_PER_REGION))
 
     def test_partial_block_density_uses_valid_count(self):
         pf = DensityPrefetcher(threshold=0.5)
         valid = set(range(PAGES_PER_REGION))  # only one region valid
         block = make_block(valid_pages=valid)
-        expanded = pf.expand(block, [0])
+        expanded = pf.expand(block, [0], EMPTY)
         assert expanded == valid - {0}
 
 

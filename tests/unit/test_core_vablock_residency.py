@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.residency import (
-    occupancy_vector,
-    region_ids,
-    region_upgrade,
-    regions_touched,
-)
+from repro.core.residency import region_upgrade
 from repro.core.vablock import VABlockManager, VABlockState
 from repro.errors import AllocationError
 from repro.units import PAGES_PER_REGION, PAGES_PER_VABLOCK
@@ -33,7 +28,9 @@ class TestVABlockManager:
         mgr = VABlockManager()
         created = mgr.register_allocation(PAGES_PER_VABLOCK + 5, 10)
         assert created[0].block_id == 1
-        assert created[0].valid_pages == set(range(517, 527))
+        assert created[0].valid_page_ids() == list(range(517, 527))
+        assert created[0].valid_pages.dtype == bool
+        assert created[0].valid_pages.shape == (PAGES_PER_VABLOCK,)
 
     def test_zero_pages_rejected(self):
         with pytest.raises(AllocationError):
@@ -54,30 +51,19 @@ class TestVABlockManager:
         mgr = VABlockManager()
         assert mgr.next_stamp() < mgr.next_stamp()
 
-    def test_total_resident_pages(self):
-        mgr = VABlockManager()
-        mgr.register_allocation(0, 10)
-        mgr.get(0).resident_pages.update([0, 1, 2])
-        assert mgr.total_resident_pages() == 3
-
-    def test_gpu_resident_blocks(self):
-        mgr = VABlockManager()
-        mgr.register_allocation(0, PAGES_PER_VABLOCK * 2)
-        mgr.get(0).gpu_chunk = 5
-        assert [b.block_id for b in mgr.gpu_resident_blocks()] == [0]
 
 
 class TestVABlockState:
     def test_first_page(self):
-        state = VABlockState(block_id=3, valid_pages=set())
+        state = VABlockState(block_id=3, valid_pages=np.zeros(PAGES_PER_VABLOCK, dtype=bool))
         assert state.first_page == 3 * PAGES_PER_VABLOCK
 
     def test_page_offset(self):
-        state = VABlockState(block_id=1, valid_pages=set())
+        state = VABlockState(block_id=1, valid_pages=np.zeros(PAGES_PER_VABLOCK, dtype=bool))
         assert state.page_offset(PAGES_PER_VABLOCK + 7) == 7
 
     def test_is_gpu_allocated(self):
-        state = VABlockState(block_id=0, valid_pages=set())
+        state = VABlockState(block_id=0, valid_pages=np.zeros(PAGES_PER_VABLOCK, dtype=bool))
         assert not state.is_gpu_allocated
         state.gpu_chunk = 0
         assert state.is_gpu_allocated
@@ -102,18 +88,3 @@ class TestRegionUpgrade:
     def test_empty(self):
         assert region_upgrade([]) == set()
 
-
-class TestOccupancyHelpers:
-    def test_occupancy_vector(self):
-        occ = occupancy_vector([0, 511])
-        assert occ.dtype == bool
-        assert occ[0] and occ[511]
-        assert occ.sum() == 2
-
-    def test_region_ids(self):
-        assert region_ids([0, 15, 16, 500]) == {0, 1, 31}
-
-    def test_regions_touched(self):
-        occ = np.zeros(PAGES_PER_VABLOCK, dtype=bool)
-        occ[0] = occ[100] = True
-        assert regions_touched(occ) == 2

@@ -129,6 +129,23 @@ class TestGpuPageTable:
         pt.map_pages(range(10))
         assert len(pt) == 10
 
+    def test_remote_pages_are_mapped_but_not_migrated(self):
+        pt = GpuPageTable()
+        pt.map_pages([1, 2])
+        assert pt.map_remote([3, 4]) == 2
+        assert pt.is_resident(3)
+        assert pt.remote == {3, 4}
+        assert pt.pages_of(0) == [1, 2]
+        assert pt.count_of(0) == 2
+        assert list(pt.mask_of(0)[:6]) == [False, True, True, True, True, False]
+
+    def test_unmap_drops_remote_mappings(self):
+        pt = GpuPageTable()
+        pt.map_remote([3, 4])
+        assert not pt.has_pages(0)
+        assert pt.unmap_pages([3]) == 1
+        assert pt.remote == {4}
+
 
 class TestFaultRecord:
     def test_flags(self):

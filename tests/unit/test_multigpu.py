@@ -43,7 +43,7 @@ class TestConstruction:
         alloc = mg.managed_alloc(2 * MB)
         for handle in mg.devices:
             block = handle.driver.vablocks.get_for_page(alloc.page(0))
-            assert alloc.page(0) in block.valid_pages
+            assert alloc.page(0) in block.valid_page_ids()
 
 
 class TestOwnership:

@@ -26,7 +26,7 @@ from repro.sim.clock import SimClock
 class TestCounter:
     def test_inc_accumulates(self):
         reg = MetricsRegistry()
-        c = reg.counter("batches", "help text")
+        c = reg.counter("batches")
         c.inc()
         c.inc(4)
         assert c.labels().snapshot() == 5.0
@@ -85,8 +85,8 @@ class TestHistogram:
 class TestRegistry:
     def test_reregistration_returns_same_family(self):
         reg = MetricsRegistry()
-        a = reg.counter("x", "first")
-        b = reg.counter("x", "second")
+        a = reg.counter("x")
+        b = reg.counter("x")
         assert a is b
 
     def test_kind_mismatch_raises(self):
@@ -102,7 +102,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         for owned in counts:
             def fold(metrics, owned=owned):
-                family = metrics.counter("uvm_x_total", "x", labels=("dir",))
+                family = metrics.counter("uvm_x_total", labels=("dir",))
                 for direction, n in owned.items():
                     family.labels(direction).inc(n)
             reg.add_fold(fold)
@@ -119,7 +119,7 @@ class TestRegistry:
 
     def test_snapshot_is_json_serializable(self):
         reg = MetricsRegistry()
-        reg.counter("c", "help", labels=("k",)).labels("v").inc()
+        reg.counter("c", labels=("k",)).labels("v").inc()
         reg.gauge("g").set(2)
         reg.histogram("h").observe(3.0)
         text = json.dumps(reg.snapshot())
@@ -127,10 +127,11 @@ class TestRegistry:
 
     def test_prometheus_text_format(self):
         reg = MetricsRegistry()
-        reg.counter("uvm_pages_total", "Pages", labels=("op",)).labels("h2d").inc(3)
-        reg.histogram("uvm_usec", "Time", buckets=(10.0,)).observe(4.0)
+        reg.counter("uvm_pages_total", labels=("op",)).labels("h2d").inc(3)
+        reg.histogram("uvm_usec", buckets=(10.0,)).observe(4.0)
         text = reg.to_prometheus()
-        assert "# HELP uvm_pages_total Pages" in text
+        assert "# HELP uvm_pages_total Pages handled on the fault path" in text
+        assert "# HELP uvm_usec" not in text  # undeclared: no help text
         assert "# TYPE uvm_pages_total counter" in text
         assert 'uvm_pages_total{op="h2d"} 3' in text
         assert 'uvm_usec_bucket{le="10"} 1' in text

@@ -17,16 +17,11 @@ from repro.core.prefetch import (
     SequentialPrefetcher,
     make_prefetcher,
 )
-from repro.core.vablock import VABlockState
 from repro.errors import ConfigError
 from repro.units import MB, PAGE_SIZE, PAGES_PER_REGION, PAGES_PER_VABLOCK
+from tests.blocks import make_block as full_block, page_table_with
 
-
-def full_block(block_id=0):
-    first = block_id * PAGES_PER_VABLOCK
-    return VABlockState(
-        block_id=block_id, valid_pages=set(range(first, first + PAGES_PER_VABLOCK))
-    )
+EMPTY = page_table_with()
 
 
 class TestEvictionPolicyRegistry:
@@ -122,31 +117,38 @@ class TestPrefetchPolicyRegistry:
 class TestPrefetchVariants:
     def test_region_only_is_exactly_the_upgrade(self):
         block = full_block()
-        out = RegionOnlyPrefetcher().expand(block, [0])
+        out = RegionOnlyPrefetcher().expand(block, [0], EMPTY)
         assert out == set(range(1, PAGES_PER_REGION))
 
     def test_sequential_next_n(self):
         block = full_block()
-        out = SequentialPrefetcher(distance=4).expand(block, [10])
+        out = SequentialPrefetcher(distance=4).expand(block, [10], EMPTY)
         assert out == {11, 12, 13, 14}
 
     def test_sequential_stops_at_block_edge(self):
         block = full_block()
         last = PAGES_PER_VABLOCK - 1
-        out = SequentialPrefetcher(distance=8).expand(block, [last])
+        out = SequentialPrefetcher(distance=8).expand(block, [last], EMPTY)
         assert out == set()
 
     def test_full_block_pulls_everything(self):
         block = full_block()
-        out = FullBlockPrefetcher().expand(block, [5])
+        out = FullBlockPrefetcher().expand(block, [5], EMPTY)
         assert len(out) == PAGES_PER_VABLOCK - 1
 
     def test_variants_never_leave_block(self):
         block = full_block(block_id=3)
         for name in PREFETCH_POLICIES:
             pf = make_prefetcher(name)
-            out = pf.expand(block, [block.first_page])
-            assert out <= block.valid_pages, name
+            out = pf.expand(block, [block.first_page], EMPTY)
+            assert out <= set(block.valid_page_ids()), name
+
+    def test_variants_skip_mapped_pages(self):
+        block = full_block()
+        mapped = set(range(1, 8))
+        for name in PREFETCH_POLICIES:
+            out = make_prefetcher(name).expand(block, [0], page_table_with(mapped))
+            assert not out & mapped, name
 
     def test_sequential_distance_validated(self):
         with pytest.raises(ValueError):
@@ -256,7 +258,7 @@ class TestHintApis:
         system.mem_advise_accessed_by(alloc)
         system.host_touch(alloc)  # must not "migrate back" remote mappings
         assert system.engine.device.page_table.is_resident(alloc.page(0))
-        assert system.driver.is_remote_mapped(alloc.page(0))
+        assert alloc.page(0) in system.engine.device.page_table.remote
 
     def test_hinted_records_flagged_in_log(self, system_factory):
         system = system_factory(prefetch_enabled=False)

@@ -59,14 +59,6 @@ class TestDetection:
         violations = check_residency_consistency(system)
         assert any(v.rule == "residency" for v in violations)
 
-    def test_detects_block_without_mapping(self, system_factory):
-        system = system_factory()
-        alloc = system.managed_alloc(2 * MB)
-        block = system.driver.vablocks.get_for_page(alloc.page(0))
-        block.resident_pages.add(alloc.page(0))  # no page-table entry
-        violations = check_residency_consistency(system)
-        assert any("page table" in v.detail for v in violations)
-
     def test_detects_chunk_mismatch(self, system_factory):
         system = system_factory()
         alloc = system.managed_alloc(2 * MB)
