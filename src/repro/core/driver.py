@@ -60,19 +60,11 @@ from ..check.sanitizer import NULL_SANITIZER
 from ..sim.clock import SimClock
 from ..sim.rng import JitterStream
 from .batch import AssembledBatch, BlockWork, assemble_batch
-from .batch_record import PHASE_FIELDS, BatchRecord
+from .batch_record import BatchRecord
 from .eviction import LruEvictionPolicy, make_eviction_policy
 from .instrumentation import BatchLog
 from .prefetch import DensityPrefetcher, make_prefetcher
 from .vablock import VABlockManager, VABlockState
-
-
-#: The record fields a VABlock's phase charges settle into: every phase
-#: but the batch-level ones around the block loop.
-BLOCK_PHASE_FIELDS = tuple(
-    name for name in PHASE_FIELDS
-    if name not in ("time_wake", "time_fetch", "time_preprocess", "time_replay")
-)
 
 
 class RetryPolicy:
@@ -116,8 +108,8 @@ class ServiceOutcome:
     record: BatchRecord
     #: Pages made (and still) resident — warps waiting on them unblock.
     serviced_pages: List[int] = field(default_factory=list)
-    #: Fetched faults whose page is *not* resident at batch end (evicted
-    #: within the same batch); their warps must re-demand.
+    #: Fetched faults of deferred blocks, and of pages a later block of the
+    #: same batch evicted; their warps must re-demand.
     unserviced_faults: List[Fault] = field(default_factory=list)
     #: Faults dropped by the pre-replay flush; reissued if still needed.
     dropped_faults: FaultArrays = field(default_factory=FaultArrays)
@@ -379,8 +371,8 @@ class UvmDriver:
         batch = assemble_batch(faults, self.device.config.num_sms)
         record.time_preprocess = self._spend(self.cost.preprocess_cost(len(faults)))
         if faults:
-            record.t_first_fault = faults[0].timestamp
-            record.t_last_fault = faults[-1].timestamp
+            record.t_first_fault = faults.timestamps[0]
+            record.t_last_fault = faults.timestamps[-1]
         record.num_faults_raw = batch.num_raw
         record.num_faults_unique = batch.num_unique
         record.dup_same_utlb = batch.dup_same_utlb
@@ -403,13 +395,14 @@ class UvmDriver:
         record.time_replay = self._spend(self.cost.replay_usec)
         self.device.replay_all()
 
-        # Pages evicted by later blocks of this batch are not serviced.
+        # Pages evicted by later blocks of this batch are not serviced; their
+        # faults re-demand next to the deferred blocks' faults.
         resident = self.device.page_table.resident
         still = [p for p in outcome.serviced_pages if p in resident]
         if len(still) != len(outcome.serviced_pages):
             gone = set(outcome.serviced_pages) - set(still)
             outcome.serviced_pages = still
-            outcome.unserviced_faults = faults.rows_for_pages(gone)
+            outcome.unserviced_faults.extend(faults.rows_for_pages(gone))
         return outcome
 
     def _abort_record(self, record: BatchRecord) -> None:
@@ -542,23 +535,36 @@ class UvmDriver:
         each block that finished (``ends[k]`` is where block ``k``'s
         charges end).
 
-        One array op jitters the charges in order.  Then, left to right as
-        they were charged, each folds into its record field and, unless it
-        was off the fault path, into its block's cost.  When tracing, every
-        finished block with a phase mark is logged as a ``vablock`` event
-        with its ``(phase, µs)`` marks.  Blocks are laid out serially from
-        the clock: exactly the serial driver's timeline; under the
-        parallel-driver ablation the events show total work, while the
-        clock advances by the critical path.
+        One left fold over the charges, in the order they were charged,
+        jitters each positive one with the stream's next normal
+        (``usec * max(0.1, 1 + frac * z)``, as :meth:`JitterStream.apply`
+        would) and adds it into its record field.  Then each charge, unless
+        it was off the fault path, adds into its block's cost.  When
+        tracing, every finished block with a phase mark is logged as a
+        ``vablock`` event with its ``(phase, µs)`` marks.  Blocks are laid
+        out serially from the clock: exactly the serial driver's timeline;
+        under the parallel-driver ablation the events show total work,
+        while the clock advances by the critical path.
         """
         usecs, phases, off_path = self._charge_usecs, self._charge_phases, self._off_path
         self._charge_usecs, self._charge_phases, self._off_path = [], [], []
-        values = self.jitter.apply_all(
-            np.fromiter(usecs, float, len(usecs)), self.cost.jitter_frac
-        ).tolist()
-        totals = {name: getattr(record, name) for name in BLOCK_PHASE_FIELDS}
-        for phase, value in zip(phases, values):
-            totals[phase] += value
+        jitter = self.jitter
+        frac = self.cost.jitter_frac if jitter.rng is not None else 0.0
+        normals, pos = jitter.block, jitter.cursor
+        drawn = len(normals)
+        totals = {name: getattr(record, name) for name in dict.fromkeys(phases)}
+        values = []
+        for usec, phase in zip(usecs, phases):
+            if usec > 0.0 and frac > 0.0:
+                if pos == drawn:
+                    normals, pos = jitter.refill(), 0
+                    drawn = len(normals)
+                scale = 1.0 + frac * normals[pos]
+                usec *= scale if scale > 0.1 else 0.1
+                pos += 1
+            totals[phase] += usec
+            values.append(usec)
+        jitter.cursor = pos
         for name, total in totals.items():
             setattr(record, name, total)
         for i in off_path:

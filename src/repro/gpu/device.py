@@ -103,9 +103,11 @@ class GpuDevice:
         return self.utlbs[self.config.utlb_of_sm(sm_id)]
 
     def replay_all(self) -> None:
-        """Fault replay broadcast: clear waiting state on every µTLB."""
+        """Fault replay broadcast: clear waiting state on every µTLB (only
+        the µTLBs holding entries have any to clear)."""
         for utlb in self.utlbs:
-            utlb.replay()
+            if utlb.pending_pages:
+                utlb.replay()
 
     @property
     def idle(self) -> bool:

@@ -9,10 +9,7 @@ instrumentation records (Fig 4).
 from __future__ import annotations
 
 import enum
-from array import array
 from typing import Iterator, List, NamedTuple, Sequence
-
-import numpy as np
 
 
 class AccessType(enum.IntEnum):
@@ -66,17 +63,17 @@ class FaultArrays:
 
     The fault buffer's storage, the engine's issuance window and the
     driver's fetched batch are all this type: the µTLB→GMMU path appends
-    scalars (no per-fault object allocation), and batch assembly converts
-    whole columns to NumPy arrays for mask-algebra dedup/classification
-    (§4.2).  Iteration and indexing yield :class:`Fault` rows for the cold
-    paths (tracing, re-demand after a replay flush).
+    scalars (no per-fault object allocation), and batch assembly walks the
+    page, access and µTLB columns in one pass (§4.2).  Iteration and
+    indexing yield :class:`Fault` rows for the cold paths (tracing,
+    re-demand after a replay flush).
 
     Internally the five integer-ish fields live *flat interleaved* in one
     list — ``(sm_id, utlb_id, page, access, warp_uid)`` five-tuples
     concatenated — so a whole issuance window appends to the fault buffer
-    with a single ``list.extend`` and columns
-    materialize only on demand as C-speed strided slices (``flat[2::5]``).
-    Timestamps keep their own float column.
+    with a single ``list.extend`` and a column is a C-speed strided slice
+    (``flat[2::5]``, offsets ``_SM`` … ``_UID``).  Timestamps keep their
+    own float column.
     """
 
     #: Flat-layout field offsets (matches :meth:`FaultBuffer.admit`'s records).
@@ -87,7 +84,7 @@ class FaultArrays:
     def __init__(self) -> None:
         #: Interleaved (sm_id, utlb_id, page, access, warp_uid) records;
         #: ``access`` entries are :class:`AccessType` members stored
-        #: as-given (coercion deferred to :meth:`accesses_array`).
+        #: as-given.
         self.flat: List = []
         self.timestamps: List[float] = []
 
@@ -153,26 +150,6 @@ class FaultArrays:
     def drain(self) -> "FaultArrays":
         """Remove and return every row (pre-replay flush)."""
         return self.take_front(len(self.timestamps))
-
-    # ------------------------------------------------------ numpy views
-
-    def pages_array(self) -> np.ndarray:
-        return np.asarray(self.flat[self._PAGE :: 5], dtype=np.int64)
-
-    def accesses_array(self) -> np.ndarray:
-        # array('q') coerces IntEnum members via the __index__ fast path,
-        # ~3x quicker than np.asarray on a member list; frombuffer wraps the
-        # result zero-copy.  The view is read-only by convention: it borrows
-        # the temporary array's buffer.
-        return np.frombuffer(
-            array("q", self.flat[self._ACCESS :: 5]), dtype=np.int64
-        )
-
-    def sm_ids_array(self) -> np.ndarray:
-        return np.asarray(self.flat[self._SM :: 5], dtype=np.int64)
-
-    def utlb_ids_array(self) -> np.ndarray:
-        return np.asarray(self.flat[self._UTLB :: 5], dtype=np.int64)
 
     def rows_for_pages(self, pages: Sequence[int]) -> List[Fault]:
         """Rows whose page lies in ``pages`` (order preserved): the driver's

@@ -96,25 +96,26 @@ class FaultBuffer:
         ``fault_buffer.duplicate`` records the fault twice (§4.2's wakeup
         duplicates, forced).
         """
-        occupancy = len(self._entries.timestamps) + len(window.timestamps)
+        stamps = window.timestamps
+        occupancy = len(self._entries.timestamps) + len(stamps)
         if occupancy >= self.capacity:
             self.total_overflow_dropped += 1
             return False
         self.total_pushed += 1
         inj = self._inj
-        if inj is not None and inj.fire("fault_buffer.overflow"):
+        if inj is None:
+            window.flat.extend((sm_id, utlb_id, page, access, warp_uid))
+            stamps.append(timestamp)
+            return True
+        if inj.fire("fault_buffer.overflow"):
             self.total_injector_dropped += 1
             return False
         record = (sm_id, utlb_id, page, access, warp_uid)
         window.flat.extend(record)
-        window.timestamps.append(timestamp)
-        if (
-            inj is not None
-            and occupancy + 1 < self.capacity
-            and inj.fire("fault_buffer.duplicate")
-        ):
+        stamps.append(timestamp)
+        if occupancy + 1 < self.capacity and inj.fire("fault_buffer.duplicate"):
             window.flat.extend(record)
-            window.timestamps.append(timestamp)
+            stamps.append(timestamp)
             self.total_injected += 1
         return True
 

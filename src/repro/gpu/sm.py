@@ -41,7 +41,6 @@ class StreamingMultiprocessor:
         "active",
         "queued",
         "budget",
-        "total_faults",
         "compute_backlog_usec",
     )
 
@@ -63,8 +62,6 @@ class StreamingMultiprocessor:
         self.queued: Deque[WarpProgram] = deque()
         #: Remaining fault budget for the current window.
         self.budget = rate_limit
-        #: Faults issued over the SM's lifetime.
-        self.total_faults = 0
         #: GPU compute time accrued by completed phases (drained per round).
         self.compute_backlog_usec = 0.0
 

@@ -32,12 +32,7 @@ class UTlb:
     __slots__ = (
         "utlb_id",
         "limit",
-        "outstanding",
         "pending_pages",
-        "total_issued",
-        "total_merged",
-        "total_spurious",
-        "total_replays",
         "total_early_cancelled",
         "_merge_counter",
         "_san",
@@ -47,17 +42,17 @@ class UTlb:
         self.utlb_id = utlb_id
         #: Maximum simultaneously-outstanding faults (56 on the paper's HW).
         self.limit = limit
-        self.outstanding = 0
-        #: Pages with an outstanding miss entry in this µTLB.
+        #: Pages with an outstanding miss entry in this µTLB: one entry each.
         self.pending_pages = set()
-        self.total_issued = 0
-        self.total_merged = 0
-        self.total_spurious = 0
-        self.total_replays = 0
         self.total_early_cancelled = 0
         self._merge_counter = 0
         #: Attached UVMSan checker, or None (the common, zero-cost case).
         self._san = None
+
+    @property
+    def outstanding(self) -> int:
+        """Outstanding fault entries: one per pending page."""
+        return len(self.pending_pages)
 
     def attach_sanitizer(self, sanitizer) -> None:
         """Check the outstanding-fault cap after every mutation."""
@@ -73,14 +68,9 @@ class UTlb:
         """
         if page in self.pending_pages:
             self._merge_counter += 1
-            if self._merge_counter % self.SPURIOUS_PERIOD == 0:
-                self.total_spurious += 1
-                return True  # spurious reissue: duplicate entry, no new slot
-            self.total_merged += 1
-            return False
+            # Spurious reissue: a duplicate entry, no new slot.
+            return self._merge_counter % self.SPURIOUS_PERIOD == 0
         self.pending_pages.add(page)
-        self.outstanding += 1
-        self.total_issued += 1
         if self._san is not None:
             self._san.on_utlb(self)
         return True
@@ -91,8 +81,6 @@ class UTlb:
         against an entry that never reached the buffer."""
         if page in self.pending_pages:
             self.pending_pages.discard(page)
-            self.outstanding -= 1
-            self.total_issued -= 1
             if self._san is not None:
                 self._san.on_utlb(self)
 
@@ -100,22 +88,19 @@ class UTlb:
         """Injected early cancellation (:mod:`repro.inject`): an outstanding
         entry is dropped *before* replay, as if the µTLB lost it.
 
-        Unlike :meth:`cancel` this keeps ``total_issued`` — the entry's
-        fault-buffer write already happened and stays serviceable; the µTLB
-        merely forgets it, so later same-page misses re-request a fresh
-        entry (extra pressure on the 56-entry cap)."""
+        Unlike :meth:`cancel`, the entry's fault-buffer write already
+        happened and stays serviceable; the µTLB merely forgets it, so
+        later same-page misses re-request a fresh entry (extra pressure on
+        the 56-entry cap)."""
         if page in self.pending_pages:
             self.pending_pages.discard(page)
-            self.outstanding -= 1
             self.total_early_cancelled += 1
             if self._san is not None:
                 self._san.on_utlb(self)
 
     def replay(self) -> None:
         """Fault replay: clear all waiting entries (they refault if needed)."""
-        self.outstanding = 0
         self.pending_pages.clear()
-        self.total_replays += 1
         if self._san is not None:
             self._san.on_utlb(self)
 

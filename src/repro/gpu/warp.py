@@ -29,7 +29,7 @@ only depend on that granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -118,33 +118,14 @@ class KernelLaunch:
         return frozenset().union(*(p.touched_pages for p in self.programs))
 
 
-@dataclass
-class AdvanceResult:
-    """Outcome of :meth:`WarpState.advance`."""
-
-    #: Compute time accrued by phases completed during this advance.
-    compute_usec: float = 0.0
-    #: Pages the warp is now blocked on (engine registers waiters on these).
-    new_waits: Set[int] = field(default_factory=set)
-    #: Prefetch page occurrences emitted while advancing (issue immediately,
-    #: bypassing all caps; never gate progress).
-    prefetches: List[int] = field(default_factory=list)
-    #: True when the program ran to completion.
-    finished: bool = False
-    #: Distinct resident pages the advance touched without faulting
-    #: (in-memory hits).  Only collected when ``WarpState.track_hits`` is
-    #: set — the real driver cannot see these (§5.4), but access-counter
-    #: eviction policies can.
-    hit_pages: Set[int] = field(default_factory=set)
-
-
 class WarpState:
     """Runtime state of one :class:`WarpProgram` on an SM.
 
     The engine drives a warp through this protocol:
 
-    * :meth:`advance` — run forward until blocked or finished; returns pages
-      to wait on plus any prefetch demands.
+    * :meth:`advance` — run forward until blocked or finished; returns the
+      compute time of the phases it completed, and leaves the pages to wait
+      on in :attr:`missing` (or :attr:`finished` set).
     * :meth:`issue_next` — pop the next fault occurrence to issue, gated
       by the µTLB's headroom (the engine holds the SM throttle budget).
     * :func:`wake` — notification from the driver: serviced pages leave
@@ -165,9 +146,7 @@ class WarpState:
         "_unissued",
         "_unissued_head",
         "finished",
-        "faults_issued",
         "ready_at",
-        "track_hits",
         "_stage_satisfied",
     )
 
@@ -184,18 +163,12 @@ class WarpState:
         self._unissued: List[Tuple[int, AccessType]] = []
         self._unissued_head = 0
         self.finished = False
-        #: Total faults this warp has issued (instrumentation).
-        self.faults_issued = 0
         #: Simulated time before which this warp is busy computing completed
         #: phases and issues no new faults.  Compute between fault rounds is
         #: what desynchronizes SMs in real kernels: at any instant only a
         #: fraction of warps is fault-ready, which is why application batch
         #: sizes sit far below the synthetic ceiling in Table 2.
         self.ready_at = 0.0
-        #: When True, :meth:`advance` collects in-memory hit pages (for
-        #: access-counter eviction policies).  Off by default: hits are
-        #: invisible to the real driver and collecting them costs time.
-        self.track_hits = False
         #: Set when the blocked stage was fully satisfied by driver
         #: notifications: the stage's loads retired at the replay, so the
         #: next advance must NOT re-check residency (pages may have been
@@ -209,24 +182,38 @@ class WarpState:
     def has_issuable(self) -> bool:
         return self._unissued_head < len(self._unissued)
 
-    def advance(self, resident: Set[int]) -> AdvanceResult:
-        """Run the program forward until it blocks on a fault or finishes.
+    def advance(
+        self,
+        resident: Set[int],
+        prefetches: Optional[List[int]] = None,
+        hits: Optional[Set[int]] = None,
+    ) -> float:
+        """Run the program forward until it blocks on a fault or finishes;
+        returns the compute time (µs) of the phases it completed.
 
         ``resident`` is the set of GPU-resident page ids (the GPU page
         table's view).  Must only be called while :attr:`missing` is empty
-        (the warp is not blocked).
+        (the warp is not blocked).  Afterwards either :attr:`finished` is
+        set or :attr:`missing` holds the pages the warp now waits on.
+
+        Prefetch pages the warp emits (issued at once, bypassing all caps,
+        never gating progress) are appended to ``prefetches``.  When
+        ``hits`` is given, the resident pages the advance touched without
+        faulting (in-memory hits) are added to it: the real driver cannot
+        see these (§5.4), but access-counter eviction policies can, and only
+        they pay for collecting them.
         """
-        result = AdvanceResult()
+        compute = 0.0
         if self.finished:
-            result.finished = True
-            return result
-        track_hits = self.track_hits
+            return compute
         phases = self.program.phases
-        while self._phase_idx < len(phases):
-            phase = phases[self._phase_idx]
+        idx = self._phase_idx
+        while idx < len(phases):
+            phase = phases[idx]
             if self._stage == _STAGE_READS:
-                if not self._prefetch_emitted and phase.prefetches:
-                    result.prefetches.extend(phase.prefetches)
+                if phase.prefetches and not self._prefetch_emitted:
+                    if prefetches is not None:
+                        prefetches.extend(phase.prefetches)
                     self._prefetch_emitted = True
                 if self._stage_satisfied:
                     # The stage's loads retired at the replay that made its
@@ -234,28 +221,27 @@ class WarpState:
                     # already reclaimed the pages — consumption is final).
                     self._stage_satisfied = False
                 else:
-                    if track_hits:
-                        result.hit_pages.update(p for p in phase.reads if p in resident)
+                    if hits is not None:
+                        hits.update(p for p in phase.reads if p in resident)
                     if self._block_on(phase.reads, AccessType.READ, resident):
-                        result.new_waits = set(self.missing)
-                        return result
+                        self._phase_idx = idx
+                        return compute
                 self._stage = _STAGE_WRITES
-            if self._stage == _STAGE_WRITES:
-                if self._stage_satisfied:
-                    self._stage_satisfied = False
-                else:
-                    if track_hits:
-                        result.hit_pages.update(p for p in phase.writes if p in resident)
-                    if self._block_on(phase.writes, AccessType.WRITE, resident):
-                        result.new_waits = set(self.missing)
-                        return result
-                result.compute_usec += phase.compute_usec
-                self._phase_idx += 1
-                self._stage = _STAGE_READS
-                self._prefetch_emitted = False
+            if self._stage_satisfied:
+                self._stage_satisfied = False
+            else:
+                if hits is not None:
+                    hits.update(p for p in phase.writes if p in resident)
+                if self._block_on(phase.writes, AccessType.WRITE, resident):
+                    self._phase_idx = idx
+                    return compute
+            compute += phase.compute_usec
+            idx += 1
+            self._stage = _STAGE_READS
+            self._prefetch_emitted = False
+        self._phase_idx = idx
         self.finished = True
-        result.finished = True
-        return result
+        return compute
 
     def issue_next(
         self, pending: Set[int], utlb_full: bool
@@ -282,17 +268,18 @@ class WarpState:
         unissued = self._unissued
         missing = self.missing
         n = len(unissued)
-        for i in range(self._unissued_head, n):
+        i = self._unissued_head
+        while i < n:
             occ = unissued[i]
+            i += 1
             if occ[0] in missing:
                 if utlb_full and occ[0] not in pending:
                     return None
-                if i + 1 < n:
-                    self._unissued_head = i + 1
+                if i < n:
+                    self._unissued_head = i
                 else:
                     self._unissued = []
                     self._unissued_head = 0
-                self.faults_issued += 1
                 return occ
         if not utlb_full:
             # Only satisfied occurrences were left: drop them.
@@ -320,7 +307,13 @@ class WarpState:
             return False
         missing = set(pages).difference(resident)
         self.missing = missing
-        self._unissued = [(p, access) for p in pages if p in missing]
+        # A plain loop: a stage holds a few pages, too few to repay a
+        # comprehension's frame.
+        unissued = []
+        for page in pages:
+            if page in missing:
+                unissued.append((page, access))
+        self._unissued = unissued
         self._unissued_head = 0
         return True
 

@@ -227,6 +227,8 @@ class Engine:
         #: table of ``_programs`` and the last capture's part pickles.
         self._pickles = None
         self._prefetch_queue: List[Tuple[int, int]] = []  # (sm_id, page)
+        #: Prefetch pages one warp advance emits (always left empty).
+        self._emitted: List[int] = []
         #: SMs a round visits (see :meth:`_busy`); None rebuilds the list.
         self._busy_sms: Optional[List[StreamingMultiprocessor]] = None
         self._uid = 0
@@ -650,7 +652,6 @@ class Engine:
         # applied may have left compute on an SM that is idle now: it drains
         # here, and the SM leaves the busy list after.
         stagger = self.cost.launch_stagger_usec
-        track_hits = self._hit_aware_eviction
         num_sms = len(device.sms)
         compute = 0.0
         idle = 0
@@ -660,7 +661,6 @@ class Engine:
             if sm.queued and len(sm.active) < sm.occupancy_limit:
                 for i, warp in enumerate(sm.activate_pending(self._next_uid)):
                     self._warps[warp.uid] = warp
-                    warp.track_hits = track_hits
                     progressed = True
                     skew = (i * num_sms + sm.sm_id) * stagger
                     warp.ready_at = self.clock.now + skew
@@ -701,24 +701,27 @@ class Engine:
         utlbs = device.utlbs
         issuers: List[list] = []
         for sm in busy:
-            warps = [w for w in sm.active if w.ready_at <= now and w.has_issuable]
+            warps = []
+            for warp in sm.active:
+                if warp.ready_at <= now and warp.has_issuable:
+                    warps.append(warp)
             if warps:
                 if inj is not None and inj.fire("utlb.stall"):
                     # Injected µTLB issue-port stall: this SM issues no
                     # translation faults for one replay window.
                     stalled = True
                     continue
-                issuers.append([sm, utlbs[sm.utlb_id], warps, 0])
+                utlb = utlbs[sm.utlb_id]
+                issuers.append([sm, utlb, utlb.pending_pages, utlb.limit, warps, 0])
         while issuers:
             next_issuers = []
             for entry in issuers:
-                sm, utlb, warps, cursor = entry
-                pending = utlb.pending_pages
+                sm, utlb, pending, limit, warps, cursor = entry
                 num_warps = len(warps)
                 # One fault per SM per pass → round-robin interleaving.
                 while cursor < num_warps:
                     warp = warps[cursor]
-                    occ = warp.issue_next(pending, utlb.outstanding >= utlb.limit)
+                    occ = warp.issue_next(pending, len(pending) >= limit)
                     if occ is None:
                         if warp.has_issuable:
                             break  # the full µTLB blocks this SM's pass
@@ -730,10 +733,7 @@ class Engine:
                     merged = page in pending
                     if utlb.request(page):
                         sm.budget -= 1
-                        sm.total_faults += 1
-                        if admit(
-                            window, page, access, sm.sm_id, sm.utlb_id, warp.uid, t
-                        ):
+                        if admit(window, page, access, sm.sm_id, sm.utlb_id, warp.uid, t):
                             t += interval
                         elif not merged:
                             # HW buffer full: roll back the µTLB entry so the
@@ -753,10 +753,10 @@ class Engine:
                     # picked); warps before it have none left.
                     if (
                         sm.budget > 0
-                        and utlb.outstanding < utlb.limit
+                        and len(pending) < limit
                         and (cursor + 1 < num_warps or warp.has_issuable)
                     ):
-                        entry[3] = cursor
+                        entry[5] = cursor
                         next_issuers.append(entry)
                     break
             issuers = next_issuers
@@ -789,32 +789,34 @@ class Engine:
 
     def _advance_warp(self, warp: WarpState) -> None:
         """Advance a runnable warp; register waits and prefetch demands."""
-        sm = self.device.sms[warp.sm_id]
-        result = warp.advance(self.device.page_table.resident)
-        sm.compute_backlog_usec += result.compute_usec
-        if result.hit_pages:
+        emitted = self._emitted
+        hits = set() if self._hit_aware_eviction else None
+        compute = warp.advance(self.device.page_table.resident, emitted, hits)
+        if hits:
             # Access-counter eviction policies observe in-memory hits.
             eviction = self.driver.eviction
-            for block_id in sorted({vablock_of_page(p) for p in result.hit_pages}):
+            for block_id in sorted({vablock_of_page(p) for p in hits}):
                 eviction.on_access_hit(block_id)
-        if result.compute_usec > 0.0:
+        if compute > 0.0:
             # The warp is busy computing the phases it just completed; its
             # next faults only issue once the compute retires.
+            self.device.sms[warp.sm_id].compute_backlog_usec += compute
             run_start = max(warp.ready_at, self.clock.now)
-            warp.ready_at = run_start + result.compute_usec
+            warp.ready_at = run_start + compute
             if self._tracing:
-                self.flight.record("run", warp.sm_id, warp.uid, run_start,
-                                   result.compute_usec)
-        for page in result.prefetches:
-            self._prefetch_queue.append((warp.sm_id, page))
-        if result.finished:
+                self.flight.record("run", warp.sm_id, warp.uid, run_start, compute)
+        if emitted:
+            self._prefetch_queue.extend([(warp.sm_id, page) for page in emitted])
+            emitted.clear()
+        if warp.finished:
             # Trailing compute of the final phases still occupies the GPU.
             self._last_retire_at = max(self._last_retire_at, warp.ready_at)
-            sm.retire(warp)
+            self.device.sms[warp.sm_id].retire(warp)
             del self._warps[warp.uid]
             return
-        for page in result.new_waits:
-            self._waiters.setdefault(page, []).append(warp)
+        waiters = self._waiters
+        for page in warp.missing:
+            waiters.setdefault(page, []).append(warp)
 
     # -------------------------------------------------------- batch results
 

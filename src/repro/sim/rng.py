@@ -9,7 +9,7 @@ perturbs the draws of existing ones.
 from __future__ import annotations
 
 import zlib
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ def spawn_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
 
 
-_EMPTY = np.empty(0)
 #: Normals a :class:`JitterStream` draws at a time.
 _BLOCK = 1024
 
@@ -48,67 +47,56 @@ class JitterStream:
 
     ``Generator.standard_normal(n)`` yields the same values as ``n`` scalar
     draws and leaves the generator in the same state, so the stream draws
-    ``_BLOCK`` values at a time and hands them out by cursor: each jittered
-    cost is the one a scalar draw per cost gives.  :meth:`state` is the
-    generator state the current block was drawn from, the block's length
-    and the cursor; :meth:`restore` redraws the block from it, so a
-    checkpoint taken mid-block resumes on the same values.
+    ``_BLOCK`` values at a time into :attr:`block`, a list of Python floats
+    (one ``tolist()`` per block), and hands them out by :attr:`cursor`:
+    each jittered cost is the one a scalar draw per cost gives.  Besides
+    :meth:`apply`, a caller that jitters a run of costs in its own loop
+    (the driver's settle) reads ``block[cursor]`` itself, calls
+    :meth:`refill` when the block runs out, and stores the cursor back.
+
+    :meth:`state` is the generator state the current block was drawn from,
+    the block's length and the cursor; :meth:`restore` redraws the block
+    from it, so a checkpoint taken mid-block resumes on the same values.
     """
 
-    __slots__ = ("rng", "_start", "_buf", "_pos")
+    __slots__ = ("rng", "_start", "block", "cursor")
 
     def __init__(self, rng: Optional[np.random.Generator]) -> None:
         self.rng = rng
-        #: Generator state ``_buf`` was drawn from (the current state while
+        #: Generator state ``block`` was drawn from (the current state while
         #: nothing is drawn).
         self._start = rng.bit_generator.state if rng is not None else None
-        self._buf = _EMPTY
-        self._pos = 0
+        #: The current block of standard normals, as Python floats.
+        self.block: List[float] = []
+        #: Index of the next unused normal in :attr:`block`.
+        self.cursor = 0
 
     def _draw(self, n: int) -> None:
         self._start = self.rng.bit_generator.state
-        self._buf = self.rng.standard_normal(n)
-        self._pos = 0
+        self.block = self.rng.standard_normal(n).tolist()
+        self.cursor = 0
 
-    def normals(self, n: int) -> np.ndarray:
-        """The stream's next ``n`` standard normals."""
-        pos = self._pos
-        end = pos + n
-        if end <= len(self._buf):
-            self._pos = end
-            return self._buf[pos:end]
-        rest = self._buf[pos:]
-        need = n - len(rest)
-        self._draw(max(_BLOCK, need))
-        self._pos = need
-        return np.concatenate((rest, self._buf[:need]))
+    def refill(self) -> List[float]:
+        """Draw the next block (cursor 0) and return it."""
+        self._draw(_BLOCK)
+        return self.block
 
     def apply(self, usec: float, frac: float) -> float:
         """``usec`` jittered (one draw when it applies)."""
         if self.rng is None or frac <= 0.0 or usec <= 0.0:
             return usec
-        if self._pos == len(self._buf):
-            self._draw(_BLOCK)
-        z = float(self._buf[self._pos])
-        self._pos += 1
-        return usec * max(0.1, 1.0 + frac * z)
-
-    def apply_all(self, usecs: np.ndarray, frac: float) -> np.ndarray:
-        """:meth:`apply` over ``usecs`` in order, as one array op."""
-        if self.rng is None or frac <= 0.0:
-            return usecs
-        drawn = usecs > 0.0
-        out = usecs.copy()
-        z = self.normals(int(np.count_nonzero(drawn)))
-        out[drawn] *= np.maximum(0.1, 1.0 + frac * z)
-        return out
+        if self.cursor == len(self.block):
+            self.refill()
+        scale = 1.0 + frac * self.block[self.cursor]
+        self.cursor += 1
+        return usec * (scale if scale > 0.1 else 0.1)
 
     def state(self) -> Optional[dict]:
         """Where the stream stands, as JSON-ready values (None without a
         generator)."""
         if self.rng is None:
             return None
-        return {"block_start": self._start, "drawn": len(self._buf), "cursor": self._pos}
+        return {"block_start": self._start, "drawn": len(self.block), "cursor": self.cursor}
 
     def restore(self, state: Optional[dict]) -> None:
         """Return to a :meth:`state`: redraw its block, then seek."""
@@ -118,5 +106,5 @@ class JitterStream:
         if state["drawn"]:
             self._draw(state["drawn"])
         else:
-            self._start, self._buf = state["block_start"], _EMPTY
-        self._pos = state["cursor"]
+            self._start, self.block = state["block_start"], []
+        self.cursor = state["cursor"]

@@ -1,10 +1,11 @@
 """Per-fault reference models of the fault pipeline, and buffer drivers.
 
 The simulator's fault buffer decides GMMU writes one at a time but lands
-them a window at a time, its batch assembler is vectorized mask algebra,
-and its issuance round visits only busy SMs with a fused warp issue step.
-The oracles here do the same work the plain way — a deque that takes one
-fault per push, a dict-of-sets assembler, and an issuance round that walks
+them a window at a time, its batch assembler counts duplicate classes from
+distinct ``(page, µTLB)`` pairs, and its issuance round visits only busy
+SMs with a fused warp issue step.  The oracles here do the same work the
+plain way — a deque that takes one fault per push, a dict-of-sets
+assembler with a µTLB set per page, and an issuance round that walks
 every SM with a separate look-ahead and take per fault — so property tests
 can hold the production pipeline to them.  :func:`write_window` and
 :func:`write` drive the production buffer the way the engine's issuance
@@ -168,7 +169,6 @@ def take_one(warp) -> List[Tuple[int, AccessType]]:
     if head >= len(unissued):
         warp._unissued = []
         warp._unissued_head = 0
-    warp.faults_issued += len(taken)
     return taken
 
 
@@ -197,7 +197,6 @@ def reference_round(engine, burst: bool) -> Tuple[bool, float, bool]:
     for sm in device.sms:
         for i, warp in enumerate(sm.activate_pending(engine._next_uid)):
             engine._warps[warp.uid] = warp
-            warp.track_hits = engine._hit_aware_eviction
             progressed = True
             warp.ready_at = engine.clock.now + (i * len(device.sms) + sm.sm_id) * stagger
             engine._advance_warp(warp)
@@ -248,7 +247,6 @@ def reference_round(engine, burst: bool) -> Tuple[bool, float, bool]:
                 if utlb.request(page):
                     granted = min(1, sm.budget)
                     sm.budget -= granted
-                    sm.total_faults += granted
                     if admit(window, page, access, sm.sm_id, sm.utlb_id, warp.uid, t):
                         t += interval
                     elif not merged:

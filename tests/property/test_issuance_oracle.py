@@ -126,7 +126,6 @@ def build(state) -> UvmSystem:
 
     for utlb, pending in zip(device.utlbs, state["pending"]):
         utlb.pending_pages = set(pending)
-        utlb.outstanding = len(pending)
 
     for sm, sm_state in zip(device.sms, state["sms"]):
         sm.occupancy_limit = 4
@@ -159,17 +158,9 @@ def observed(system, busy_sm_ids):
             buffer.total_injected,
         ),
         "utlbs": [
-            (
-                sorted(u.pending_pages),
-                u.outstanding,
-                u.total_issued,
-                u.total_merged,
-                u.total_spurious,
-                u.total_early_cancelled,
-            )
+            (sorted(u.pending_pages), u._merge_counter, u.total_early_cancelled)
             for u in device.utlbs
         ],
-        "sm_faults": [sm.total_faults for sm in device.sms],
         "sm_windows": [
             (sm.rate_limit, sm.budget) for sm in device.sms if sm.sm_id in busy_sm_ids
         ],
@@ -179,7 +170,6 @@ def observed(system, busy_sm_ids):
                     w.uid,
                     list(w._unissued),
                     w._unissued_head,
-                    w.faults_issued,
                     sorted(w.missing),
                     w.ready_at,
                 )

@@ -2,11 +2,12 @@
 
 The simulator keeps faults structure-of-arrays (:class:`FaultArrays`),
 decides GMMU writes one at a time but appends them a window at a time, and
-assembles batches with vectorized mask algebra.  Three layers of evidence
-hold that pipeline to plain per-fault models (``fault_oracle``):
+assembles batches in one pass over the fetched rows.  Three layers of
+evidence hold that pipeline to plain per-fault models (``fault_oracle``):
 
 1. **Assembler.**  200+ seeded random fault streams (duplicate-heavy,
-   prefetch storms, single-page floods) through ``assemble_batch`` vs the
+   prefetch storms, single-page floods, and random-scatter batches of up
+   to 256 faults over ~100 VABlocks) through ``assemble_batch`` vs the
    dict-of-sets oracle: identical counters, block order, intra-block page
    order, write/prefetch sets, raw counts — and plain ``int`` types, so
    downstream cost models never see NumPy scalars.
@@ -34,6 +35,7 @@ from repro.core.batch import assemble_batch
 from repro.gpu.fault import AccessType, Fault, FaultArrays
 from repro.gpu.fault_buffer import FaultBuffer
 from repro.inject.profiles import BUILTIN_PROFILES
+from repro.units import PAGES_PER_VABLOCK
 from tests.property.fault_oracle import (
     ScalarFaultBuffer,
     assemble_batch_scalar,
@@ -58,14 +60,21 @@ def random_fault_stream(rng: random.Random) -> list:
     duplicate-heavy, with occasional prefetch storms."""
     shape = rng.random()
     n = rng.randrange(1, 200)
+    blocks = 1
     if shape < 0.15:
         # Single-page flood: every fault hits one page (max duplicates).
         page_space = 1
-    elif shape < 0.5:
+    elif shape < 0.4:
         # Duplicate-heavy: far fewer pages than faults.
         page_space = max(1, n // 8)
+    elif shape < 0.6:
+        # Random-scatter: up to a full 256-fault batch over ~100 VABlocks,
+        # a few pages each.
+        n = rng.randrange(1, 257)
+        blocks = 100
+        page_space = 8
     else:
-        # Sparse: mostly unique pages across many VABlocks.
+        # Sparse: mostly unique pages, spilling over a VABlock boundary.
         page_space = n * 4
     prefetch_storm = shape >= 0.85
     faults = []
@@ -78,7 +87,7 @@ def random_fault_stream(rng: random.Random) -> list:
             access = AccessType(rng.randrange(3))
         faults.append(
             Fault(
-                page=rng.randrange(page_space),
+                page=rng.randrange(blocks) * PAGES_PER_VABLOCK + rng.randrange(page_space),
                 access=access,
                 sm_id=sm_id,
                 utlb_id=sm_id // 2,

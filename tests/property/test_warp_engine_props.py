@@ -36,8 +36,8 @@ class TestWarpStateProps:
     def test_warp_completes_with_all_resident(self, phases):
         warp = WarpState(WarpProgram(phases), uid=1, sm_id=0)
         resident = set(range(64))
-        result = warp.advance(resident)
-        assert result.finished
+        warp.advance(resident)
+        assert warp.finished
 
     @given(phases_strategy())
     @settings(max_examples=50)
@@ -49,10 +49,10 @@ class TestWarpStateProps:
         """
         warp = WarpState(WarpProgram(phases), uid=1, sm_id=0)
         resident = set()
-        result = warp.advance(resident)
+        warp.advance(resident)
         rounds = 0
         issued = []
-        while not result.finished:
+        while not warp.finished:
             rounds += 1
             assert rounds < 100
             occs = issue_all(warp)
@@ -60,7 +60,7 @@ class TestWarpStateProps:
             pages = {p for p, _ in occs} | set(warp.missing)
             resident |= pages
             assert wake({p: [warp] for p in pages}, pages) == [warp]
-            result = warp.advance(resident)
+            warp.advance(resident)
         # Everything the program touches ends resident.
         assert warp.program.touched_pages <= resident or not warp.program.touched_pages
 

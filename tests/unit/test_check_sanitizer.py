@@ -78,17 +78,8 @@ class TestUtlbRule:
         san = make_san()
         utlb = UTlb(utlb_id=0, limit=56)
         utlb.attach_sanitizer(san)
-        utlb.outstanding = 57
         utlb.pending_pages = set(range(57))
         with pytest.raises(InvariantViolation, match="utlb-cap"):
-            san.on_utlb(utlb)
-
-    def test_bookkeeping_mismatch_fires(self):
-        san = make_san()
-        utlb = UTlb(utlb_id=1, limit=56)
-        utlb.outstanding = 2
-        utlb.pending_pages = {7}
-        with pytest.raises(InvariantViolation, match="pending pages"):
             san.on_utlb(utlb)
 
     def test_hooked_mutations_checked(self):
@@ -471,7 +462,7 @@ class TestModesAndContext:
     def test_raise_mode_raises_with_context(self):
         san = make_san(mode="raise")
         utlb = UTlb(utlb_id=3, limit=56)
-        utlb.outstanding = -1
+        utlb.pending_pages = set(range(57))
         with pytest.raises(InvariantViolation) as exc:
             san.on_utlb(utlb)
         violation = exc.value
@@ -484,24 +475,24 @@ class TestModesAndContext:
     def test_report_mode_accumulates(self):
         san = make_san(mode="report")
         utlb = UTlb(utlb_id=0, limit=56)
-        utlb.outstanding = -1
+        utlb.pending_pages = set(range(57))
         san.on_utlb(utlb)
         san.on_utlb(utlb)
-        assert san.total_violations == 4  # cap + bookkeeping, twice
-        assert len(san.violations) == 4
+        assert san.total_violations == 2
+        assert len(san.violations) == 2
         summary = san.summary()
-        assert summary["violations"] == 4
-        assert summary["by_rule"] == {"utlb-cap": 4}
+        assert summary["violations"] == 2
+        assert summary["by_rule"] == {"utlb-cap": 2}
 
     def test_report_mode_caps_stored_violations(self):
         cfg = CheckConfig(enabled=True, mode="report", max_violations=3)
         san = Sanitizer(cfg, SimClock())
         utlb = UTlb(utlb_id=0, limit=56)
-        utlb.outstanding = -1
+        utlb.pending_pages = set(range(57))
         for _ in range(5):
             san.on_utlb(utlb)
         assert len(san.violations) == 3
-        assert san.total_violations == 10
+        assert san.total_violations == 5
 
     def test_make_sanitizer_disabled_is_null(self):
         assert make_sanitizer(CheckConfig(), SimClock()) is NULL_SANITIZER

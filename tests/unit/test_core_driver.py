@@ -230,6 +230,25 @@ class TestEviction:
         service(system)
         assert system.driver.vablocks.get_for_page(alloc.page(0)).evict_count == 1
 
+    def test_deferred_faults_requeue_when_a_scope_neighbour_is_evicted(self):
+        # Two chunks.  Block A goes dense, so the enlarged prefetch scope
+        # maps its neighbour N into the free chunk.  C then evicts N (the
+        # only unpinned block), and D finds every resident block pinned and
+        # defers.  Both N's lost pages and D's faults must re-demand.
+        system = make_system(gpu_mem_mb=4, prefetch=True, prefetch_scope_blocks=2)
+        block_a = system.managed_alloc(4 * PAGE_SIZE)
+        block_n = system.managed_alloc(4 * PAGE_SIZE)
+        block_c = system.managed_alloc(PAGE_SIZE)
+        block_d = system.managed_alloc(PAGE_SIZE)
+        inject(system, [block_a.page(i) for i in range(4)] + [block_c.page(0), block_d.page(0)])
+        outcome = service(system)
+        assert outcome.record.evictions == 1
+        assert not any(block_n.page(i) in outcome.serviced_pages for i in range(4))
+        assert set(outcome.serviced_pages) == {block_a.page(i) for i in range(4)} | {
+            block_c.page(0)
+        }
+        assert [f.page for f in outcome.unserviced_faults] == [block_d.page(0)]
+
 
 class TestPolicies:
     def test_adaptive_batch_shrinks_on_dups(self):

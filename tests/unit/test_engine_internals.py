@@ -244,7 +244,8 @@ class TestWakeAndBusySms:
         # Unblocking retires the stage: the next advance finishes the warp
         # even though its pages are not resident any more.
         for warp in woken:
-            assert warp.advance(resident=set()).finished
+            warp.advance(resident=set())
+            assert warp.finished
 
     def test_warp_retiring_on_an_idle_sm_counts_its_compute(self):
         system = make_system(num_sms=2)

@@ -126,6 +126,27 @@ class TestGpuDevice:
         dev.replay_all()
         assert all(u.outstanding == 0 for u in dev.utlbs)
 
+    def test_replay_all_empties_every_utlb(self):
+        dev = self.make()
+        checked = []
+
+        class Recorder:
+            def on_utlb(self, utlb):
+                checked.append(utlb.utlb_id)
+
+        for utlb in dev.utlbs:
+            utlb.attach_sanitizer(Recorder())
+        for utlb_id, pages in ((0, [1, 2, 2]), (2, [7]), (3, range(10, 66))):
+            for page in pages:
+                dev.utlbs[utlb_id].request(page)
+        checked.clear()
+        dev.replay_all()
+        assert all(not u.pending_pages and u.outstanding == 0 for u in dev.utlbs)
+        # Only the µTLBs that held entries had anything to clear.
+        assert checked == [0, 2, 3]
+        # Every page misses afresh after the replay.
+        assert all(u.request(1) is True for u in dev.utlbs)
+
     def test_idle_initially(self):
         assert self.make().idle
 

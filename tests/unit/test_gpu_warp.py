@@ -4,7 +4,6 @@ import pytest
 
 from repro.gpu.fault import AccessType
 from repro.gpu.warp import (
-    AdvanceResult,
     KernelLaunch,
     Phase,
     WarpProgram,
@@ -79,9 +78,8 @@ class TestScoreboard:
 
     def test_blocks_on_reads_first(self):
         warp = make_warp([Phase.of([1, 2], [3])])
-        result = warp.advance(resident=set())
-        assert result.new_waits == {1, 2}
-        assert warp.missing
+        warp.advance(resident=set())
+        assert warp.missing == {1, 2}
         # Writes are NOT demanded yet.
         assert all(a == AccessType.READ for _, a in warp._unissued)
 
@@ -89,43 +87,52 @@ class TestScoreboard:
         warp = make_warp([Phase.of([1], [2])])
         warp.advance(resident=set())
         assert notify(warp, [1])
-        result = warp.advance(resident={1})
-        assert result.new_waits == {2}
+        warp.advance(resident={1})
+        assert warp.missing == {2}
         assert all(a == AccessType.WRITE for _, a in warp._unissued)
 
     def test_finishes_when_all_resident(self):
         warp = make_warp([Phase.of([1], [2])])
-        result = warp.advance(resident={1, 2})
-        assert result.finished
+        warp.advance(resident={1, 2})
         assert warp.finished
+        assert warp.advance(resident={1, 2}) == 0.0  # a finished warp stays put
 
     def test_compute_accrues_per_completed_phase(self):
         warp = make_warp(
             [Phase.of([1], compute_usec=3.0), Phase.of([2], compute_usec=4.0)]
         )
-        result = warp.advance(resident={1, 2})
-        assert result.compute_usec == pytest.approx(7.0)
+        assert warp.advance(resident={1, 2}) == pytest.approx(7.0)
 
     def test_multi_phase_blocks_at_first_missing(self):
         warp = make_warp([Phase.of([1]), Phase.of([2])])
-        result = warp.advance(resident={1})
-        assert result.new_waits == {2}
+        warp.advance(resident={1})
+        assert warp.missing == {2}
+
+    def test_hits_collected_only_when_asked(self):
+        warp = make_warp([Phase.of([1, 2], [3]), Phase.of([4])])
+        hits = set()
+        warp.advance({1, 2, 3}, hits=hits)
+        assert hits == {1, 2, 3}
+        assert warp.missing == {4}
+        assert make_warp([Phase.of([1])]).advance({1}) == 0.0  # no set, no hits
 
 
 class TestPrefetchSemantics:
     def test_prefetches_emitted_without_blocking(self):
         warp = make_warp([Phase.of(prefetches=[1, 2, 3])])
-        result = warp.advance(resident=set())
-        assert result.prefetches == [1, 2, 3]
-        assert result.finished  # prefetch-only program completes immediately
+        emitted = [0]
+        warp.advance(set(), emitted)
+        assert emitted == [0, 1, 2, 3]  # appended to the caller's list
+        assert warp.finished  # prefetch-only program completes immediately
 
     def test_prefetch_emitted_once_per_phase(self):
         warp = make_warp([Phase.of([9], prefetches=[1])])
-        r1 = warp.advance(resident=set())
-        assert r1.prefetches == [1]
+        first, second = [], []
+        warp.advance(set(), first)
+        assert first == [1]
         notify(warp, [9])
-        r2 = warp.advance(resident={9})
-        assert r2.prefetches == []
+        warp.advance({9}, second)
+        assert second == []
 
     def test_prefetch_requeue_is_dropped(self):
         warp = make_warp([Phase.of([1])])
@@ -146,7 +153,7 @@ class TestIssuance:
         occs = [issue(warp), issue(warp)]
         assert occs == [(1, AccessType.READ), (2, AccessType.READ)]
         assert warp.has_issuable
-        assert warp.faults_issued == 2
+        assert warp._unissued[warp._unissued_head:] == [(3, AccessType.READ), (4, AccessType.READ)]
 
     def test_take_issuable_skips_satisfied(self):
         warp = make_warp([Phase.of([1, 2])])
@@ -185,7 +192,6 @@ class TestIssuance:
         assert issue(warp, utlb_full=True) is None
         assert warp.has_issuable  # blocked, not drained
         assert (list(warp._unissued), warp._unissued_head) == before
-        assert warp.faults_issued == 0
 
     def test_full_utlb_still_takes_a_merging_occurrence(self):
         warp = make_warp([Phase.of([3, 4])])
@@ -222,12 +228,12 @@ class TestIssuance:
         warp.requeue(5, AccessType.READ)
         assert not warp.has_issuable
 
-    def test_faults_issued_counter(self):
+    def test_each_issue_consumes_one_occurrence(self):
         warp = make_warp([Phase.of([1, 2, 3])])
         warp.advance(resident=set())
         issue(warp)
         issue(warp)
-        assert warp.faults_issued == 2
+        assert issue_all(warp) == [(3, AccessType.READ)]
 
 
 class TestPeekRequeueRegression:

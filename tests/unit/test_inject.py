@@ -459,15 +459,16 @@ class TestUtlbEarlyCancel:
     def make_utlb(self):
         return UTlb(utlb_id=0, limit=56)
 
-    def test_early_cancel_keeps_total_issued(self):
+    def test_early_cancel_frees_the_entry_and_counts(self):
         utlb = self.make_utlb()
         utlb.request(7)
-        issued = utlb.total_issued
         utlb.early_cancel(7)
-        assert utlb.total_issued == issued  # the buffer write already happened
         assert utlb.total_early_cancelled == 1
         assert utlb.outstanding == 0
         assert 7 not in utlb.pending_pages
+        utlb.request(8)
+        utlb.cancel(8)  # a hardware-drop rollback is not an early cancel
+        assert utlb.total_early_cancelled == 1
 
     def test_early_cancel_unknown_page_is_noop(self):
         utlb = self.make_utlb()

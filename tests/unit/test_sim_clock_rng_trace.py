@@ -5,9 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import UvmSystem
 from repro.config import ObsConfig, default_config
+from repro.core.batch_record import BatchRecord
 from repro.obs import Observability
 from repro.obs.bundle import read_manifest, write_bundle
 from repro.obs.flight import FlightRecorder
@@ -90,21 +93,36 @@ def scalar_jitter(rng, usecs, frac):
     ]
 
 
+def settle(driver, costs):
+    """The driver's settle fold over ``costs``, each charged as its own
+    block, so the block costs it returns are the jittered charges."""
+    for usec in costs:
+        driver._charge(usec, "time_block_base")
+    return driver._settle([None] * len(costs), list(range(1, len(costs) + 1)), BatchRecord(0))
+
+
+def unit_draws(stream, n):
+    """``n`` jittered unit costs at frac 0.5 (one draw each)."""
+    return [stream.apply(1.0, 0.5) for _ in range(n)]
+
+
 class TestJitterStream:
     COSTS = [8.0, 0.0, 2.5, 0.0, 0.0, 1.25, 40.0, 0.3]
 
     def test_block_draws_equal_scalar_draws_across_refills(self):
-        frac = 0.05
+        system = jittered_system()
+        driver = system.engine.driver
+        driver.jitter = stream = JitterStream(np.random.default_rng(7))
+        frac = driver.cost.jitter_frac
         costs = self.COSTS * 600  # 3000 draws: two refills
         ref = np.random.default_rng(7)
-        stream = JitterStream(np.random.default_rng(7))
         got = []
         for i in range(0, len(costs), 16):
             chunk = costs[i:i + 16]
             if i % 32:
                 got += [stream.apply(u, frac) for u in chunk]
             else:
-                got += stream.apply_all(np.array(chunk), frac).tolist()
+                got += settle(driver, chunk)
         assert got == scalar_jitter(ref, costs, frac)
         # Both generators stand where the same number of draws leaves them.
         ref.standard_normal(stream.state()["drawn"] - stream.state()["cursor"])
@@ -114,26 +132,79 @@ class TestJitterStream:
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
         stream = JitterStream(rng)
-        costs = np.array(self.COSTS)
-        assert stream.apply_all(costs, 0.0).tolist() == self.COSTS
         assert [stream.apply(u, 0.0) for u in self.COSTS] == self.COSTS
         assert rng.bit_generator.state == before
         none = JitterStream(None)
-        assert none.apply_all(costs, 0.05).tolist() == self.COSTS
+        assert [none.apply(u, 0.05) for u in self.COSTS] == self.COSTS
         assert none.state() is None
+        system = jittered_system()
+        driver = system.engine.driver
+        driver.jitter = JitterStream(None)
+        assert settle(driver, self.COSTS) == self.COSTS
+        driver.jitter = stream
+        driver.cost.jitter_frac = 0.0
+        assert settle(driver, self.COSTS) == self.COSTS
+        assert rng.bit_generator.state == before
 
     def test_restore_seeks_mid_block(self):
         stream = JitterStream(np.random.default_rng(11))
-        stream.normals(1000)
-        stream.normals(50)  # spans a refill
+        unit_draws(stream, 1050)  # spans a refill
         state = json.loads(json.dumps(stream.state()))
         assert 0 < state["cursor"] < state["drawn"]
-        ahead = stream.normals(200).copy()
+        ahead = unit_draws(stream, 200)
         stream.restore(state)
-        assert stream.normals(200).tolist() == ahead.tolist()
+        assert unit_draws(stream, 200) == ahead
         fresh = JitterStream(np.random.default_rng(0))
         fresh.restore(state)
-        assert fresh.normals(200).tolist() == ahead.tolist()
+        assert unit_draws(fresh, 200) == ahead
+
+
+#: Costs the settle sees: zeros and negatives draw nothing.
+cost_st = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-50.0, max_value=-1e-3),
+    st.floats(min_value=1e-3, max_value=1e4),
+)
+
+
+class TestJitterStreamProps:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(min_value=0.01, max_value=3.0),
+        lead=st.integers(0, 1030),
+        chunks=st.lists(st.lists(cost_st, max_size=40), min_size=1, max_size=12),
+        cut=st.integers(0, 11),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_settle_equals_one_scalar_draw_per_positive_cost(
+        self, seed, frac, lead, chunks, cut
+    ):
+        # ``lead`` draws first put the cursor anywhere in the first block,
+        # so the chunks cross the 1024-draw boundary at any offset.
+        system = jittered_system()
+        driver = system.engine.driver
+        driver.cost.jitter_frac = frac
+        driver.jitter = stream = JitterStream(np.random.default_rng(seed))
+        ref = np.random.default_rng(seed)
+        unit_draws(stream, lead)
+        ref.standard_normal(lead)
+        state, resumed = None, []
+        for i, chunk in enumerate(chunks):
+            if i == cut:
+                state = json.loads(json.dumps(stream.state()))
+            values = settle(driver, chunk)
+            assert values == scalar_jitter(ref, chunk, frac)
+            if state is not None:
+                resumed += values
+        if state is None:
+            return
+        # A state taken mid-block resumes on the same values.
+        driver.jitter = revived = JitterStream(np.random.default_rng(seed + 1))
+        revived.restore(state)
+        replayed = []
+        for chunk in chunks[cut:]:
+            replayed += settle(driver, chunk)
+        assert replayed == resumed
 
 
 def jittered_system(**driver_kw):
@@ -175,7 +246,7 @@ class TestJitterStreamInTheDriver:
         assert state == system.engine.driver.jitter.state()
         revived = JitterStream(np.random.default_rng(0))
         revived.restore(state)
-        assert revived.normals(3000).tolist() == system.engine.driver.jitter.normals(3000).tolist()
+        assert unit_draws(revived, 3000) == unit_draws(system.engine.driver.jitter, 3000)
 
     def test_block_phase_adds_left_to_right(self):
         """Builtin ``sum`` is compensated from Python 3.12 on: there
